@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import dbm_to_watts
 from .design import DesignInput, design_num_arrays
-from .experiments import TrialConfig, run_localization_experiment, run_se_sweep
+from .experiments import TrialConfig, _write_csv, run_localization_experiment, run_se_sweep
 from .gain import (GainProfile, NullNotFoundError, crossrange_gain, focus_chain,
                    gain_exact_sweep, gain_mla_fresnel, half_power_beamwidth)
 from .geometry import (Carrier, InfeasibleArrayError, ModularArray, derived_metrics,
@@ -40,20 +40,27 @@ class _Key:
     positive: bool = False
 
 
-_GEOMETRY_KEYS = {
+_CARRIER_KEYS = {
     "frequency_ghz": _Key("float", 15.0, positive=True),
     "spacing_m": _Key("float", None, positive=True),
+}
+_SEED = _Key("int", 1)
+_APERTURE = _Key("float", 2.0, positive=True)
+_FOCUS = _Key("float", required=True, positive=True)
+
+_GEOMETRY_KEYS = {
+    **_CARRIER_KEYS,
     "num_subarrays": _Key("int", 2, positive=True),
     "antennas_per_subarray": _Key("int", 64, positive=True),
-    "aperture_m": _Key("float", 2.0, positive=True),
+    "aperture_m": _APERTURE,
     "gap_m": _Key("float", None, positive=True),
-    "seed": _Key("int", 1),
+    "seed": _SEED,
+    "focus_m": _FOCUS,
 }
 
 _MONTE_CARLO_KEYS = {
-    "frequency_ghz": _Key("float", 15.0, positive=True),
-    "spacing_m": _Key("float", None, positive=True),
-    "aperture_m": _Key("float", 2.0, positive=True),
+    **_CARRIER_KEYS,
+    "aperture_m": _APERTURE,
     "num_subarrays": _Key("int", 4, positive=True),
     "antennas_per_subarray": _Key("int", 16, positive=True),
     "trials": _Key("int", 500, positive=True),
@@ -65,13 +72,12 @@ _MONTE_CARLO_KEYS = {
     "distance_max_m": _Key("float", 40.0, positive=True),
     "angle_step_rad": _Key("float", 0.002, positive=True),
     "ridge": _Key("float", 0.0),
-    "seed": _Key("int", 1),
+    "seed": _SEED,
 }
 
 SCHEMAS = {
     "beampattern": {
         **_GEOMETRY_KEYS,
-        "focus_m": _Key("float", required=True, positive=True),
         "x_min_m": _Key("float", -2.0),
         "x_max_m": _Key("float", 2.0),
         "x_points": _Key("int", 81, positive=True),
@@ -82,13 +88,11 @@ SCHEMAS = {
     },
     "cutline": {
         **_GEOMETRY_KEYS,
-        "focus_m": _Key("float", required=True, positive=True),
         "x_points": _Key("int", 401, positive=True),
         "x_halfwidth_m": _Key("float", None, positive=True),
     },
     "depth": {
         **_GEOMETRY_KEYS,
-        "focus_m": _Key("float", required=True, positive=True),
         "z_min_m": _Key("float", None, positive=True),
         "z_max_m": _Key("float", None, positive=True),
         "z_points": _Key("int", 400, positive=True),
@@ -97,13 +101,12 @@ SCHEMAS = {
         "depth_threshold": _Key("float", 0.05, positive=True),
     },
     "design": {
-        "frequency_ghz": _Key("float", 15.0, positive=True),
-        "spacing_m": _Key("float", None, positive=True),
+        **_CARRIER_KEYS,
         "aperture_m": _Key("float", required=True, positive=True),
-        "focus_m": _Key("float", required=True, positive=True),
+        "focus_m": _FOCUS,
         "antenna_counts": _Key("int_list", (1, 2, 4, 8, 16, 32, 64), positive=True),
         "grid_points": _Key("int", 300, positive=True),
-        "seed": _Key("int", 1),
+        "seed": _SEED,
     },
     "localize": {
         **_MONTE_CARLO_KEYS,
@@ -185,19 +188,8 @@ def parse_config(text: str, schema: dict, overrides: dict | None = None) -> dict
     return cfg
 
 
-def _resolved_comment(cfg: dict) -> str:
-    return " ".join(f"{k}={cfg[k]!r}".replace(" ", "") for k in sorted(cfg))
-
-
-def _write_csv(path: str, cfg: dict, header, rows, extra_comments=()):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# config: {_resolved_comment(cfg)}\n")
-        for comment in extra_comments:
-            f.write(f"# {comment}\n")
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join("%.17g" % v if isinstance(v, float) else str(v)
-                             for v in row) + "\n")
+def _config_comment(cfg: dict) -> str:
+    return "config: " + " ".join(f"{k}={cfg[k]!r}".replace(" ", "") for k in sorted(cfg))
 
 
 def _carrier(cfg: dict) -> Carrier:
@@ -230,7 +222,7 @@ def _cmd_beampattern(cfg: dict, out: str) -> int:
     rows = ((float(z), float(x), float(g))
             for z, xrow, grow in zip(zs, [xs] * len(zs), profile.gain)
             for x, g in zip(xrow, grow))
-    _write_csv(out, cfg, ["z_m", "x_m", "gain"], rows)
+    _write_csv(out, [_config_comment(cfg)], ["z_m", "x_m", "gain"], rows)
     print(f"wrote {cfg['z_points'] * cfg['x_points']} gain samples to {out}")
     return 0
 
@@ -244,11 +236,11 @@ def _cmd_cutline(cfg: dict, out: str) -> int:
     xs = np.linspace(-halfwidth, halfwidth, cfg["x_points"])
     g, env = crossrange_gain(mla.num_subarrays, mla.elements_per_subarray,
                              metrics.half_pitch, focus, xs, carrier)
-    GainProfile("cross_range_x", (xs,), np.minimum(g, 1.0), focus)
+    GainProfile("cross_range_x", (xs,), g, focus)
     rows = ((float(x), float(gv), float(ev), int(abs(x) <= bw / 2))
             for x, gv, ev in zip(xs, g, env))
-    _write_csv(out, cfg, ["x_m", "gain", "envelope", "in_halfpower_window"], rows,
-               extra_comments=[f"halfpower_beamwidth_m: {bw!r}"])
+    _write_csv(out, [_config_comment(cfg), f"halfpower_beamwidth_m: {bw!r}"],
+               ["x_m", "gain", "envelope", "in_halfpower_window"], rows)
     print(f"wrote cross-range cut ({cfg['x_points']} samples, beamwidth {bw:.4g} m) to {out}")
     return 0
 
@@ -267,13 +259,13 @@ def _cmd_depth(cfg: dict, out: str) -> int:
     series = [np.array([gain_mla_fresnel(L, N, metrics.half_pitch, f, z, carrier,
                                          mla.spacing) for z in zs]) for f in foci]
     for f, g in zip(foci, series):
-        GainProfile("depth_z", (zs,), np.minimum(g, 1.0), f)
+        GainProfile("depth_z", (zs,), g, f)
     if cfg["include_exact"]:
         columns += [f"exact_focus_{i + 1}" for i in range(len(foci))]
         series += [gain_exact_sweep(mla, np.zeros_like(zs), zs, f, carrier) for f in foci]
     rows = ((float(z), *(float(s[i]) for s in series)) for i, z in enumerate(zs))
-    _write_csv(out, cfg, columns, rows,
-               extra_comments=["foci_m: " + ",".join(repr(f) for f in foci)])
+    _write_csv(out, [_config_comment(cfg), "foci_m: " + ",".join(repr(f) for f in foci)],
+               columns, rows)
     for i, f in enumerate(foci, start=1):
         print(f"focus {i}: {f:.4f} m")
     print(f"wrote {len(zs)} depth samples to {out}")
@@ -291,8 +283,9 @@ def _cmd_design(cfg: dict, out: str) -> int:
             "aperture-filled" if res.aperture_filled else "")
         print(f"{n:>5} {res.num_subarrays:>5} {res.gap:>10.4f} {res.final_peak_count:>6}  {note}")
         results.append((int(n), res))
-    _write_csv(out, cfg, ["antennas_per_subarray", "num_subarrays", "gap_m",
-                          "final_peak_count", "guard_limited"],
+    _write_csv(out, [_config_comment(cfg)],
+               ["antennas_per_subarray", "num_subarrays", "gap_m", "final_peak_count",
+                "guard_limited"],
                ((n, r.num_subarrays, float(r.gap), r.final_peak_count,
                  int(r.guard_limited)) for n, r in results))
     return 0

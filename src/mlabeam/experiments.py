@@ -9,6 +9,7 @@ an aggregate footer written last.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -87,6 +88,14 @@ class TrialConfig:
         return ModularArray(num_subarrays, elements_per_subarray,
                             self.element_spacing, gap)
 
+    def _sweep_point(self, value):
+        """(array, transmit power) for one sweep value."""
+        if self.sweep_variable == "power":
+            return self.array_for(self.num_subarrays, self.elements_per_subarray), float(value)
+        if self.sweep_variable == "elements_per_subarray":
+            return self.array_for(self.num_subarrays, int(value)), self.power
+        return self.array_for(int(value), self.elements_per_subarray), self.power
+
     def draw_user(self, trial: int):
         """(angle radians, distance meters) for one trial; same across sweeps."""
         rng = np.random.default_rng(derive_trial_seed(self.base_seed, trial, _USER_STREAM))
@@ -138,7 +147,41 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_fields(config: TrialConfig) -> dict:
+class _CsvWriter:
+    """The one CSV format every mlabeam file uses: '# ' comment lines, a header,
+    rows with floats as %.17g, then '# ' footer lines. flush makes each row
+    reach the file as it is written, so a Monte Carlo run streams."""
+
+    def __init__(self, path, comments, header, flush: bool = False):
+        self._file = open(path, "w", encoding="utf-8", newline="\n")
+        self._flush = flush
+        self.comments(comments)
+        self._file.write(",".join(header) + "\n")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def comments(self, lines):
+        for line in lines:
+            self._file.write(f"# {line}\n")
+
+    def row(self, values):
+        self._file.write(",".join(_fmt(v) for v in values) + "\n")
+        if self._flush:
+            self._file.flush()
+
+
+def _write_csv(path, comments, header, rows, footer=()):
+    with _CsvWriter(path, comments, header) as writer:
+        for row in rows:
+            writer.row(row)
+        writer.comments(footer)
+
+
+def _config_comment(config: TrialConfig) -> str:
     fields = {}
     for f in dataclasses.fields(config):
         v = getattr(config, f.name)
@@ -148,34 +191,18 @@ def _config_fields(config: TrialConfig) -> dict:
             fields[f.name] = ",".join(repr(x) for x in v)
         else:
             fields[f.name] = repr(v)
-    return fields
+    return "config: " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-class _StreamWriter:
-    """Incremental CSV emission: config comment, header, rows, aggregate footer."""
-
-    def __init__(self, path, config: TrialConfig):
-        self.f = open(path, "w", encoding="utf-8", newline="\n")
-        items = " ".join(f"{k}={v}" for k, v in _config_fields(config).items())
-        self.f.write(f"# config: {items}\n")
-        self.f.write(",".join(RECORD_FIELDS) + "\n")
-
-    def row(self, record: ExperimentRecord):
-        self.f.write(",".join(_fmt(v) for v in dataclasses.astuple(record)) + "\n")
-        self.f.flush()
-
-    def finish(self, aggregates):
-        for agg in aggregates:
-            items = " ".join(f"{k}={_fmt(v)}" for k, v in agg.items())
-            self.f.write(f"# aggregate: {items}\n")
-        self.f.close()
+def _aggregate_comments(aggregates):
+    return ["aggregate: " + " ".join(f"{k}={_fmt(v)}" for k, v in agg.items())
+            for agg in aggregates]
 
 
 def write_records_csv(path, result: ExperimentResult):
-    w = _StreamWriter(path, result.config)
-    for r in result.records:
-        w.row(r)
-    w.finish(result.aggregates)
+    _write_csv(path, [_config_comment(result.config)], RECORD_FIELDS,
+               (dataclasses.astuple(r) for r in result.records),
+               _aggregate_comments(result.aggregates))
 
 
 def read_records_csv(path):
@@ -198,35 +225,75 @@ def read_records_csv(path):
     return config, records, aggregates
 
 
-def _nmse_aggregates(records, method_fields=("sq_error",)):
-    """Recompute per-sweep aggregates from the record list itself, so a reader
-    summing the emitted rows reproduces them exactly."""
+def _aggregate(records, summarize):
+    """Per-sweep aggregates recomputed from the record list itself, so a
+    reader summing the emitted rows reproduces them exactly. summarize maps
+    the kept (not excluded) records of one sweep point to its statistics."""
     aggregates = []
     for v in dict.fromkeys(r.sweep_value for r in records):
         rows = [r for r in records if r.sweep_value == v]
         kept = [r for r in rows if not r.excluded]
-        agg = {"sweep_value": v, "trials": len(rows), "excluded": len(rows) - len(kept)}
-        norm = sum(r.true_x**2 + r.true_z**2 for r in kept)
-        for fieldname in method_fields:
-            total = sum(getattr(r, fieldname) for r in kept)
-            key = "nmse" if fieldname == "sq_error" else "nmse_2d"
-            agg[key] = total / norm if kept else float("nan")
-        aggregates.append(agg)
+        aggregates.append({"sweep_value": v, "trials": len(rows),
+                           "excluded": len(rows) - len(kept), **summarize(kept)})
     return aggregates
 
 
-def _se_aggregates(records):
-    aggregates = []
-    for v in dict.fromkeys(r.sweep_value for r in records):
-        rows = [r for r in records if r.sweep_value == v]
-        kept = [r for r in rows if not r.excluded]
-        agg = {"sweep_value": v, "trials": len(rows), "excluded": len(rows) - len(kept)}
-        for name in ("se_proposed", "se_2d", "se_perfect"):
-            vals = [getattr(r, name) for r in kept]
-            finite = [x for x in vals if not math.isnan(x)]
-            agg["mean_" + name] = sum(finite) / len(finite) if finite else float("nan")
-        aggregates.append(agg)
-    return aggregates
+def _nmse_summary(kept):
+    norm = sum(r.true_x**2 + r.true_z**2 for r in kept)
+    return {"nmse": sum(r.sq_error for r in kept) / norm if kept else float("nan")}
+
+
+def _se_summary(kept):
+    summary = {}
+    for name in ("se_proposed", "se_2d", "se_perfect"):
+        finite = [x for x in (getattr(r, name) for r in kept) if not math.isnan(x)]
+        summary["mean_" + name] = sum(finite) / len(finite) if finite else float("nan")
+    return summary
+
+
+def _run_trials(config: TrialConfig, out_path, evaluate, summarize) -> ExperimentResult:
+    """The Monte Carlo protocol both drivers share: per sweep value and trial,
+    draw the user, synthesize snapshots, locate, and stream one record.
+
+    Trials whose triangulation is ill-conditioned or whose subspace is
+    degenerate keep NaN estimates and excluded=1. evaluate(scenario,
+    snapshots, estimate) returns the driver's own record fields; estimate is
+    None for an excluded trial.
+    """
+    grid = default_angle_grid(config.angle_step)
+    counter = SearchCounter()
+    records = []
+    with (_CsvWriter(out_path, [_config_comment(config)], RECORD_FIELDS, flush=True)
+          if out_path else contextlib.nullcontext()) as writer:
+        for v in config.sweep_values:
+            mla, power = config._sweep_point(v)
+            for trial in range(config.trials):
+                angle, distance = config.draw_user(trial)
+                seed = derive_trial_seed(config.base_seed, trial, _SNAPSHOT_STREAM)
+                scenario = Scenario(mla, config.carrier, distance, angle,
+                                    power, config.noise_power, config.num_snapshots)
+                snaps = synthesize_snapshots(scenario, seed)
+                tx, tz = scenario.user_xz
+                try:
+                    est = locate(snaps, grid, counter=counter, ridge=config.ridge)
+                except (IllConditionedTriangulationError, DegenerateSubspaceError):
+                    est = None
+                fields = dict.fromkeys(RECORD_FIELDS, float("nan"))
+                fields.update(sweep_value=float(v), trial=trial, seed=seed, true_x=tx,
+                              true_z=tz, excluded=int(est is None))
+                if est is not None:
+                    fields.update(est_x=est.x, est_z=est.z,
+                                  sq_error=(est.x - tx) ** 2 + (est.z - tz) ** 2)
+                fields.update(evaluate(scenario, snaps, est))
+                records.append(ExperimentRecord(**fields))
+                if writer:
+                    writer.row(dataclasses.astuple(records[-1]))
+        aggregates = _aggregate(records, summarize)
+        if writer:
+            writer.comments(_aggregate_comments(aggregates))
+    return ExperimentResult(config, records, aggregates,
+                            excluded_total=sum(r.excluded for r in records),
+                            search_cost_proposed=counter.count)
 
 
 def run_localization_experiment(config: TrialConfig, out_path=None) -> ExperimentResult:
@@ -240,40 +307,7 @@ def run_localization_experiment(config: TrialConfig, out_path=None) -> Experimen
     """
     if config.sweep_variable == "power":
         raise ValueError("use run_se_sweep for power sweeps")
-    grid = default_angle_grid(config.angle_step)
-    counter = SearchCounter()
-    writer = _StreamWriter(out_path, config) if out_path else None
-    records = []
-    for v in config.sweep_values:
-        if config.sweep_variable == "elements_per_subarray":
-            mla = config.array_for(config.num_subarrays, int(v))
-        else:
-            mla = config.array_for(int(v), config.elements_per_subarray)
-        for trial in range(config.trials):
-            angle, distance = config.draw_user(trial)
-            seed = derive_trial_seed(config.base_seed, trial, _SNAPSHOT_STREAM)
-            scenario = Scenario(mla, config.carrier, distance, angle,
-                                config.power, config.noise_power, config.num_snapshots)
-            snaps = synthesize_snapshots(scenario, seed)
-            tx, tz = scenario.user_xz
-            nan = float("nan")
-            try:
-                est = locate(snaps, grid, counter=counter, ridge=config.ridge)
-                sq = (est.x - tx) ** 2 + (est.z - tz) ** 2
-                rec = ExperimentRecord(float(v), trial, seed, tx, tz, est.x, est.z, sq,
-                                       nan, nan, nan, nan, nan, nan, 0)
-            except (IllConditionedTriangulationError, DegenerateSubspaceError):
-                rec = ExperimentRecord(float(v), trial, seed, tx, tz, nan, nan, nan,
-                                       nan, nan, nan, nan, nan, nan, 1)
-            records.append(rec)
-            if writer:
-                writer.row(rec)
-    aggregates = _nmse_aggregates(records)
-    if writer:
-        writer.finish(aggregates)
-    return ExperimentResult(config, records, aggregates,
-                            excluded_total=sum(r.excluded for r in records),
-                            search_cost_proposed=counter.count)
+    return _run_trials(config, out_path, lambda scenario, snaps, est: {}, _nmse_summary)
 
 
 def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
@@ -287,62 +321,34 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
     if config.sweep_variable != "power":
         raise ValueError("run_se_sweep expects a power sweep")
     mla = config.array_for(config.num_subarrays, config.elements_per_subarray)
-    n_total = mla.num_elements
-    grid = default_angle_grid(config.angle_step)
-    counter_1d = SearchCounter()
     counter_2d = SearchCounter()
     if include_2d and grid_2d is None:
         grid_2d = NearFieldGrid(mla, config.carrier, centered_angle_grid(step=config.angle_step),
                                 default_distance_grid(step=config.distance_step))
-    writer = _StreamWriter(out_path, config) if out_path else None
-    records = []
-    for power in config.sweep_values:
-        for trial in range(config.trials):
-            angle, distance = config.draw_user(trial)
-            seed = derive_trial_seed(config.base_seed, trial, _SNAPSHOT_STREAM)
-            scenario = Scenario(mla, config.carrier, distance, angle,
-                                float(power), config.noise_power, config.num_snapshots)
-            snaps = synthesize_snapshots(scenario, seed)
+
+    def evaluate(scenario, snaps, est):
+        power, carrier, noise = scenario.power, config.carrier, config.noise_power
+        beta = friis_beta(carrier, scenario.distance)
+        fields = {"se_perfect": math.log2(1 + power * beta * mla.num_elements / noise)}
+        if est is None:
+            return fields
+        h_true = near_steering(mla, carrier, scenario.angle, scenario.distance)
+        ch = estimate_channel(mla, carrier, est.angle, est.distance)
+        fields["se_proposed"] = spectral_efficiency(h_true, ch.vector, power, beta, noise)
+        if include_2d:
+            stacked = snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
+            phi2, d2 = music_2d(stacked, mla, carrier, precomputed=grid_2d, counter=counter_2d)
+            ch2 = estimate_channel(mla, carrier, phi2, d2)
+            ex2, ez2 = d2 * math.cos(phi2), d2 * math.sin(phi2)
             tx, tz = scenario.user_xz
-            h_true = near_steering(mla, config.carrier, angle, distance)
-            beta = friis_beta(config.carrier, distance)
-            se_perfect = math.log2(1 + float(power) * beta * n_total / config.noise_power)
-            nan = float("nan")
-            try:
-                est = locate(snaps, grid, counter=counter_1d, ridge=config.ridge)
-            except (IllConditionedTriangulationError, DegenerateSubspaceError):
-                rec = ExperimentRecord(float(power), trial, seed, tx, tz, nan, nan, nan,
-                                       nan, nan, nan, nan, nan, se_perfect, 1)
-                records.append(rec)
-                if writer:
-                    writer.row(rec)
-                continue
-            ch = estimate_channel(mla, config.carrier, est.angle, est.distance)
-            se_prop = spectral_efficiency(h_true, ch.vector, float(power), beta,
-                                          config.noise_power)
-            sq = (est.x - tx) ** 2 + (est.z - tz) ** 2
-            ex2 = ez2 = sq2 = se_2d = nan
-            if include_2d:
-                stacked = snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
-                phi2, d2 = music_2d(stacked, mla, config.carrier,
-                                    precomputed=grid_2d, counter=counter_2d)
-                ch2 = estimate_channel(mla, config.carrier, phi2, d2)
-                se_2d = spectral_efficiency(h_true, ch2.vector, float(power), beta,
-                                            config.noise_power)
-                ex2, ez2 = d2 * math.cos(phi2), d2 * math.sin(phi2)
-                sq2 = (ex2 - tx) ** 2 + (ez2 - tz) ** 2
-            rec = ExperimentRecord(float(power), trial, seed, tx, tz, est.x, est.z, sq,
-                                   ex2, ez2, sq2, se_prop, se_2d, se_perfect, 0)
-            records.append(rec)
-            if writer:
-                writer.row(rec)
-    aggregates = _se_aggregates(records)
-    if writer:
-        writer.finish(aggregates)
-    return ExperimentResult(config, records, aggregates,
-                            excluded_total=sum(r.excluded for r in records),
-                            search_cost_proposed=counter_1d.count,
-                            search_cost_2d=counter_2d.count)
+            fields.update(est_x_2d=ex2, est_z_2d=ez2,
+                          sq_error_2d=(ex2 - tx) ** 2 + (ez2 - tz) ** 2,
+                          se_2d=spectral_efficiency(h_true, ch2.vector, power, beta, noise))
+        return fields
+
+    result = _run_trials(config, out_path, evaluate, _se_summary)
+    result.search_cost_2d = counter_2d.count
+    return result
 
 
 def bracketing_floor(mla: ModularArray, truth_xz, grid) -> float:

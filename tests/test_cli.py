@@ -139,6 +139,18 @@ def test_depth_no_null_degenerate(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command, name, fake", [
+    ("cutline", "crossrange_gain", lambda *a: (np.full_like(a[4], 1.5), np.full_like(a[4], 2.0))),
+    ("depth", "gain_mla_fresnel", lambda *a: 1.5),
+], ids=["cutline", "depth"])
+def test_gain_above_one_is_rejected(tmp_path, monkeypatch, command, name, fake):
+    """The [0, 1] check sees the gains that would be written, not a clipped copy."""
+    monkeypatch.setattr(f"mlabeam.cli.{name}", fake)
+    out = tmp_path / "g.csv"
+    assert main([command, "--focus_m", "30", "--out", str(out)]) != 0
+    assert not out.exists()
+
+
 def test_beampattern_command(tmp_path):
     out = tmp_path / "bp.csv"
     code = main(["beampattern", "--focus_m", "30", "--x_points", "15",

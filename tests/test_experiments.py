@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +8,13 @@ import pytest
 from mlabeam import (Carrier, TrialConfig, derive_trial_seed, dbm_to_watts,
                      read_records_csv, run_localization_experiment, run_se_sweep,
                      write_records_csv)
+from mlabeam import experiments
 from mlabeam.experiments import RECORD_FIELDS
+from mlabeam.localization import IllConditionedTriangulationError, NearFieldGrid
 
 CAR = Carrier.from_frequency(15e9)
+COARSE_ANGLES = np.arange(0.4, math.pi - 0.4, 0.01)
+COARSE_DISTANCES = np.arange(4.0, 40.0, 0.25)
 
 
 def _config(**kw):
@@ -73,31 +78,87 @@ def test_csv_layout(tmp_path):
     assert len(body) == 10  # trials x sweep points
 
 
-def test_aggregates_recomputable_from_rows(tmp_path):
+def _run(driver, out_path=None, **kw):
+    """Run one Monte Carlo driver on a small config; SE uses a coarse 2D grid."""
+    if driver == "localize":
+        return run_localization_experiment(_config(**kw), out_path=out_path)
+    cfg = _config(sweep_variable="power", sweep_values=(dbm_to_watts(10), dbm_to_watts(20)),
+                  **kw)
+    if driver == "se_no_2d":
+        return run_se_sweep(cfg, out_path=out_path, include_2d=False)
+    grid = NearFieldGrid(cfg.array_for(4, 16), CAR, COARSE_ANGLES, COARSE_DISTANCES)
+    return run_se_sweep(cfg, out_path=out_path, grid_2d=grid)
+
+
+def _exclude_trials(monkeypatch, dropped, trials):
+    """Make locate fail as ill-conditioned on the given trial indices."""
+    real, calls = experiments.locate, itertools.count()
+
+    def locate(*args, **kwargs):
+        if next(calls) % trials in dropped:
+            raise IllConditionedTriangulationError("forced exclusion")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(experiments, "locate", locate)
+
+
+def _summary_from_rows(driver, kept):
+    if driver == "localize":
+        num = sum((r["est_x"] - r["true_x"]) ** 2 + (r["est_z"] - r["true_z"]) ** 2
+                  for r in kept)
+        return {"nmse": num / sum(r["true_x"] ** 2 + r["true_z"] ** 2 for r in kept)}
+    means = {}
+    for name in ("se_proposed", "se_2d", "se_perfect"):
+        finite = [r[name] for r in kept if not math.isnan(r[name])]
+        means[f"mean_{name}"] = sum(finite) / len(finite) if finite else math.nan
+    return means
+
+
+@pytest.mark.parametrize("dropped", [(), (1, 4)], ids=["all_kept", "two_excluded"])
+@pytest.mark.parametrize("driver", ["localize", "se", "se_no_2d"])
+def test_aggregates_recomputable_from_rows(tmp_path, monkeypatch, driver, dropped):
     """The footer statistics must follow from the stored rows bit for bit."""
+    _exclude_trials(monkeypatch, dropped, trials=7)
     p = tmp_path / "r.csv"
-    run_localization_experiment(_config(trials=7), out_path=str(p))
+    _run(driver, out_path=str(p), trials=7)
     config, records, aggregates = read_records_csv(str(p))
     assert config["trials"] == "7"
     assert len(records) == 14
     for agg in aggregates:
-        rows = [r for r in records
-                if r["sweep_value"] == agg["sweep_value"] and not r["excluded"]]
-        num = sum((r["est_x"] - r["true_x"]) ** 2 + (r["est_z"] - r["true_z"]) ** 2
-                  for r in rows)
-        den = sum(r["true_x"] ** 2 + r["true_z"] ** 2 for r in rows)
-        assert num / den == agg["nmse"]  # exact, both sides round-trip %.17g
-        assert agg["excluded"] == 0
+        rows = [r for r in records if r["sweep_value"] == agg["sweep_value"]]
+        kept = [r for r in rows if not r["excluded"]]
+        assert agg["excluded"] == len(rows) - len(kept) == len(dropped)
+        for key, value in _summary_from_rows(driver, kept).items():
+            # exact, both sides round-trip %.17g; NaN (no 2D baseline) equals NaN
+            np.testing.assert_equal(value, agg[key])
 
 
-def test_write_read_round_trip(tmp_path):
-    p = tmp_path / "w.csv"
-    res = run_localization_experiment(_config())
-    write_records_csv(str(p), res)
-    _, records, aggregates = read_records_csv(str(p))
+@pytest.mark.parametrize("driver", ["localize", "se"])
+def test_excluded_trial_rows(monkeypatch, driver):
+    _exclude_trials(monkeypatch, (0, 3), trials=5)
+    res = _run(driver, trials=5)
+    assert res.excluded_total == 4
+    estimates = ("est_x", "est_z", "sq_error", "est_x_2d", "est_z_2d", "sq_error_2d",
+                 "se_proposed", "se_2d")
+    for r in res.records:
+        assert r.excluded == (r.trial in (0, 3))
+        if r.excluded:
+            assert all(math.isnan(getattr(r, name)) for name in estimates)
+        assert math.isfinite(r.se_perfect) == (driver == "se")
+    if driver == "se":  # the 2D baseline searches only the kept trials
+        kept = len(res.records) - res.excluded_total
+        assert res.search_cost_2d == COARSE_ANGLES.size * COARSE_DISTANCES.size * kept
+
+
+@pytest.mark.parametrize("driver", ["localize", "se"])
+def test_write_read_round_trip(tmp_path, driver):
+    streamed, written = tmp_path / "s.csv", tmp_path / "w.csv"
+    res = _run(driver, out_path=str(streamed))
+    write_records_csv(str(written), res)
+    assert written.read_bytes() == streamed.read_bytes()
+    _, records, aggregates = read_records_csv(str(written))
     assert len(records) == len(res.records)
     for want, got in zip(res.aggregates, aggregates):
-        assert got["nmse"] == want["nmse"]
+        assert got == want
 
 
 def test_localization_trend_smoke():
@@ -107,12 +168,9 @@ def test_localization_trend_smoke():
 
 
 def test_se_sweep_proposed_below_perfect(tmp_path):
-    from mlabeam.localization import NearFieldGrid
     cfg = _config(sweep_variable="power",
                   sweep_values=(dbm_to_watts(10), dbm_to_watts(20)), trials=4)
-    mla = cfg.array_for(4, 16)
-    grid = NearFieldGrid(mla, CAR, np.arange(0.4, math.pi - 0.4, 0.01),
-                         np.arange(4.0, 40.0, 0.25))
+    grid = NearFieldGrid(cfg.array_for(4, 16), CAR, COARSE_ANGLES, COARSE_DISTANCES)
     res = run_se_sweep(cfg, out_path=str(tmp_path / "se.csv"), grid_2d=grid)
     for r in res.records:
         assert r.se_proposed <= r.se_perfect + 1e-12
