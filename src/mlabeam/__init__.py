@@ -9,8 +9,8 @@ from .channel import (ChannelEstimate, dbm_to_watts, estimate_channel, friis_bet
                       spectral_efficiency, watts_to_dbm)
 from .design import (DesignInput, DesignResult, PEAK_PROMINENCE, count_peaks,
                      design_num_arrays, design_sweep)
-from .gain import (EffectiveDistance, GainProfile, NullNotFoundError, RippleMetrics,
-                   TxPoint, cell_channel, crossrange_gain, exact_field,
+from .gain import (EffectiveDistance, GainProfile, GainRangeError, NullNotFoundError,
+                   RippleMetrics, TxPoint, cell_channel, crossrange_gain, exact_field,
                    first_null_after_focus, focus_chain, gain_exact, gain_exact_sweep,
                    gain_mla_fresnel, gain_ula_fresnel, half_power_beamwidth,
                    matched_filter_weights, ripple_metrics)
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrayMetrics", "AngleEstimates", "Carrier", "ChannelEstimate",
     "DegenerateSubspaceError", "DesignInput", "DesignResult", "EffectiveDistance",
-    "ExperimentRecord", "ExperimentResult", "GainProfile",
+    "ExperimentRecord", "ExperimentResult", "GainProfile", "GainRangeError",
     "IllConditionedTriangulationError", "InfeasibleArrayError", "ModularArray",
     "NearFieldGrid", "NullNotFoundError", "PEAK_PROMINENCE", "PositionEstimate",
     "QuadratureRule", "RippleMetrics", "SPEED_OF_LIGHT", "Scenario", "SearchCounter",

@@ -6,12 +6,14 @@ unit in their name (frequency_ghz, power_dbm, aperture_m, ...) and are
 converted to SI/watts/radians exactly once, here.
 
 Exit codes: 0 success, 2 config error, 3 infeasible design, 4 numerical
-degeneracy, 5 I/O error.
+degeneracy, 5 I/O error. Config errors are raised where config values become
+library inputs; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -21,8 +23,8 @@ import numpy as np
 from .channel import dbm_to_watts
 from .design import DesignInput, design_num_arrays
 from .experiments import TrialConfig, _write_csv, run_localization_experiment, run_se_sweep
-from .gain import (GainProfile, NullNotFoundError, crossrange_gain, focus_chain,
-                   gain_exact_sweep, gain_mla_fresnel, half_power_beamwidth)
+from .gain import (GainProfile, GainRangeError, NullNotFoundError, crossrange_gain,
+                   focus_chain, gain_exact_sweep, gain_mla_fresnel, half_power_beamwidth)
 from .geometry import (Carrier, InfeasibleArrayError, ModularArray, derived_metrics,
                        spacing_for_aperture)
 from .localization import DegenerateSubspaceError, IllConditionedTriangulationError
@@ -192,32 +194,55 @@ def _config_comment(cfg: dict) -> str:
     return "config: " + " ".join(f"{k}={cfg[k]!r}".replace(" ", "") for k in sorted(cfg))
 
 
+@contextlib.contextmanager
+def _input_boundary():
+    """Report a ValueError raised while config values become library inputs
+    as a config error; an infeasible layout keeps its own exit code."""
+    try:
+        yield
+    except (ConfigError, InfeasibleArrayError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _carrier(cfg: dict) -> Carrier:
-    return Carrier.from_frequency(cfg["frequency_ghz"] * 1e9)
+    with _input_boundary():
+        return Carrier.from_frequency(cfg["frequency_ghz"] * 1e9)
 
 
-def _resolve_array(cfg: dict):
+def _resolve_array(cfg: dict, closed_form: bool = False):
+    """Array and carrier from the geometry keys; closed_form also requires the
+    even sub-array count the closed-form gains assume."""
     carrier = _carrier(cfg)
     spacing = cfg["spacing_m"] if cfg["spacing_m"] is not None else carrier.wavelength / 2
     L, N = cfg["num_subarrays"], cfg["antennas_per_subarray"]
-    if cfg.get("gap_m") is not None:
-        gap = cfg["gap_m"]
-    elif cfg.get("aperture_m") is not None:
-        gap = spacing_for_aperture(cfg["aperture_m"], L, N, spacing) if L > 1 else spacing
-    else:
-        raise ConfigError("either 'aperture_m' or 'gap_m' must be set")
-    return ModularArray(L, N, spacing, gap), carrier
+    if closed_form and L > 1 and L % 2:
+        raise ConfigError(f"'num_subarrays' must be even for the closed-form gain, got {L}")
+    with _input_boundary():
+        if cfg.get("gap_m") is not None:
+            gap = cfg["gap_m"]
+        elif cfg.get("aperture_m") is not None:
+            gap = spacing_for_aperture(cfg["aperture_m"], L, N, spacing) if L > 1 else spacing
+        else:
+            raise ConfigError("either 'aperture_m' or 'gap_m' must be set")
+        return ModularArray(L, N, spacing, gap), carrier
+
+
+def _samples(cfg: dict, lo: float, hi: float, axis: str, log: bool = False) -> np.ndarray:
+    """cfg[axis + '_points'] samples from lo to hi, which must be increasing."""
+    points = cfg[f"{axis}_points"]
+    if points > 1 and not lo < hi:
+        raise ConfigError(f"'{axis}_min_m' must be below '{axis}_max_m' ({lo!r} >= {hi!r})")
+    return (np.geomspace if log else np.linspace)(lo, hi, points)
 
 
 def _cmd_beampattern(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg)
-    xs = np.linspace(cfg["x_min_m"], cfg["x_max_m"], cfg["x_points"])
-    if cfg["log_z"]:
-        zs = np.geomspace(cfg["z_min_m"], cfg["z_max_m"], cfg["z_points"])
-    else:
-        zs = np.linspace(cfg["z_min_m"], cfg["z_max_m"], cfg["z_points"])
+    xs = _samples(cfg, cfg["x_min_m"], cfg["x_max_m"], "x")
+    zs = _samples(cfg, cfg["z_min_m"], cfg["z_max_m"], "z", log=cfg["log_z"])
     X, Z = np.meshgrid(xs, zs)
-    gains = np.minimum(gain_exact_sweep(mla, X, Z, cfg["focus_m"], carrier), 1.0)
+    gains = gain_exact_sweep(mla, X, Z, cfg["focus_m"], carrier)
     profile = GainProfile("plane_xz", (xs, zs), gains, cfg["focus_m"])
     rows = ((float(z), float(x), float(g))
             for z, xrow, grow in zip(zs, [xs] * len(zs), profile.gain)
@@ -228,7 +253,7 @@ def _cmd_beampattern(cfg: dict, out: str) -> int:
 
 
 def _cmd_cutline(cfg: dict, out: str) -> int:
-    mla, carrier = _resolve_array(cfg)
+    mla, carrier = _resolve_array(cfg, closed_form=True)
     metrics = derived_metrics(mla, carrier)
     focus = cfg["focus_m"]
     bw = half_power_beamwidth(mla.elements_per_subarray, focus)
@@ -246,7 +271,7 @@ def _cmd_cutline(cfg: dict, out: str) -> int:
 
 
 def _cmd_depth(cfg: dict, out: str) -> int:
-    mla, carrier = _resolve_array(cfg)
+    mla, carrier = _resolve_array(cfg, closed_form=True)
     metrics = derived_metrics(mla, carrier)
     L, N = mla.num_subarrays, mla.elements_per_subarray
     foci = [float(f) for f in focus_chain(L, N, metrics.half_pitch, cfg["focus_m"],
@@ -254,7 +279,7 @@ def _cmd_depth(cfg: dict, out: str) -> int:
                                           mla.spacing)]
     z_lo = cfg["z_min_m"] if cfg["z_min_m"] is not None else foci[0] / 2
     z_hi = cfg["z_max_m"] if cfg["z_max_m"] is not None else foci[-1] * 2.5
-    zs = np.linspace(z_lo, z_hi, cfg["z_points"])
+    zs = _samples(cfg, z_lo, z_hi, "z")
     columns = ["z_m"] + [f"gain_focus_{i + 1}" for i in range(len(foci))]
     series = [np.array([gain_mla_fresnel(L, N, metrics.half_pitch, f, z, carrier,
                                          mla.spacing) for z in zs]) for f in foci]
@@ -262,7 +287,10 @@ def _cmd_depth(cfg: dict, out: str) -> int:
         GainProfile("depth_z", (zs,), g, f)
     if cfg["include_exact"]:
         columns += [f"exact_focus_{i + 1}" for i in range(len(foci))]
-        series += [gain_exact_sweep(mla, np.zeros_like(zs), zs, f, carrier) for f in foci]
+        exact = [gain_exact_sweep(mla, np.zeros_like(zs), zs, f, carrier) for f in foci]
+        for f, g in zip(foci, exact):
+            GainProfile("depth_z", (zs,), g, f)
+        series += exact
     rows = ((float(z), *(float(s[i]) for s in series)) for i, z in enumerate(zs))
     _write_csv(out, [_config_comment(cfg), "foci_m: " + ",".join(repr(f) for f in foci)],
                columns, rows)
@@ -277,8 +305,10 @@ def _cmd_design(cfg: dict, out: str) -> int:
     results = []
     print(f"{'N':>5} {'L':>5} {'gap_m':>10} {'peaks':>6}  note")
     for n in cfg["antenna_counts"]:
-        res = design_num_arrays(DesignInput(cfg["aperture_m"], cfg["focus_m"], int(n),
-                                            carrier, cfg["spacing_m"], cfg["grid_points"]))
+        with _input_boundary():
+            design = DesignInput(cfg["aperture_m"], cfg["focus_m"], int(n), carrier,
+                                 cfg["spacing_m"], cfg["grid_points"])
+        res = design_num_arrays(design)
         note = "guard-limited" if res.guard_limited else (
             "aperture-filled" if res.aperture_filled else "")
         print(f"{n:>5} {res.num_subarrays:>5} {res.gap:>10.4f} {res.final_peak_count:>6}  {note}")
@@ -292,25 +322,31 @@ def _cmd_design(cfg: dict, out: str) -> int:
 
 
 def _trial_config(cfg: dict, sweep_variable: str, sweep_values: tuple) -> TrialConfig:
-    return TrialConfig(
-        aperture=cfg["aperture_m"],
-        num_subarrays=cfg["num_subarrays"],
-        elements_per_subarray=cfg["antennas_per_subarray"],
-        carrier=_carrier(cfg),
-        power=dbm_to_watts(cfg["power_dbm"]) if "power_dbm" in cfg else float("nan"),
-        noise_power=dbm_to_watts(cfg["noise_dbm"]),
-        sweep_variable=sweep_variable,
-        sweep_values=sweep_values,
-        num_snapshots=cfg["snapshots"],
-        angle_bounds_deg=(cfg["angle_min_deg"], cfg["angle_max_deg"]),
-        distance_bounds=(cfg["distance_min_m"], cfg["distance_max_m"]),
-        trials=cfg["trials"],
-        base_seed=cfg["seed"],
-        angle_step=cfg["angle_step_rad"],
-        distance_step=cfg.get("distance_step_m", 0.02),
-        ridge=cfg["ridge"],
-        spacing=cfg["spacing_m"],
-    )
+    """Validated Monte Carlo config; every sweep point's array is resolved
+    here, so a geometry a sweep cannot use is a config error before any trial."""
+    with _input_boundary():
+        config = TrialConfig(
+            aperture=cfg["aperture_m"],
+            num_subarrays=cfg["num_subarrays"],
+            elements_per_subarray=cfg["antennas_per_subarray"],
+            carrier=_carrier(cfg),
+            power=dbm_to_watts(cfg["power_dbm"]) if "power_dbm" in cfg else float("nan"),
+            noise_power=dbm_to_watts(cfg["noise_dbm"]),
+            sweep_variable=sweep_variable,
+            sweep_values=sweep_values,
+            num_snapshots=cfg["snapshots"],
+            angle_bounds_deg=(cfg["angle_min_deg"], cfg["angle_max_deg"]),
+            distance_bounds=(cfg["distance_min_m"], cfg["distance_max_m"]),
+            trials=cfg["trials"],
+            base_seed=cfg["seed"],
+            angle_step=cfg["angle_step_rad"],
+            distance_step=cfg.get("distance_step_m", 0.02),
+            ridge=cfg["ridge"],
+            spacing=cfg["spacing_m"],
+        )
+        for v in sweep_values:
+            config._sweep_point(v)
+    return config
 
 
 def _cmd_localize(cfg: dict, out: str) -> int:
@@ -386,12 +422,9 @@ def main(argv=None) -> int:
         print(f"infeasible design: {exc}", file=sys.stderr)
         return 3
     except (DegenerateSubspaceError, IllConditionedTriangulationError,
-            NullNotFoundError) as exc:
+            NullNotFoundError, GainRangeError) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 5

@@ -3,8 +3,9 @@
 Per-trial randomness is derived from a base seed so runs are reproducible
 bit-for-bit; the user draw and the snapshot noise use disjoint derived
 streams, and the user draw depends only on the trial index so every sweep
-point sees the same users. Records stream to CSV as they are produced, with
-an aggregate footer written last.
+point sees the same users. Records stream to CSV one sweep point at a time,
+once that point's batch of trials is evaluated, with an aggregate footer
+written last.
 """
 
 from __future__ import annotations
@@ -77,12 +78,22 @@ class TrialConfig:
             raise ValueError(f"unknown sweep variable {self.sweep_variable!r}")
         if not self.sweep_values:
             raise ValueError("sweep needs at least one value")
+        # what every trial's Scenario, and triangulate, would otherwise reject
+        if not (-90 < self.angle_bounds_deg[0] and self.angle_bounds_deg[1] <= 90
+                and self.distance_bounds[0] > 0):
+            raise ValueError("users must be in front of the array")
+        if self.num_snapshots < 2:
+            raise ValueError("covariance estimation needs at least two snapshots")
+        if self.ridge < 0:
+            raise ValueError("ridge must be non-negative")
 
     @property
     def element_spacing(self) -> float:
         return self.carrier.wavelength / 2 if self.spacing is None else self.spacing
 
     def array_for(self, num_subarrays: int, elements_per_subarray: int) -> ModularArray:
+        if elements_per_subarray < 2:
+            raise ValueError("angle estimation needs at least two elements per sub-array")
         gap = spacing_for_aperture(self.aperture, num_subarrays, elements_per_subarray,
                                    self.element_spacing)
         return ModularArray(num_subarrays, elements_per_subarray,
@@ -253,12 +264,14 @@ def _se_summary(kept):
 
 def _run_trials(config: TrialConfig, out_path, evaluate, summarize) -> ExperimentResult:
     """The Monte Carlo protocol both drivers share: per sweep value and trial,
-    draw the user, synthesize snapshots, locate, and stream one record.
+    draw the user, synthesize snapshots and locate; then hand the sweep
+    point's trials to evaluate as one batch and stream their records.
 
     Trials whose triangulation is ill-conditioned or whose subspace is
-    degenerate keep NaN estimates and excluded=1. evaluate(scenario,
-    snapshots, estimate) returns the driver's own record fields; estimate is
-    None for an excluded trial.
+    degenerate keep NaN estimates and excluded=1. evaluate(batch) takes the
+    sweep point's (scenario, snapshots, estimate) triples in trial order,
+    estimate None for an excluded trial, and returns one dict of the
+    sweep's own record fields per triple.
     """
     grid = default_angle_grid(config.angle_step)
     counter = SearchCounter()
@@ -267,6 +280,7 @@ def _run_trials(config: TrialConfig, out_path, evaluate, summarize) -> Experimen
           if out_path else contextlib.nullcontext()) as writer:
         for v in config.sweep_values:
             mla, power = config._sweep_point(v)
+            rows, batch = [], []
             for trial in range(config.trials):
                 angle, distance = config.draw_user(trial)
                 seed = derive_trial_seed(config.base_seed, trial, _SNAPSHOT_STREAM)
@@ -284,7 +298,10 @@ def _run_trials(config: TrialConfig, out_path, evaluate, summarize) -> Experimen
                 if est is not None:
                     fields.update(est_x=est.x, est_z=est.z,
                                   sq_error=(est.x - tx) ** 2 + (est.z - tz) ** 2)
-                fields.update(evaluate(scenario, snaps, est))
+                rows.append(fields)
+                batch.append((scenario, snaps, est))
+            for fields, extra in zip(rows, evaluate(batch), strict=True):
+                fields.update(extra)
                 records.append(ExperimentRecord(**fields))
                 if writer:
                     writer.row(dataclasses.astuple(records[-1]))
@@ -307,7 +324,7 @@ def run_localization_experiment(config: TrialConfig, out_path=None) -> Experimen
     """
     if config.sweep_variable == "power":
         raise ValueError("use run_se_sweep for power sweeps")
-    return _run_trials(config, out_path, lambda scenario, snaps, est: {}, _nmse_summary)
+    return _run_trials(config, out_path, lambda batch: [{}] * len(batch), _nmse_summary)
 
 
 def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
@@ -316,35 +333,43 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
     whole-array 2D search baseline, and perfect channel knowledge.
 
     The perfect-knowledge rate is closed-form per trial. The 2D baseline
-    shares one precomputed steering grid across all trials.
+    shares one precomputed steering grid across all trials and searches it
+    once per sweep point for all of that point's kept trials.
     """
     if config.sweep_variable != "power":
         raise ValueError("run_se_sweep expects a power sweep")
     mla = config.array_for(config.num_subarrays, config.elements_per_subarray)
+    carrier, noise = config.carrier, config.noise_power
     counter_2d = SearchCounter()
     if include_2d and grid_2d is None:
-        grid_2d = NearFieldGrid(mla, config.carrier, centered_angle_grid(step=config.angle_step),
+        grid_2d = NearFieldGrid(mla, carrier, centered_angle_grid(step=config.angle_step),
                                 default_distance_grid(step=config.distance_step))
 
-    def evaluate(scenario, snaps, est):
-        power, carrier, noise = scenario.power, config.carrier, config.noise_power
-        beta = friis_beta(carrier, scenario.distance)
-        fields = {"se_perfect": math.log2(1 + power * beta * mla.num_elements / noise)}
-        if est is None:
-            return fields
-        h_true = near_steering(mla, carrier, scenario.angle, scenario.distance)
-        ch = estimate_channel(mla, carrier, est.angle, est.distance)
-        fields["se_proposed"] = spectral_efficiency(h_true, ch.vector, power, beta, noise)
-        if include_2d:
-            stacked = snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
-            phi2, d2 = music_2d(stacked, mla, carrier, precomputed=grid_2d, counter=counter_2d)
-            ch2 = estimate_channel(mla, carrier, phi2, d2)
-            ex2, ez2 = d2 * math.cos(phi2), d2 * math.sin(phi2)
-            tx, tz = scenario.user_xz
-            fields.update(est_x_2d=ex2, est_z_2d=ez2,
-                          sq_error_2d=(ex2 - tx) ** 2 + (ez2 - tz) ** 2,
-                          se_2d=spectral_efficiency(h_true, ch2.vector, power, beta, noise))
-        return fields
+    def evaluate(batch):
+        out, kept = [], []
+        for scenario, snaps, est in batch:
+            power = scenario.power
+            beta = friis_beta(carrier, scenario.distance)
+            fields = {"se_perfect": math.log2(1 + power * beta * mla.num_elements / noise)}
+            if est is not None:
+                h_true = near_steering(mla, carrier, scenario.angle, scenario.distance)
+                ch = estimate_channel(mla, carrier, est.angle, est.distance)
+                fields["se_proposed"] = spectral_efficiency(h_true, ch.vector, power, beta, noise)
+                kept.append((fields, scenario, snaps, h_true, beta))
+            out.append(fields)
+        if include_2d and kept:
+            stacked = np.stack([snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
+                                for _, _, snaps, _, _ in kept])
+            picks = music_2d(stacked, mla, carrier, precomputed=grid_2d, counter=counter_2d)
+            for (fields, scenario, _, h_true, beta), (phi2, d2) in zip(kept, picks):
+                ch2 = estimate_channel(mla, carrier, phi2, d2)
+                ex2, ez2 = d2 * math.cos(phi2), d2 * math.sin(phi2)
+                tx, tz = scenario.user_xz
+                fields.update(est_x_2d=ex2, est_z_2d=ez2,
+                              sq_error_2d=(ex2 - tx) ** 2 + (ez2 - tz) ** 2,
+                              se_2d=spectral_efficiency(h_true, ch2.vector, scenario.power,
+                                                        beta, noise))
+        return out
 
     result = _run_trials(config, out_path, evaluate, _se_summary)
     result.search_cost_2d = counter_2d.count

@@ -23,6 +23,10 @@ class NullNotFoundError(RuntimeError):
     """No sufficiently deep gain minimum exists beyond the focus."""
 
 
+class GainRangeError(ValueError):
+    """Computed gain samples fall outside [0, 1]: a numerical fault, not bad input."""
+
+
 @dataclass(frozen=True)
 class TxPoint:
     """Source position; the array lies on the x-axis of the z=0 plane."""
@@ -88,7 +92,7 @@ class GainProfile:
                 raise ValueError("profile coordinates must be strictly increasing")
         g = np.asarray(self.gain)
         if g.size and (g.min() < 0 or g.max() > 1 + 1e-9):
-            raise ValueError("gain samples must lie in [0, 1]")
+            raise GainRangeError("gain samples must lie in [0, 1]")
 
 
 def exact_field(x, y, tx: TxPoint, wavelength: float):

@@ -17,6 +17,9 @@ from .channel import friis_beta
 from .geometry import Carrier, ModularArray, element_positions, subarray_centers
 
 _SPECTRUM_FLOOR = 1e-30
+# Size of one block's float32 GEMM product in NearFieldGrid.argmax_rank1: small
+# enough to stay in a core's L2 cache while it is squared and screened.
+_BLOCK_PRODUCT_BYTES = 1 << 21
 
 
 class DegenerateSubspaceError(RuntimeError):
@@ -296,20 +299,69 @@ class NearFieldGrid:
     def num_points(self) -> int:
         return self.matrix.shape[0]
 
-    def argmax_rank1(self, principal: np.ndarray, chunk: int = 262144):
-        """Grid point minimizing ||b||^2 - |u1^H b|^2 for the given principal
-        eigenvector; returns (angle, distance)."""
-        u = np.conj(principal).astype(np.complex64)
-        n = self.matrix.shape[1]
-        best_val, best_idx = np.inf, 0
-        for start in range(0, self.num_points, chunk):
-            p = self.matrix[start:start + chunk] @ u
-            denom = n - (p.real**2 + p.imag**2)
-            i = int(np.argmin(denom))
-            if denom[i] < best_val:
-                best_val, best_idx = float(denom[i]), start + i
-        ia, idist = divmod(best_idx, self.distance_grid.size)
-        return float(self.angle_grid[ia]), float(self.distance_grid[idist])
+    def argmax_rank1(self, principal: np.ndarray):
+        """Grid point minimizing ||b||^2 - |u1^H b|^2, i.e. maximizing
+        |u1^H b|^2, for each principal eigenvector u1.
+
+        principal is one eigenvector of length L*N, giving one (angle,
+        distance) pair, or an (L*N, B) stack of B eigenvectors, giving a list
+        of B pairs. The grid is read once per call, in row blocks, with one
+        single-precision GEMM per block against the whole stack. That pass
+        only screens: the points whose float32 |u1^H b|^2 lies within twice
+        its worst-case rounding error of the column's float32 best are
+        rescored in float64 from the same rows, and the best float64 score
+        wins, the lowest grid index breaking ties. So the pick does not depend
+        on B, on the BLAS kernel or on its thread count.
+        """
+        stack = np.asarray(principal, dtype=np.complex128)
+        w = np.conj(stack.reshape(stack.shape[0], -1))
+        n, batch = w.shape
+        # For unit-modulus rows, float32 |p|^2 errs by at most about
+        # 6 n^2 u ||w||^2 (u = 2**-24: 2n-term real dot products, |p| <= sqrt(n) ||w||).
+        margin = 12 * n * n * 2.0**-24 * (w.real**2 + w.imag**2).sum(axis=0)
+        # The complex product as a real one on the interleaved float32 view of
+        # the rows: columns [Re p | Im p] of row block @ wr.
+        w32 = w.astype(np.complex64)
+        wr = np.empty((2 * n, 2 * batch), dtype=np.float32)
+        wr[0::2, :batch], wr[0::2, batch:] = w32.real, w32.imag
+        wr[1::2, :batch], wr[1::2, batch:] = -w32.imag, w32.real
+        rows = max(1, _BLOCK_PRODUCT_BYTES // (wr.itemsize * wr.shape[1]) // 64) * 64
+        product = np.empty((rows, 2 * batch), dtype=np.float32)
+        power = np.empty((rows, batch), dtype=np.float32)
+        best = np.full(batch, -np.inf)
+        found = []
+        for start in range(0, self.num_points, rows):
+            block = self.matrix[start:start + rows].view(np.float32)
+            h = block.shape[0]
+            q = np.square(np.matmul(block, wr, out=product[:h]), out=product[:h])
+            pw = np.add(q[:, :batch], q[:, batch:], out=power[:h])
+            # a column max over 64 * batch wide rows runs far faster than over
+            # batch wide ones
+            wide = pw.reshape(-1, 64 * batch) if h % 64 == 0 else pw
+            block_best = wide.max(axis=0).reshape(-1, batch).max(axis=0)
+            best = np.maximum(best, block_best)
+            floor = best - margin
+            hot = np.flatnonzero(block_best >= floor)
+            if hot.size:
+                sub = pw[:, hot]
+                r, c = np.nonzero(sub >= floor[hot])
+                found.append((start + r, hot[c], sub[r, c]))
+        idx, col, val = (np.concatenate(parts) for parts in zip(*found))
+        keep = val >= (best - margin)[col]
+        idx, col = idx[keep], col[keep]
+        # float64 rescoring with elementwise products and a per-row sum, so a
+        # row's score does not depend on which other rows are scored with it
+        m = self.matrix[idx]
+        mr, mi = m.real.astype(np.float64), m.imag.astype(np.float64)
+        wr64, wi64 = w.real.T[col], w.imag.T[col]
+        re = (mr * wr64 - mi * wi64).sum(axis=1)
+        im = (mr * wi64 + mi * wr64).sum(axis=1)
+        order = np.lexsort((idx, -(re * re + im * im), col))
+        first = np.r_[True, col[order][1:] != col[order][:-1]]
+        ia, idist = np.divmod(idx[order][first], self.distance_grid.size)
+        picks = [(float(self.angle_grid[a]), float(self.distance_grid[d]))
+                 for a, d in zip(ia, idist)]
+        return picks if stack.ndim == 2 else picks[0]
 
 
 def music_2d(snapshots: np.ndarray, mla: ModularArray, carrier: Carrier,
@@ -320,8 +372,10 @@ def music_2d(snapshots: np.ndarray, mla: ModularArray, carrier: Carrier,
     """Single-source (angle, distance) estimate treating the modular array as
     one aperture.
 
-    snapshots is the stacked T x (L*N) matrix. With one source the noise
-    projector is I - u1 u1^H, so only the principal eigenvector of the sample
+    snapshots is one trial's stacked T x (L*N) matrix, giving one (angle,
+    distance) pair, or a (B, T, L*N) stack of B trials, giving a list of B
+    pairs from one pass over the grid. With one source the noise projector
+    is I - u1 u1^H, so only the principal eigenvector of each sample
     covariance is needed and the spectrum denominator is
     ||b||^2 - |u1^H b|^2 over the precomputed grid.
     """
@@ -329,12 +383,15 @@ def music_2d(snapshots: np.ndarray, mla: ModularArray, carrier: Carrier,
         precomputed = NearFieldGrid(mla, carrier,
                                     angle_grid if angle_grid is not None else centered_angle_grid(),
                                     distance_grid if distance_grid is not None else default_distance_grid())
-    R = sample_covariance(snapshots)
-    _, evecs = _split_eigh(R, 1)
-    principal = evecs[:, -1]
-    if counter is not None:
-        counter.add(precomputed.num_points)
-    return precomputed.argmax_rank1(principal)
+    Y = np.asarray(snapshots)
+    principals = []
+    for trial in Y.reshape(-1, *Y.shape[-2:]):
+        _, evecs = _split_eigh(sample_covariance(trial), 1)
+        principals.append(evecs[:, -1])
+        if counter is not None:
+            counter.add(precomputed.num_points)
+    stack = np.stack(principals, axis=1)
+    return precomputed.argmax_rank1(stack if Y.ndim == 3 else stack[:, 0])
 
 
 def nmse(estimates, truths) -> float:

@@ -142,12 +142,14 @@ def test_depth_no_null_degenerate(tmp_path):
 @pytest.mark.parametrize("command, name, fake", [
     ("cutline", "crossrange_gain", lambda *a: (np.full_like(a[4], 1.5), np.full_like(a[4], 2.0))),
     ("depth", "gain_mla_fresnel", lambda *a: 1.5),
-], ids=["cutline", "depth"])
+    ("beampattern", "gain_exact_sweep", lambda mla, x, z, *a: np.full_like(x, 1.5)),
+    ("depth --include_exact true", "gain_exact_sweep", lambda mla, x, z, *a: np.full_like(z, 1.5)),
+], ids=["cutline", "depth", "beampattern", "depth_exact"])
 def test_gain_above_one_is_rejected(tmp_path, monkeypatch, command, name, fake):
     """The [0, 1] check sees the gains that would be written, not a clipped copy."""
     monkeypatch.setattr(f"mlabeam.cli.{name}", fake)
     out = tmp_path / "g.csv"
-    assert main([command, "--focus_m", "30", "--out", str(out)]) != 0
+    assert main([*command.split(), "--focus_m", "30", "--out", str(out)]) != 0
     assert not out.exists()
 
 
@@ -206,6 +208,30 @@ def test_exit_code_infeasible_geometry():
     assert main(["cutline", "--focus_m", "30", "--aperture_m", "1.2",
                  "--num_subarrays", "2", "--antennas_per_subarray", "64",
                  "--out", "/dev/null"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["beampattern", "--focus_m", "30", "--x_min_m", "2", "--x_max_m", "-2"],
+    ["depth", "--focus_m", "2", "--num_subarrays", "3"],
+    ["design", "--aperture_m", "2", "--focus_m", "30", "--grid_points", "8"],
+    ["localize", "--trials", "1", "--angle_max_deg", "100"],
+    ["localize", "--trials", "1", "--sweep_variable", "num_subarrays", "--sweep_values", "1,2"],
+    ["se", "--trials", "1", "--snapshots", "1"],
+], ids=["reversed_range", "odd_depth", "design_grid", "angle_bounds", "one_subarray",
+        "one_snapshot"])
+def test_bad_inputs_are_config_errors(argv, capsys):
+    """Inputs the library rejects are reported as config errors before any work."""
+    assert main([*argv, "--out", "/dev/null"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_internal_error_is_not_a_config_error(monkeypatch):
+    """A ValueError from inside a run is a bug, not the user's config."""
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+    monkeypatch.setattr("mlabeam.cli.run_se_sweep", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["se", "--trials", "1", "--out", "/dev/null"])
 
 
 def test_odd_subarray_count_is_config_error(capsys):

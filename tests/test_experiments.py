@@ -1,6 +1,10 @@
+import dataclasses
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ import pytest
 from mlabeam import (Carrier, TrialConfig, derive_trial_seed, dbm_to_watts,
                      read_records_csv, run_localization_experiment, run_se_sweep,
                      write_records_csv)
-from mlabeam import experiments
+from mlabeam import experiments, localization
 from mlabeam.experiments import RECORD_FIELDS
 from mlabeam.localization import IllConditionedTriangulationError, NearFieldGrid
 
@@ -159,6 +163,34 @@ def test_write_read_round_trip(tmp_path, driver):
     assert len(records) == len(res.records)
     for want, got in zip(res.aggregates, aggregates):
         assert got == want
+
+
+def test_records_do_not_depend_on_batch_size(monkeypatch):
+    """A sweep point's 2D search runs as one batch of all its kept trials, so
+    trials=3 and trials=7 batch differently; the shared trials must not move.
+    Small grid blocks put the block boundaries at different rows for B=3 and 7."""
+    monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1 << 15)
+    three, seven = (_run("se", trials=t).records for t in (3, 7))
+    head = [dataclasses.astuple(r) for r in seven if r.trial < 3]
+    np.testing.assert_equal([dataclasses.astuple(r) for r in three], head)
+    assert all(math.isfinite(r.se_2d) for r in seven)
+
+
+def test_records_do_not_depend_on_blas_threads(tmp_path):
+    """The same SE sweep with its 2D baseline gives the same bytes on one and
+    on two BLAS threads; the thread count is set for the child process only."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"se_{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "mlabeam.cli", "se", "--trials", "4",
+                        "--power_dbm_values", "10,20", "--angle_step_rad", "0.01",
+                        "--distance_step_m", "0.1", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_localization_trend_smoke():

@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlabeam import (Carrier, DegenerateSubspaceError,
                      IllConditionedTriangulationError, ModularArray, NearFieldGrid,
@@ -10,6 +12,7 @@ from mlabeam import (Carrier, DegenerateSubspaceError,
                      near_steering, nmse, noise_subspace, sample_covariance,
                      spacing_for_aperture, subarray_centers, synthesize_snapshots,
                      triangulate, bracketing_floor)
+from mlabeam import localization
 from mlabeam.localization import default_angle_grid
 
 CAR = Carrier.from_wavelength(0.02)
@@ -229,6 +232,16 @@ def test_music_2d_exact_on_grid():
     assert ang == phi and d == dist
     assert counter.count == ag.size * dg.size
 
+    # a (B, T, L*N) stack: one pick per trial, every grid point counted per trial
+    truths = [(37, 101), (0, 0), (ag.size - 1, dg.size - 1)]
+    stacked = np.stack([np.outer(s, near_steering(mla, CAR, ag[i], dg[j]))
+                        for i, j in truths])
+    grid = NearFieldGrid(mla, CAR, ag, dg)
+    counter = SearchCounter()
+    picks = music_2d(stacked, mla, CAR, precomputed=grid, counter=counter)
+    assert picks == [(float(ag[i]), float(dg[j])) for i, j in truths]
+    assert counter.count == grid.num_points * len(truths)
+
 
 def test_grid_argmax_phase_invariance():
     mla = _array(L=2, N=8, D=1.0)
@@ -241,6 +254,56 @@ def test_grid_argmax_phase_invariance():
     r2 = grid.argmax_rank1(u * np.exp(1j * 0.7))
     assert r1 == r2
     assert grid.num_points == ag.size * dg.size
+
+
+SMALL_GRID = NearFieldGrid(_array(L=2, N=8, D=1.0), CAR, np.arange(1.2, 1.4, 0.01),
+                           np.arange(10.0, 14.0, 0.1))
+
+
+def _brute_force_argmax(grid, u):
+    """float64 |b^H u|^2 over every grid row, first maximum wins."""
+    m = grid.matrix.astype(np.complex128)
+    w = np.conj(u)
+    re = (m.real * w.real - m.imag * w.imag).sum(axis=1)
+    im = (m.real * w.imag + m.imag * w.real).sum(axis=1)
+    ia, idist = divmod(int(np.argmax(re * re + im * im)), grid.distance_grid.size)
+    return float(grid.angle_grid[ia]), float(grid.distance_grid[idist])
+
+
+def _planted_column(rng, kind, grid):
+    """A unit eigenvector-like column: random, or an exact tie (in exact
+    arithmetic) between two grid points one angle or one distance step apart."""
+    n = grid.matrix.shape[1]
+    if kind == "random":
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        step = 1 if kind == "distance_tie" else grid.distance_grid.size
+        j = int(rng.integers(0, grid.num_points - step))
+        rows = grid.matrix.astype(np.complex128)
+        u = rows[j] + np.exp(1j * rng.uniform(0, 2 * np.pi)) * rows[j + step]
+    return u / np.linalg.norm(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["random", "distance_tie", "angle_tie"]),
+                      min_size=1, max_size=6),
+       phase_copy=st.booleans(),
+       block_bytes=st.sampled_from([1, 1 << 12, 1 << 21]))
+def test_grid_argmax_batch_matches_columns_and_brute_force(seed, kinds, phase_copy,
+                                                           block_bytes):
+    """Batched picks equal one-column picks and a float64 brute force, for any
+    block height (1 gives 64-row blocks and a short last block)."""
+    rng = np.random.default_rng(seed)
+    grid = SMALL_GRID
+    cols = [_planted_column(rng, kind, grid) for kind in kinds]
+    if phase_copy:  # equal up to a global phase
+        cols.append(cols[0] * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    stack = np.stack(cols, axis=1)
+    with mock.patch.object(localization, "_BLOCK_PRODUCT_BYTES", block_bytes):
+        picks = grid.argmax_rank1(stack)
+        singles = [grid.argmax_rank1(u) for u in cols]
+    assert picks == singles == [_brute_force_argmax(grid, u) for u in cols]
 
 
 def test_nmse_values():
