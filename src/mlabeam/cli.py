@@ -281,8 +281,8 @@ def _cmd_depth(cfg: dict, out: str) -> int:
     z_hi = cfg["z_max_m"] if cfg["z_max_m"] is not None else foci[-1] * 2.5
     zs = _samples(cfg, z_lo, z_hi, "z")
     columns = ["z_m"] + [f"gain_focus_{i + 1}" for i in range(len(foci))]
-    series = [np.array([gain_mla_fresnel(L, N, metrics.half_pitch, f, z, carrier,
-                                         mla.spacing) for z in zs]) for f in foci]
+    series = [gain_mla_fresnel(L, N, metrics.half_pitch, f, zs, carrier, mla.spacing)
+              for f in foci]
     for f, g in zip(foci, series):
         GainProfile("depth_z", (zs,), g, f)
     if cfg["include_exact"]:

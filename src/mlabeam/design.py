@@ -41,21 +41,21 @@ def count_peaks(samples, prominence: float = PEAK_PROMINENCE, upsample: int = 10
     keep[0] = True
     keep[1:] = dense[1:] != dense[:-1]
     runs = dense[keep]
-    count = 0
-    for i in range(1, runs.size - 1):
-        if not (runs[i] > runs[i - 1] and runs[i] > runs[i + 1]):
-            continue
-        j = i
-        while j > 0 and runs[j - 1] < runs[j]:
-            j -= 1
-        left_min = runs[j]
-        j = i
-        while j < runs.size - 1 and runs[j + 1] < runs[j]:
-            j += 1
-        right_min = runs[j]
-        if runs[i] - max(left_min, right_min) >= prominence:
-            count += 1
-    return count
+    idx = np.arange(runs.size)
+    peak = np.zeros(runs.size, dtype=bool)
+    peak[1:-1] = (runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])
+    # a peak's flanking minimum is where the strict descent from it stops:
+    # the nearest run to its left not above its own left neighbor, and
+    # likewise to its right (the ends always stop a descent)
+    stops_left = np.ones(runs.size, dtype=bool)
+    stops_left[1:] = ~(runs[:-1] < runs[1:])
+    stops_right = np.ones(runs.size, dtype=bool)
+    stops_right[:-1] = ~(runs[1:] < runs[:-1])
+    left = np.maximum.accumulate(np.where(stops_left, idx, 0))[peak]
+    right = np.minimum.accumulate(np.where(stops_right, idx, runs.size - 1)[::-1])[::-1][peak]
+    lo, hi = runs[left], runs[right]
+    higher_min = np.where(hi > lo, hi, lo)
+    return int(np.count_nonzero(runs[peak] - higher_min >= prominence))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ from .geometry import Carrier, ModularArray, element_positions
 from .numerics import QuadratureRule, fresnel_cs, gauss_legendre_rule, normalized_sinc
 
 _DEFAULT_RULE = gauss_legendre_rule(8)
+# Complex field samples per block of gain_exact_sweep, 256 KB: the
+# block's temporaries stay small beside the process, and results do not
+# depend on the block size.
+_SWEEP_BLOCK_SAMPLES = 1 << 14
 
 
 class NullNotFoundError(RuntimeError):
@@ -40,6 +44,14 @@ class TxPoint:
             raise ValueError("source must be in front of the array (z > 0)")
 
 
+def _z_eff(focus: float, z: np.ndarray) -> np.ndarray:
+    """F*z/|F - z| per depth, inf where z == F."""
+    if focus <= 0 or np.any(z <= 0):
+        raise ValueError("focal and observation depths must be positive")
+    with np.errstate(divide="ignore"):
+        return focus * z / np.abs(focus - z)
+
+
 @dataclass(frozen=True)
 class EffectiveDistance:
     """Focus/observation depth pair collapsed to the one distance that drives
@@ -61,11 +73,7 @@ class EffectiveDistance:
 
     @classmethod
     def from_focus(cls, focus: float, z: float, wavelength: float) -> "EffectiveDistance":
-        if focus <= 0 or z <= 0:
-            raise ValueError("focal and observation depths must be positive")
-        if z == focus:
-            return cls(math.inf, 0.0)
-        z_eff = focus * z / abs(focus - z)
+        z_eff = float(_z_eff(focus, np.float64(z)))
         return cls(z_eff, wavelength / (8 * z_eff))
 
 
@@ -91,8 +99,8 @@ class GainProfile:
             if not np.all(np.diff(c) > 0):
                 raise ValueError("profile coordinates must be strictly increasing")
         g = np.asarray(self.gain)
-        if g.size and (g.min() < 0 or g.max() > 1 + 1e-9):
-            raise GainRangeError("gain samples must lie in [0, 1]")
+        if g.size and not (np.isfinite(g).all() and g.min() >= 0 and g.max() <= 1 + 1e-9):
+            raise GainRangeError("gain samples must be finite and lie in [0, 1]")
 
 
 def exact_field(x, y, tx: TxPoint, wavelength: float):
@@ -104,11 +112,40 @@ def exact_field(x, y, tx: TxPoint, wavelength: float):
     """
     dx = np.asarray(x, dtype=float) - tx.x
     dy = np.asarray(y, dtype=float) - tx.y
-    z = tx.z
+    return _spherical_field(dx, dy * dy, tx.z, wavelength)
+
+
+def _spherical_field(dx, dy2, z, wavelength: float):
+    # exact_field from the x offset, the squared y offset and the source depth
     rho2 = dx * dx + z * z
-    r2 = rho2 + dy * dy
+    r2 = rho2 + dy2
     amp = np.sqrt(z * rho2) / r2 ** 1.25 / math.sqrt(4 * math.pi)
     return amp * np.exp(-2j * math.pi / wavelength * np.sqrt(r2))
+
+
+class _CellNodes:
+    """Quadrature nodes of delta x delta cells centered at (position, 0), seen
+    from sources at one height y.
+
+    The field depends on a node's y only through (y_node - y)^2, so nodes that
+    share that value (mirror pairs when y = 0, as Gauss-Legendre nodes are
+    exactly symmetric) share one field sample and carry their summed weight.
+    """
+
+    def __init__(self, positions: np.ndarray, d: float, y: float, rule: QuadratureRule):
+        offsets = 0.5 * d * rule.nodes
+        self.x = (positions[:, None] + offsets).ravel()
+        dy = offsets - y
+        self.dy2, inverse = np.unique(dy * dy, return_inverse=True)
+        wy = np.bincount(inverse, weights=rule.weights)
+        self.weights = (rule.weights[:, None] * wy[None, :]).ravel()
+        self.shape = (positions.size, self.weights.size)
+
+    def field(self, xs: np.ndarray, zs: np.ndarray, wavelength: float) -> np.ndarray:
+        """Field samples for sources (xs[b], y, zs[b]), shape (B, cells, nodes)."""
+        E = _spherical_field(self.x[:, None] - xs[:, None, None], self.dy2,
+                             zs[:, None, None], wavelength)
+        return E.reshape(xs.size, *self.shape)
 
 
 def cell_channel(tx: TxPoint, subarray: int, element: int, mla: ModularArray,
@@ -118,19 +155,10 @@ def cell_channel(tx: TxPoint, subarray: int, element: int, mla: ModularArray,
     rule = rule or _DEFAULT_RULE
     d = mla.spacing
     pos = element_positions(mla)[subarray, element]
-    integral = _field_cell_integrals(np.array([pos]), d, tx, carrier.wavelength, rule)[0]
+    nodes = _CellNodes(np.array([pos]), d, tx.y, rule)
+    E = nodes.field(np.array([tx.x]), np.array([tx.z]), carrier.wavelength)
+    integral = (E[0, 0] * nodes.weights).sum() * (0.25 * d * d)
     return complex(integral / d)
-
-
-def _field_cell_integrals(positions: np.ndarray, d: float, tx: TxPoint,
-                          wavelength: float, rule: QuadratureRule) -> np.ndarray:
-    # integral of the exact field over each delta x delta cell centered at
-    # (position, 0); all cells share the y nodes, so broadcast once
-    X = positions[:, None, None] + 0.5 * d * rule.nodes[None, :, None]
-    Y = 0.5 * d * rule.nodes[None, None, :]
-    E = exact_field(X, Y, tx, wavelength)
-    w2 = rule.weights[:, None] * rule.weights[None, :]
-    return (E * w2[None, :, :]).sum(axis=(1, 2)) * (0.25 * d * d)
 
 
 def matched_filter_weights(mla: ModularArray, focus: float, carrier: Carrier,
@@ -170,56 +198,80 @@ def gain_exact(mla: ModularArray, tx: TxPoint, focus: float, carrier: Carrier,
     """
     rule = rule or _DEFAULT_RULE
     w = matched_filter_weights(mla, focus, carrier, rule).ravel()
-    return _gain_exact_with_weights(mla, tx, w, carrier, rule)
+    return float(_exact_gains(mla, w, np.array([tx.x]), tx.y, np.array([tx.z]),
+                              carrier.wavelength, rule)[0])
 
 
-def _gain_exact_with_weights(mla: ModularArray, tx: TxPoint, w: np.ndarray,
-                             carrier: Carrier, rule: QuadratureRule) -> float:
-    d, lam = mla.spacing, carrier.wavelength
-    pos = element_positions(mla).ravel()
-    cell_ints = _field_cell_integrals(pos, d, tx, lam, rule)
-    num = abs((w * cell_ints).sum()) ** 2
-    X0 = 0.5 * d * rule.nodes[:, None]
-    Y0 = 0.5 * d * rule.nodes[None, :]
-    E0 = exact_field(X0, Y0, tx, lam)
-    w2 = rule.weights[:, None] * rule.weights[None, :]
-    ref = float((np.abs(E0) ** 2 * w2).sum() * 0.25 * d * d)
-    return float(num / (mla.num_elements * d * d * ref))
+def _exact_gains(mla: ModularArray, w: np.ndarray, xs: np.ndarray, y: float,
+                 zs: np.ndarray, wavelength: float, rule: QuadratureRule) -> np.ndarray:
+    # gain_exact of the sources (xs[b], y, zs[b]) under one weight vector; the
+    # last cell is the single-cell reference at the origin
+    d = mla.spacing
+    P = mla.num_elements
+    nodes = _CellNodes(np.append(element_positions(mla).ravel(), 0.0), d, y, rule)
+    step = max(1, _SWEEP_BLOCK_SAMPLES // nodes.x.size // nodes.dy2.size)
+    out = np.empty(xs.size)
+    for s in range(0, xs.size, step):
+        E = nodes.field(xs[s:s + step], zs[s:s + step], wavelength)
+        cells = (E[:, :P] * nodes.weights).sum(-1) * (0.25 * d * d)
+        ref = (np.abs(E[:, P]) ** 2 * nodes.weights).sum(-1) * 0.25 * d * d
+        out[s:s + step] = np.abs((w * cells).sum(-1)) ** 2 / (P * d * d * ref)
+    return out
 
 
 def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
                      rule: QuadratureRule | None = None) -> np.ndarray:
-    """gain_exact over paired source coordinates, reusing the weight vector."""
+    """gain_exact over paired source coordinates (x, 0, z), reusing the weight
+    vector and evaluating the points in blocks of a fixed number of field
+    samples."""
     rule = rule or _DEFAULT_RULE
+    X, Z = np.broadcast_arrays(np.asarray(xs, float), np.asarray(zs, float))
+    if np.any(Z <= 0):
+        raise ValueError("source must be in front of the array (z > 0)")
     w = matched_filter_weights(mla, focus, carrier, rule).ravel()
-    xs = np.broadcast_arrays(np.asarray(xs, float), np.asarray(zs, float))
-    return np.array([_gain_exact_with_weights(mla, TxPoint(x, 0.0, z), w, carrier, rule)
-                     for x, z in zip(xs[0].ravel(), xs[1].ravel())]).reshape(xs[0].shape)
+    return _exact_gains(mla, w, X.ravel(), 0.0, Z.ravel(), carrier.wavelength,
+                        rule).reshape(X.shape)
 
 
-def gain_ula_fresnel(num_elements: int, spacing: float, focus: float, z: float,
-                     carrier: Carrier) -> float:
+def _on_axis(focus: float, z, gain_at) -> float | np.ndarray:
+    # closed-form gain_at(z_eff) over depths z: exactly 1 at the focus, a
+    # float for scalar z
+    zs = np.asarray(z, dtype=float)
+    flat = zs.reshape(-1)
+    z_eff = _z_eff(focus, flat)
+    g = np.ones_like(flat)
+    off = flat != focus
+    g[off] = gain_at(z_eff[off])
+    return float(g[0]) if zs.ndim == 0 else g.reshape(zs.shape)
+
+
+def gain_ula_fresnel(num_elements: int, spacing: float, focus: float, z,
+                     carrier: Carrier) -> float | np.ndarray:
     """Closed-form on-axis gain of a uniform array focused at depth `focus`,
-    observed at depth z (quadratic-phase field approximation)."""
-    eff = EffectiveDistance.from_focus(focus, z, carrier.wavelength)
-    if eff.at_focus:
-        return 1.0
+    observed at depth z (quadratic-phase field approximation).
+
+    z may be an array of depths; a scalar z gives a float."""
     lam = carrier.wavelength
-    scale = 1.0 / math.sqrt(2 * lam * eff.z_eff)
-    cy, sy = fresnel_cs(spacing * scale)
-    cx, sx = fresnel_cs(num_elements * spacing * scale)
-    pref = 2 * lam * eff.z_eff / (num_elements * spacing**2)
-    return float(pref**2 * (cy**2 + sy**2) * (cx**2 + sx**2))
+
+    def gain_at(z_eff):
+        scale = 1.0 / np.sqrt(2 * lam * z_eff)
+        cy, sy = fresnel_cs(spacing * scale)
+        cx, sx = fresnel_cs(num_elements * spacing * scale)
+        pref = 2 * lam * z_eff / (num_elements * spacing**2)
+        return pref**2 * (cy**2 + sy**2) * (cx**2 + sx**2)
+
+    return _on_axis(focus, z, gain_at)
 
 
 def gain_mla_fresnel(num_subarrays: int, elements_per_subarray: int, half_pitch: float,
-                     focus: float, z: float, carrier: Carrier,
-                     spacing: float | None = None) -> float:
+                     focus: float, z, carrier: Carrier,
+                     spacing: float | None = None) -> float | np.ndarray:
     """Closed-form on-axis gain of a modular array focused at depth `focus`.
 
     half_pitch is half the center-to-center distance between adjacent
     sub-arrays; spacing defaults to half a wavelength. Requires an even
     number of sub-arrays (a single sub-array falls back to the uniform form).
+    z may be an array of depths; a scalar z gives a float.
     """
     L, N = num_subarrays, elements_per_subarray
     lam = carrier.wavelength
@@ -228,17 +280,18 @@ def gain_mla_fresnel(num_subarrays: int, elements_per_subarray: int, half_pitch:
         return gain_ula_fresnel(N, d, focus, z, carrier)
     if L % 2:
         raise ValueError("closed form requires an even number of sub-arrays")
-    eff = EffectiveDistance.from_focus(focus, z, carrier.wavelength)
-    if eff.at_focus:
-        return 1.0
-    scale = 1.0 / math.sqrt(2 * lam * eff.z_eff)
     k = np.arange(1, L, 2, dtype=float)
-    c1, s1 = fresnel_cs((N * d + 2 * k * half_pitch) * scale)
-    c2, s2 = fresnel_cs((N * d - 2 * k * half_pitch) * scale)
-    cy, sy = fresnel_cs(d * scale)
-    pref = 2 * lam * eff.z_eff / (L * N * d**2)
-    return float(pref**2 * (cy**2 + sy**2)
-                 * ((c1 + c2).sum() ** 2 + (s1 + s2).sum() ** 2))
+
+    def gain_at(z_eff):
+        scale = 1.0 / np.sqrt(2 * lam * z_eff)
+        c1, s1 = fresnel_cs((N * d + 2 * k * half_pitch) * scale[:, None])
+        c2, s2 = fresnel_cs((N * d - 2 * k * half_pitch) * scale[:, None])
+        cy, sy = fresnel_cs(d * scale)
+        pref = 2 * lam * z_eff / (L * N * d**2)
+        return (pref**2 * (cy**2 + sy**2)
+                * ((c1 + c2).sum(-1) ** 2 + (s1 + s2).sum(-1) ** 2))
+
+    return _on_axis(focus, z, gain_at)
 
 
 def crossrange_gain(num_subarrays: int, elements_per_subarray: int, half_pitch: float,
@@ -332,7 +385,7 @@ def first_null_after_focus(num_subarrays: int, elements_per_subarray: int,
                                 focus, z, carrier, spacing)
 
     zs = np.geomspace(focus * (1 + 1e-6), focus * 100, 4000)
-    g = np.array([f(z) for z in zs])
+    g = f(zs)
     interior = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
     for i in interior:
         if g[i] < depth_threshold:

@@ -141,12 +141,14 @@ def test_depth_no_null_degenerate(tmp_path):
 
 @pytest.mark.parametrize("command, name, fake", [
     ("cutline", "crossrange_gain", lambda *a: (np.full_like(a[4], 1.5), np.full_like(a[4], 2.0))),
-    ("depth", "gain_mla_fresnel", lambda *a: 1.5),
+    ("depth", "gain_mla_fresnel", lambda *a: np.full_like(a[4], 1.5)),
+    ("depth", "gain_mla_fresnel", lambda *a: np.full_like(a[4], np.nan)),
     ("beampattern", "gain_exact_sweep", lambda mla, x, z, *a: np.full_like(x, 1.5)),
     ("depth --include_exact true", "gain_exact_sweep", lambda mla, x, z, *a: np.full_like(z, 1.5)),
-], ids=["cutline", "depth", "beampattern", "depth_exact"])
+], ids=["cutline", "depth", "depth_nan", "beampattern", "depth_exact"])
 def test_gain_above_one_is_rejected(tmp_path, monkeypatch, command, name, fake):
-    """The [0, 1] check sees the gains that would be written, not a clipped copy."""
+    """The [0, 1] check sees the gains that would be written, not a clipped
+    copy, and a NaN gain fails it."""
     monkeypatch.setattr(f"mlabeam.cli.{name}", fake)
     out = tmp_path / "g.csv"
     assert main([*command.split(), "--focus_m", "30", "--out", str(out)]) != 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from mlabeam import (Carrier, DesignInput, InfeasibleArrayError, count_peaks,
                      design_num_arrays, design_sweep, spacing_for_aperture)
@@ -41,6 +43,43 @@ def test_prominence_threshold():
     side = np.exp(-(((xs - 0.75) / 0.03) ** 2))
     assert count_peaks(main + 2e-3 * side) == 1
     assert count_peaks(main + 5e-2 * side) == 2
+
+
+def _count_peaks_loop(samples, prominence, upsample):
+    # the per-run walk count_peaks replaced, kept as its reference
+    y = np.asarray(samples, dtype=float)
+    x = np.arange(y.size, dtype=float)
+    dense = PchipInterpolator(x, y)(np.linspace(0.0, y.size - 1.0, upsample * y.size))
+    keep = np.empty(dense.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = dense[1:] != dense[:-1]
+    runs = dense[keep]
+    count = 0
+    for i in range(1, runs.size - 1):
+        if not (runs[i] > runs[i - 1] and runs[i] > runs[i + 1]):
+            continue
+        j = i
+        while j > 0 and runs[j - 1] < runs[j]:
+            j -= 1
+        left_min = runs[j]
+        j = i
+        while j < runs.size - 1 and runs[j + 1] < runs[j]:
+            j += 1
+        right_min = runs[j]
+        if runs[i] - max(left_min, right_min) >= prominence:
+            count += 1
+    return count
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.lists(st.sampled_from([0.0, 0.005, 0.25, 0.5, 0.51, 1.0]), min_size=3,
+                        max_size=60),
+       prominence=st.sampled_from([0.0, 1e-2, 0.2, 0.6]),
+       upsample=st.sampled_from([1, 2, 10]))
+def test_count_peaks_matches_loop(samples, prominence, upsample):
+    """Repeated values, plateaus and zero prominence give the loop's count."""
+    assert count_peaks(samples, prominence, upsample) == _count_peaks_loop(
+        samples, prominence, upsample)
 
 
 def test_design_n64_needs_two():

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from mlabeam import (Carrier, EffectiveDistance, GainProfile, ModularArray,
-                     NullNotFoundError, TxPoint, crossrange_gain, exact_field,
+from mlabeam import (Carrier, EffectiveDistance, GainProfile, GainRangeError,
+                     ModularArray, NullNotFoundError, TxPoint, cell_channel,
+                     crossrange_gain, element_positions, exact_field,
                      first_null_after_focus, focus_chain, gain_exact,
                      gain_exact_sweep, gain_mla_fresnel, gain_ula_fresnel,
-                     half_power_beamwidth, matched_filter_weights, ripple_metrics,
-                     subarray_centers)
+                     half_power_beamwidth, integrate_cell, matched_filter_weights,
+                     ripple_metrics, subarray_centers)
 from mlabeam.numerics import gauss_legendre_rule
 
 LAM = Carrier.from_wavelength(0.02)
@@ -113,14 +115,53 @@ def test_zeff_pairs_equal_gain():
     assert g1 == pytest.approx(g2, rel=1e-12)
 
 
-def test_degeneration_to_contiguous():
-    """Gap equal to spacing makes the two halves one contiguous aperture."""
-    N, d = 64, 0.01
-    hp = (d + (N - 1) * d) / 2
-    for z in (5.0, 18.0, 30.0, 77.0, 300.0):
-        a = gain_mla_fresnel(2, N, hp, 30.0, z, LAM, spacing=d)
-        b = gain_ula_fresnel(2 * N, d, 30.0, z, LAM)
-        assert abs(a - b) < 1e-9
+# even sub-array count, elements per sub-array, spacing (m), gap beyond the
+# contiguous layout (m), focus (m); the gap keeps sub-arrays from overlapping
+_geometries = st.tuples(st.sampled_from([2, 4, 6, 8, 16]), st.integers(1, 64),
+                        st.floats(0.002, 0.05), st.floats(0.0, 1.0), st.floats(0.5, 200.0))
+_depth_factors = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=_geometries, factors=_depth_factors)
+def test_closed_forms_take_arrays_of_depths(geometry, factors):
+    """An array of depths gives, element by element, the scalar call's bits;
+    the focus itself gives exactly 1."""
+    L, N, d, extra, F = geometry
+    hp = (N * d + extra) / 2
+    zs = np.array([F, *(F * f for f in factors)])
+    g_mla = gain_mla_fresnel(L, N, hp, F, zs, LAM, spacing=d)
+    g_ula = gain_ula_fresnel(N, d, F, zs, LAM)
+    assert g_mla.shape == g_ula.shape == zs.shape
+    for i, z in enumerate(zs):
+        a = gain_mla_fresnel(L, N, hp, F, float(z), LAM, spacing=d)
+        b = gain_ula_fresnel(N, d, F, float(z), LAM)
+        assert type(a) is float and type(b) is float
+        assert a == g_mla[i] and b == g_ula[i]
+    assert g_mla[0] == 1.0 and g_ula[0] == 1.0
+    # a physical geometry's closed-form gain lies in [0, 1]
+    for g in (g_mla, g_ula):
+        assert np.all((g >= 0) & (g <= 1 + 1e-9))
+
+
+@pytest.mark.parametrize("bad", [0.0, -3.0])
+def test_closed_forms_reject_depth_behind_array_in_array(bad):
+    zs = np.array([10.0, bad, 40.0])
+    with pytest.raises(ValueError):
+        gain_mla_fresnel(2, 64, 0.68, 30.0, zs, LAM)
+    with pytest.raises(ValueError):
+        gain_ula_fresnel(64, 0.01, 30.0, zs, LAM)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=_geometries, factors=_depth_factors)
+def test_degeneration_to_contiguous(geometry, factors):
+    """Gap equal to spacing makes the sub-arrays one contiguous aperture."""
+    L, N, d, _, F = geometry
+    zs = np.array([F * f for f in factors])
+    a = gain_mla_fresnel(L, N, N * d / 2, F, zs, LAM, spacing=d)
+    b = gain_ula_fresnel(L * N, d, F, zs, LAM)
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
 
 def test_single_subarray_delegates():
@@ -151,6 +192,63 @@ def test_exact_sweep_matches_scalar():
                                   rel=1e-12)
 
 
+def _unfolded_gain(mla, tx, focus, rule):
+    # the full order x order tensor rule on every cell, one source at a time
+    d = mla.spacing
+    w = matched_filter_weights(mla, focus, LAM, rule).ravel()
+    pos = element_positions(mla).ravel()
+    w2 = np.outer(rule.weights, rule.weights)
+    X = pos[:, None, None] + 0.5 * d * rule.nodes[None, :, None]
+    Y = 0.5 * d * rule.nodes[None, None, :]
+    cells = (exact_field(X, Y, tx, 0.02) * w2).sum(axis=(1, 2)) * (0.25 * d * d)
+    E0 = exact_field(0.5 * d * rule.nodes[:, None], Y[0], tx, 0.02)
+    ref = (np.abs(E0) ** 2 * w2).sum() * 0.25 * d * d
+    return abs((w * cells).sum()) ** 2 / (mla.num_elements * d * d * ref)
+
+
+@pytest.mark.parametrize("order", [8, 7])
+def test_folded_quadrature_matches_unfolded(order):
+    """Mirror-paired y nodes share one field sample (an odd rule keeps its
+    middle node alone); the result matches the full tensor rule."""
+    rule = gauss_legendre_rule(order)
+    mla = ModularArray(2, 8, 0.01, 0.3)
+    xs = np.array([0.0, 0.4, -1.3, 0.05])
+    zs = np.array([3.0, 12.0, 30.0, 80.0])
+    sweep = gain_exact_sweep(mla, xs, zs, 20.0, LAM, rule=rule)
+    ref = [_unfolded_gain(mla, TxPoint(x, 0.0, z), 20.0, rule) for x, z in zip(xs, zs)]
+    np.testing.assert_allclose(sweep, ref, rtol=1e-12, atol=0)
+
+
+def test_exact_gain_off_plane_source():
+    """A source off the y = 0 plane leaves no mirror pairs to fold."""
+    rule = gauss_legendre_rule(8)
+    mla = ModularArray(2, 8, 0.01, 0.3)
+    for tx in (TxPoint(0.2, 0.003, 15.0), TxPoint(-0.5, -0.8, 6.0)):
+        assert gain_exact(mla, tx, 20.0, LAM, rule) == pytest.approx(
+            _unfolded_gain(mla, tx, 20.0, rule), rel=1e-12)
+        h = cell_channel(tx, 1, 3, mla, LAM, rule)
+        cx = element_positions(mla)[1, 3]
+        ref = integrate_cell(rule, cx, 0.0, 0.01, 0.01,
+                             lambda x, y: exact_field(x, y, tx, 0.02)) / 0.01
+        assert abs(h - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("samples", [1, 5000, 20000, 10**9])
+def test_exact_sweep_does_not_depend_on_block_size(samples, monkeypatch):
+    """One point per block, a few, several, all in one: the same bits."""
+    mla = ModularArray(2, 16, 0.01, 0.2)
+    X, Z = np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(5.0, 60.0, 7))
+    default = gain_exact_sweep(mla, X, Z, 30.0, LAM)
+    monkeypatch.setattr("mlabeam.gain._SWEEP_BLOCK_SAMPLES", samples)
+    assert np.array_equal(gain_exact_sweep(mla, X, Z, 30.0, LAM), default)
+
+
+def test_exact_sweep_rejects_source_behind_array():
+    mla = ModularArray(2, 16, 0.01, 0.2)
+    with pytest.raises(ValueError):
+        gain_exact_sweep(mla, np.zeros(3), np.array([10.0, 0.0, 20.0]), 30.0, LAM)
+
+
 def test_crossrange_identity_with_complex_sum():
     """Cosine-sum array factor equals the complex phasor sum over centers."""
     L, N, hp, F = 6, 16, 0.1, 30.0
@@ -172,12 +270,13 @@ def test_crossrange_center_and_null():
     assert abs(g) < 1e-20
 
 
-def test_envelope_dominates():
-    xs = np.linspace(-2.0, 2.0, 501)
-    for L, hp in ((2, 0.68), (4, 0.3), (6, 0.2)):
-        g, env = crossrange_gain(L, 16, hp, 30.0, xs, LAM)
-        assert np.all(g <= env + 1e-12)
-        assert np.all(g >= 0.0)
+@settings(max_examples=60, deadline=None)
+@given(geometry=_geometries, offsets=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=50))
+def test_envelope_dominates(geometry, offsets):
+    L, N, d, extra, F = geometry
+    g, env = crossrange_gain(L, N, (N * d + extra) / 2, F, np.array(offsets), LAM)
+    assert np.all(g <= env + 1e-12)
+    assert np.all(g >= 0.0)
 
 
 def test_half_power_beamwidth_value():
@@ -222,7 +321,9 @@ def test_no_null_beyond_fraunhofer():
 def test_gain_profile_validation():
     xs = np.linspace(-1, 1, 11)
     GainProfile("cross_range_x", (xs,), np.full(11, 0.5), 30.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(GainRangeError):
         GainProfile("cross_range_x", (xs,), np.full(11, 1.5), 30.0)
+    with pytest.raises(GainRangeError):
+        GainProfile("cross_range_x", (xs,), np.where(xs > 0, np.nan, 0.5), 30.0)
     with pytest.raises(ValueError):
         GainProfile("sideways", (xs,), np.full(11, 0.5), 30.0)

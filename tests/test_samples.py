@@ -1,0 +1,54 @@
+"""Byte identity of the figure commands on the README sample configs.
+
+Each command runs on its README sample config at full size and the sha256 of
+the CSV it writes is compared with a pinned value. A change that moves any
+written value, even by one ulp, fails here; such a change re-pins the hash
+and lists the moved values in CHANGES.md. The hashes depend on the platform's
+libm and scipy builds as well as on mlabeam.
+"""
+
+import hashlib
+
+import pytest
+
+from mlabeam.cli import main
+
+SAMPLES = {
+    "beampattern": ("""frequency_ghz = 15
+num_subarrays = 2
+antennas_per_subarray = 64
+aperture_m = 2.0
+focus_m = 30
+x_min_m = -2
+x_max_m = 2
+x_points = 81
+z_min_m = 10
+z_max_m = 100
+z_points = 61
+""", "38f00ed2bf08a0151950608aa1e3d0847f98480f7012bf0bdd08f17f15a0f2ea"),
+    "cutline": ("""focus_m = 30
+x_points = 401
+""", "5c6e713082efb111012cd4b7c8bcd289d342dcfbcd1e416458aec2ffc2b0d8c5"),
+    "depth": ("""num_subarrays = 4
+antennas_per_subarray = 16
+aperture_m = 1.0
+focus_m = 2
+chain = 4
+include_exact = false
+""", "3ad7bdcc12e57a9c32a83f80451ddaf63690845beb086f9947becb176e933c7e"),
+    "design": ("""aperture_m = 2.0
+focus_m = 30
+antenna_counts = 1, 2, 4, 8, 16, 32, 64
+""", "7c45fdf9ad8111e4af747bf814bf40ed40a7e2d07ab7ff20aae0cf4653c335db"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLES))
+def test_sample_config_csv_is_pinned(command, tmp_path, capsys):
+    text, sha256 = SAMPLES[command]
+    config = tmp_path / f"{command}.cfg"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
