@@ -17,12 +17,11 @@ from .gain import (EffectiveDistance, GainProfile, GainRangeError, NullNotFoundE
 from .geometry import (ArrayMetrics, Carrier, InfeasibleArrayError, ModularArray,
                        SPEED_OF_LIGHT, derived_metrics, element_positions,
                        spacing_for_aperture, subarray_centers)
-from .localization import (AngleEstimates, DegenerateSubspaceError,
-                           IllConditionedTriangulationError, NearFieldGrid,
-                           PositionEstimate, Scenario, SearchCounter, SnapshotSet,
-                           estimate_angles, far_steering, locate, music_1d, music_2d,
-                           near_steering, nmse, noise_subspace, sample_covariance,
-                           synthesize_snapshots, triangulate)
+from .localization import (DegenerateSubspaceError, IllConditionedTriangulationError,
+                           NearFieldGrid, PositionEstimate, Scenario, SearchCounter,
+                           SnapshotSet, estimate_angles, far_steering, locate, music_1d,
+                           music_2d, near_steering, nmse, noise_subspace, principal_eigenvectors,
+                           sample_covariance, synthesize_snapshots, triangulate)
 from .numerics import QuadratureRule, fresnel_cs, gauss_legendre_rule, integrate_cell
 from .experiments import (ExperimentRecord, ExperimentResult, TrialConfig,
                           bracketing_floor, derive_trial_seed, read_records_csv,
@@ -32,7 +31,7 @@ from .experiments import (ExperimentRecord, ExperimentResult, TrialConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayMetrics", "AngleEstimates", "Carrier", "ChannelEstimate",
+    "ArrayMetrics", "Carrier", "ChannelEstimate",
     "DegenerateSubspaceError", "DesignInput", "DesignResult", "EffectiveDistance",
     "ExperimentRecord", "ExperimentResult", "GainProfile", "GainRangeError",
     "IllConditionedTriangulationError", "InfeasibleArrayError", "ModularArray",
@@ -46,7 +45,7 @@ __all__ = [
     "gain_exact", "gain_exact_sweep", "gain_mla_fresnel", "gain_ula_fresnel",
     "gauss_legendre_rule", "half_power_beamwidth", "integrate_cell", "locate",
     "matched_filter_weights", "music_1d", "music_2d", "near_steering", "nmse",
-    "noise_subspace", "read_records_csv", "ripple_metrics",
+    "noise_subspace", "principal_eigenvectors", "read_records_csv", "ripple_metrics",
     "run_localization_experiment", "run_se_sweep", "sample_covariance",
     "spacing_for_aperture", "spectral_efficiency", "subarray_centers",
     "synthesize_snapshots", "triangulate", "watts_to_dbm", "write_records_csv",

@@ -86,6 +86,8 @@ class TrialConfig:
             raise ValueError("covariance estimation needs at least two snapshots")
         if self.ridge < 0:
             raise ValueError("ridge must be non-negative")
+        if not (self.angle_step > 0 and self.distance_step > 0):
+            raise ValueError("grid steps must be positive")
 
     @property
     def element_spacing(self) -> float:
@@ -338,6 +340,8 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
     """
     if config.sweep_variable != "power":
         raise ValueError("run_se_sweep expects a power sweep")
+    if not config.noise_power > 0:
+        raise ValueError("spectral efficiency needs a positive noise power")
     mla = config.array_for(config.num_subarrays, config.elements_per_subarray)
     carrier, noise = config.carrier, config.noise_power
     counter_2d = SearchCounter()
@@ -360,7 +364,7 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
         if include_2d and kept:
             stacked = np.stack([snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
                                 for _, _, snaps, _, _ in kept])
-            picks = music_2d(stacked, mla, carrier, precomputed=grid_2d, counter=counter_2d)
+            picks = music_2d(stacked, grid_2d, counter=counter_2d)
             for (fields, scenario, _, h_true, beta), (phi2, d2) in zip(kept, picks):
                 ch2 = estimate_channel(mla, carrier, phi2, d2)
                 ex2, ez2 = d2 * math.cos(phi2), d2 * math.sin(phi2)

@@ -79,14 +79,6 @@ class SnapshotSet:
 
 
 @dataclass(frozen=True)
-class AngleEstimates:
-    """Per-sub-array bearing to the source, radians from the positive x-axis."""
-
-    angles: tuple
-    spectra: tuple | None = None
-
-
-@dataclass(frozen=True)
 class PositionEstimate:
     x: float
     z: float
@@ -155,22 +147,23 @@ def synthesize_snapshots(scenario: Scenario, seed: int) -> SnapshotSet:
 
 
 def sample_covariance(snapshots: np.ndarray) -> np.ndarray:
-    """Hermitian sample covariance of T x N snapshots (snapshots are rows)."""
+    """Hermitian sample covariance of T x N snapshots (snapshots are rows),
+    or of each matrix of a (..., T, N) stack."""
     Y = np.asarray(snapshots)
-    if Y.ndim != 2 or Y.shape[0] < 1:
+    if Y.ndim < 2 or Y.shape[-2] < 1:
         raise ValueError("need a T x N snapshot matrix")
-    R = Y.T @ Y.conj() / Y.shape[0]
-    return (R + R.conj().T) / 2
+    R = np.swapaxes(Y, -1, -2) @ Y.conj() / Y.shape[-2]
+    return (R + np.swapaxes(R.conj(), -1, -2)) / 2
 
 
 def _split_eigh(R: np.ndarray, num_sources: int):
-    evals, evecs = np.linalg.eigh(R)  # ascending
-    n = R.shape[0]
+    evals, evecs = np.linalg.eigh(R)  # ascending, per matrix of a stack
+    n = R.shape[-1]
     if not 0 < num_sources < n:
         raise ValueError("source count must be between 1 and N-1")
-    desc = evals[::-1]
-    gap = desc[num_sources - 1] - desc[num_sources]
-    if gap <= 1e-12 * max(abs(desc[0]), np.finfo(float).tiny):
+    desc = evals[..., ::-1]
+    gap = desc[..., num_sources - 1] - desc[..., num_sources]
+    if np.any(gap <= 1e-12 * np.maximum(np.abs(desc[..., 0]), np.finfo(float).tiny)):
         raise DegenerateSubspaceError(
             "signal and noise eigenvalues coincide within 1e-12 relative")
     return evals, evecs
@@ -197,44 +190,53 @@ def default_distance_grid(lo: float = 3.8, hi: float = 40.2, step: float = 0.02)
     return np.arange(lo, hi + step / 2, step)
 
 
-def music_1d(noise_basis: np.ndarray, positions, grid: np.ndarray, wavelength: float,
-             counter: SearchCounter | None = None):
-    """Angle pseudo-spectrum 1 / ||a(phi)^H U_n||^2 over the grid and its argmax.
+def principal_eigenvectors(snapshots: np.ndarray) -> np.ndarray:
+    """Unit principal eigenvector u1 of the sample covariance of T x N
+    snapshots, shape (N,), or of each of a (..., T, N) stack, shape (..., N).
+    With one source the MUSIC noise projector is I - u1 u1^H."""
+    return _split_eigh(sample_covariance(snapshots), 1)[1][..., -1]
 
-    Strictly positive via a tiny floor on the denominator. Returns
-    (spectrum, angle_at_argmax).
+
+def music_1d(principal: np.ndarray, positions, grid: np.ndarray, wavelength: float,
+             counter: SearchCounter | None = None):
+    """Single-source angle pseudo-spectrum 1 / (N - |a(phi)^H u1|^2) over the
+    grid, for elements at the given x-coordinates, and its argmax.
+
+    principal is one unit principal eigenvector u1 of length N, giving
+    (spectrum, angle), or an (N, L) stack of them, giving a (grid, L)
+    spectrum and a tuple of L angles. The spectrum is strictly positive via
+    a tiny floor on the denominator; the pick is the lowest-index maximum of
+    |a(phi)^H u1|^2.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or not np.all(np.diff(grid) > 0):
         raise ValueError("angle grid must be non-empty and strictly increasing")
     x = np.asarray(positions, dtype=float)
+    u = np.asarray(principal)
     A = np.exp(-2j * np.pi / wavelength * np.outer(np.cos(grid), x))  # conj(a) rows
-    proj = A @ noise_basis
-    denom = (proj.real**2 + proj.imag**2).sum(axis=1)
-    spectrum = 1.0 / np.maximum(denom, _SPECTRUM_FLOOR)
+    proj = A @ u
+    power = proj.real**2 + proj.imag**2
+    spectrum = 1.0 / np.maximum(x.size - power, _SPECTRUM_FLOOR)
+    picks = grid[np.argmax(power, axis=0)]
     if counter is not None:
-        counter.add(grid.size)
-    return spectrum, float(grid[int(np.argmax(spectrum))])
+        counter.add(grid.size * picks.size)
+    return spectrum, (float(picks) if u.ndim == 1 else tuple(picks.tolist()))
 
 
 def estimate_angles(snapshots: SnapshotSet, grid: np.ndarray | None = None,
-                    num_sources: int = 1, counter: SearchCounter | None = None,
-                    keep_spectra: bool = False) -> AngleEstimates:
-    """Per-sub-array MUSIC angle estimates from one snapshot set."""
+                    counter: SearchCounter | None = None) -> tuple:
+    """Per-sub-array MUSIC bearings to the source, a tuple of radians from
+    the positive x-axis. One steering matrix serves every sub-array: it uses
+    element offsets from the sub-array center, whose phase is common to a
+    steering row and cancels in |a^H u1|."""
     if grid is None:
         grid = default_angle_grid()
     mla = snapshots.scenario.mla
-    lam = snapshots.scenario.carrier.wavelength
-    pos = element_positions(mla)
-    angles, spectra = [], []
-    for ell in range(mla.num_subarrays):
-        R = sample_covariance(snapshots.data[ell])
-        basis = noise_subspace(R, num_sources)
-        spectrum, ang = music_1d(basis, pos[ell], grid, lam, counter)
-        angles.append(ang)
-        if keep_spectra:
-            spectra.append(spectrum)
-    return AngleEstimates(tuple(angles), tuple(spectra) if keep_spectra else None)
+    N = mla.elements_per_subarray
+    offsets = (np.arange(N) - (N - 1) / 2) * mla.spacing
+    principal = principal_eigenvectors(snapshots.data)
+    return music_1d(principal.T, offsets, grid, snapshots.scenario.carrier.wavelength,
+                    counter)[1]
 
 
 def triangulate(angles, centers, ridge: float = 0.0) -> PositionEstimate:
@@ -246,7 +248,7 @@ def triangulate(angles, centers, ridge: float = 0.0) -> PositionEstimate:
     Raises IllConditionedTriangulationError for (near-)parallel lines with no
     ridge.
     """
-    ang = np.asarray(getattr(angles, "angles", angles), dtype=float)
+    ang = np.asarray(angles, dtype=float)
     c = np.asarray(centers, dtype=float)
     if ang.size < 2 or ang.shape != c.shape:
         raise ValueError("need one bearing per sub-array, at least two")
@@ -266,9 +268,8 @@ def triangulate(angles, centers, ridge: float = 0.0) -> PositionEstimate:
 def locate(snapshots: SnapshotSet, grid: np.ndarray | None = None,
            counter: SearchCounter | None = None, ridge: float = 0.0) -> PositionEstimate:
     """Full pipeline: per-sub-array angles, then bearing-line intersection."""
-    est = estimate_angles(snapshots, grid, counter=counter)
-    centers = subarray_centers(snapshots.scenario.mla)
-    return triangulate(est, centers, ridge)
+    angles = estimate_angles(snapshots, grid, counter=counter)
+    return triangulate(angles, subarray_centers(snapshots.scenario.mla), ridge)
 
 
 class NearFieldGrid:
@@ -364,10 +365,7 @@ class NearFieldGrid:
         return picks if stack.ndim == 2 else picks[0]
 
 
-def music_2d(snapshots: np.ndarray, mla: ModularArray, carrier: Carrier,
-             angle_grid: np.ndarray | None = None,
-             distance_grid: np.ndarray | None = None,
-             precomputed: NearFieldGrid | None = None,
+def music_2d(snapshots: np.ndarray, grid: NearFieldGrid,
              counter: SearchCounter | None = None):
     """Single-source (angle, distance) estimate treating the modular array as
     one aperture.
@@ -377,21 +375,13 @@ def music_2d(snapshots: np.ndarray, mla: ModularArray, carrier: Carrier,
     pairs from one pass over the grid. With one source the noise projector
     is I - u1 u1^H, so only the principal eigenvector of each sample
     covariance is needed and the spectrum denominator is
-    ||b||^2 - |u1^H b|^2 over the precomputed grid.
+    ||b||^2 - |u1^H b|^2 over the precomputed grid. Every grid point counts
+    once per trial.
     """
-    if precomputed is None:
-        precomputed = NearFieldGrid(mla, carrier,
-                                    angle_grid if angle_grid is not None else centered_angle_grid(),
-                                    distance_grid if distance_grid is not None else default_distance_grid())
-    Y = np.asarray(snapshots)
-    principals = []
-    for trial in Y.reshape(-1, *Y.shape[-2:]):
-        _, evecs = _split_eigh(sample_covariance(trial), 1)
-        principals.append(evecs[:, -1])
-        if counter is not None:
-            counter.add(precomputed.num_points)
-    stack = np.stack(principals, axis=1)
-    return precomputed.argmax_rank1(stack if Y.ndim == 3 else stack[:, 0])
+    principal = principal_eigenvectors(snapshots)
+    if counter is not None:
+        counter.add(grid.num_points * math.prod(principal.shape[:-1]))
+    return grid.argmax_rank1(principal.T)
 
 
 def nmse(estimates, truths) -> float:

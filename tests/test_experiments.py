@@ -228,3 +228,13 @@ def test_config_validation():
         _config(trials=0)
     with pytest.raises(ValueError):
         run_se_sweep(_config())  # geometry sweep fed to the power harness
+    for steps in ({"angle_step": 0.0}, {"angle_step": -0.002}, {"distance_step": 0.0},
+                  {"distance_step": -0.02}):
+        with pytest.raises(ValueError):
+            _config(**steps)
+    power_sweep = dict(sweep_variable="power", sweep_values=(0.1,), trials=1)
+    for noise in (0.0, -1e-11):
+        with pytest.raises(ValueError):
+            run_se_sweep(_config(noise_power=noise, **power_sweep), include_2d=False)
+    # noiseless localization stays supported
+    assert run_localization_experiment(_config(noise_power=0.0, trials=1)).excluded_total == 0

@@ -3,15 +3,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mlabeam import (Carrier, DegenerateSubspaceError,
                      IllConditionedTriangulationError, ModularArray, NearFieldGrid,
-                     Scenario, SearchCounter, element_positions, estimate_angles,
-                     far_steering, friis_beta, locate, music_1d, music_2d,
-                     near_steering, nmse, noise_subspace, sample_covariance,
-                     spacing_for_aperture, subarray_centers, synthesize_snapshots,
-                     triangulate, bracketing_floor)
+                     Scenario, SearchCounter, SnapshotSet, element_positions,
+                     estimate_angles, far_steering, friis_beta, locate, music_1d,
+                     music_2d, near_steering, nmse, noise_subspace,
+                     principal_eigenvectors, sample_covariance, spacing_for_aperture,
+                     subarray_centers, synthesize_snapshots, triangulate,
+                     bracketing_floor)
 from mlabeam import localization
 from mlabeam.localization import default_angle_grid
 
@@ -131,12 +132,22 @@ def test_music_exact_on_grid():
     a = far_steering(pos, phi, 0.02)
     rng = np.random.default_rng(4)
     s = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    U = noise_subspace(sample_covariance(np.outer(s, a)))
+    u1 = principal_eigenvectors(np.outer(s, a))
     counter = SearchCounter()
-    spectrum, est = music_1d(U, pos, grid, 0.02, counter=counter)
+    spectrum, est = music_1d(u1, pos, grid, 0.02, counter=counter)
     assert est == phi
     assert np.all(spectrum > 0)
     assert counter.count == grid.size
+
+    # an (N, L) stack: one pick per column from one steering matrix
+    other = far_steering(pos, float(grid[3]), 0.02)
+    stack = np.stack([u1, principal_eigenvectors(np.outer(s, other)), u1], axis=1)
+    spectra, picks = music_1d(stack, pos, grid, 0.02, counter=counter)
+    assert picks == (phi, float(grid[3]), phi)
+    assert spectra.shape == (grid.size, 3)
+    # the denominators N - |a^H u1|^2 agree to rounding
+    np.testing.assert_allclose(1 / spectra[:, 0], 1 / spectrum, rtol=0, atol=1e-12)
+    assert counter.count == 4 * grid.size
 
 
 def test_music_high_snr_within_two_steps():
@@ -147,31 +158,104 @@ def test_music_high_snr_within_two_steps():
     rng = np.random.default_rng(5)
     s = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     noise = 1e-5 * (rng.standard_normal((200, 16)) + 1j * rng.standard_normal((200, 16)))
-    U = noise_subspace(sample_covariance(np.outer(s, a) + noise))
+    u1 = principal_eigenvectors(np.outer(s, a) + noise)
     grid = default_angle_grid()
-    _, est = music_1d(U, pos, grid, 0.02)
+    _, est = music_1d(u1, pos, grid, 0.02)
     assert abs(est - phi) <= 2 * 0.002
 
 
 def test_estimate_angles_per_subarray():
     sc = Scenario(_array(), CAR, 20.0, 1.4, 0.1, 0.0, 8)
     snaps = synthesize_snapshots(sc, seed=6)
-    est = estimate_angles(snaps, keep_spectra=True)
-    assert len(est.angles) == 4
-    assert len(est.spectra) == 4
+    est = estimate_angles(snaps)
+    assert len(est) == 4
     centers = subarray_centers(sc.mla)
     truth = [math.atan2(sc.user_xz[1], sc.user_xz[0] - c) for c in centers]
-    np.testing.assert_allclose(est.angles, truth, atol=0.01)
+    np.testing.assert_allclose(est, truth, atol=0.01)
 
 
-def test_triangulate_exact_bearings():
-    centers = subarray_centers(_array())
-    angles = [math.atan2(30.0, 0.0 - c) for c in centers]
+def _per_subarray_music(snapshots, grid):
+    """The general K-source path, one sub-array at a time: noise subspace,
+    then the argmin of ||a^H U_n||^2 with steering vectors at the elements'
+    absolute positions, the first minimum winning."""
+    lam = snapshots.scenario.carrier.wavelength
+    picks = []
+    for data, pos in zip(snapshots.data, element_positions(snapshots.scenario.mla)):
+        U = noise_subspace(sample_covariance(data))
+        proj = np.exp(-2j * np.pi / lam * np.outer(np.cos(grid), pos)) @ U
+        picks.append(float(grid[np.argmin((proj.real**2 + proj.imag**2).sum(axis=1))]))
+    return tuple(picks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.sampled_from([2, 4, 8]), N=st.integers(2, 32),
+       gap=st.floats(0.01, 0.5), angle=st.floats(-1.0, 1.0), distance=st.floats(2.0, 40.0),
+       power_dbm=st.floats(-10.0, 30.0), noiseless=st.booleans(),
+       seed=st.integers(0, 2**63 - 1))
+def test_estimate_angles_matches_per_subarray_music(L, N, gap, angle, distance, power_dbm,
+                                                    noiseless, seed):
+    """One stacked eigh and one centered steering matrix pick the same grid
+    angles as per-sub-array noise-subspace MUSIC."""
+    mla = ModularArray(L, N, 0.01, gap)
+    sc = Scenario(mla, CAR, distance, math.pi / 2 + angle, 10 ** (power_dbm / 10 - 3),
+                  0.0 if noiseless else 10**-10.8, 20)
+    snaps = synthesize_snapshots(sc, seed)
+    grid = default_angle_grid()
+    counter = SearchCounter()
+    assert estimate_angles(snaps, grid, counter=counter) == _per_subarray_music(snaps, grid)
+    assert counter.count == L * grid.size
+
+
+def test_stacked_covariance_matches_per_matrix():
+    rng = np.random.default_rng(9)
+    Y = rng.standard_normal((3, 5, 40, 8)) + 1j * rng.standard_normal((3, 5, 40, 8))
+    R = sample_covariance(Y)
+    u1 = principal_eigenvectors(Y)
+    assert R.shape == (3, 5, 8, 8) and u1.shape == (3, 5, 8)
+    for i in range(3):
+        for j in range(5):
+            assert np.array_equal(R[i, j], sample_covariance(Y[i, j]))
+            assert np.array_equal(u1[i, j], principal_eigenvectors(Y[i, j]))
+
+
+def test_degenerate_member_of_a_stack_raises():
+    """A zeroed sub-array, or a zeroed trial of a 2D batch, in the middle of
+    the stack fails the whole call."""
+    sc = Scenario(_array(), CAR, 20.0, 1.4, 0.1, 1e-10, 8)
+    snaps = synthesize_snapshots(sc, seed=10)
+    data = snaps.data.copy()
+    data[2] = 0
+    with pytest.raises(DegenerateSubspaceError):
+        estimate_angles(SnapshotSet(data, snaps.seed, sc))
+
+    sc = Scenario(_array(L=2, N=8, D=1.0), CAR, 12.0, 1.3, 0.1, 1e-10, 8)
+    one = synthesize_snapshots(sc, seed=11).data.transpose(1, 0, 2).reshape(8, -1)
+    trials = np.stack([one] * 3)
+    assert music_2d(trials, SMALL_GRID) == [music_2d(one, SMALL_GRID)] * 3
+    trials[1] = 0
+    with pytest.raises(DegenerateSubspaceError):
+        music_2d(trials, SMALL_GRID)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(2, 8), N=st.integers(2, 32), gap=st.floats(0.05, 1.0),
+       x=st.floats(-20.0, 20.0), z=st.floats(1.0, 40.0))
+@example(L=4, N=16, gap=spacing_for_aperture(2.0, 4, 16, 0.01), x=0.0, z=30.0)
+def test_triangulate_exact_bearings(L, N, gap, x, z):
+    centers = subarray_centers(ModularArray(L, N, 0.01, gap))
+    # the line form tan(phi) * (x - c) = z is singular for a user straight in
+    # front of a sub-array center, where tan(phi) overflows the normal equations
+    assume(np.all(np.abs(x - centers) > 1e-3 * z))
+    angles = np.arctan2(z, x - centers)
     p = triangulate(angles, centers)
-    assert p.x == pytest.approx(0.0, abs=1e-9)
-    assert p.z == pytest.approx(30.0, abs=1e-9)
-    assert p.distance == pytest.approx(30.0, abs=1e-9)
-    assert p.angle == pytest.approx(math.pi / 2, abs=1e-9)
+    # rounding grows with the condition number of the 2x2 normal equations
+    t = np.tan(angles)
+    cond = np.linalg.cond(np.array([[t @ t, -t.sum()], [-t.sum(), t.size]]))
+    tol = 4 * np.finfo(float).eps * cond * math.hypot(x, z)
+    assert p.x == pytest.approx(x, abs=tol)
+    assert p.z == pytest.approx(z, abs=tol)
+    assert p.distance == pytest.approx(math.hypot(x, z), abs=tol)
+    assert p.angle == pytest.approx(math.atan2(z, x), abs=tol / z)
 
 
 def test_triangulate_symmetry():
@@ -226,9 +310,9 @@ def test_music_2d_exact_on_grid():
     b = near_steering(mla, CAR, phi, dist)
     rng = np.random.default_rng(8)
     s = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    grid = NearFieldGrid(mla, CAR, ag, dg)
     counter = SearchCounter()
-    ang, d = music_2d(np.outer(s, b), mla, CAR, angle_grid=ag, distance_grid=dg,
-                      counter=counter)
+    ang, d = music_2d(np.outer(s, b), grid, counter=counter)
     assert ang == phi and d == dist
     assert counter.count == ag.size * dg.size
 
@@ -236,9 +320,8 @@ def test_music_2d_exact_on_grid():
     truths = [(37, 101), (0, 0), (ag.size - 1, dg.size - 1)]
     stacked = np.stack([np.outer(s, near_steering(mla, CAR, ag[i], dg[j]))
                         for i, j in truths])
-    grid = NearFieldGrid(mla, CAR, ag, dg)
     counter = SearchCounter()
-    picks = music_2d(stacked, mla, CAR, precomputed=grid, counter=counter)
+    picks = music_2d(stacked, grid, counter=counter)
     assert picks == [(float(ag[i]), float(dg[j])) for i, j in truths]
     assert counter.count == grid.num_points * len(truths)
 
