@@ -9,11 +9,10 @@ from .channel import (ChannelEstimate, dbm_to_watts, estimate_channel, friis_bet
                       spectral_efficiency, watts_to_dbm)
 from .design import (DesignInput, DesignResult, PEAK_PROMINENCE, count_peaks,
                      design_num_arrays, design_sweep)
-from .gain import (EffectiveDistance, GainProfile, GainRangeError, NullNotFoundError,
-                   RippleMetrics, TxPoint, cell_channel, crossrange_gain, exact_field,
-                   first_null_after_focus, focus_chain, gain_exact, gain_exact_sweep,
-                   gain_mla_fresnel, gain_ula_fresnel, half_power_beamwidth,
-                   matched_filter_weights, ripple_metrics)
+from .gain import (GainRangeError, NullNotFoundError, RippleMetrics, TxPoint, cell_channel,
+                   crossrange_gain, exact_field, first_null_after_focus, focus_chain,
+                   gain_exact, gain_exact_sweep, gain_mla_fresnel, gain_ula_fresnel,
+                   half_power_beamwidth, matched_filter_weights, ripple_metrics)
 from .geometry import (ArrayMetrics, Carrier, InfeasibleArrayError, ModularArray,
                        SPEED_OF_LIGHT, derived_metrics, element_positions,
                        spacing_for_aperture, subarray_centers)
@@ -31,9 +30,8 @@ from .experiments import (ExperimentRecord, ExperimentResult, TrialConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayMetrics", "Carrier", "ChannelEstimate",
-    "DegenerateSubspaceError", "DesignInput", "DesignResult", "EffectiveDistance",
-    "ExperimentRecord", "ExperimentResult", "GainProfile", "GainRangeError",
+    "ArrayMetrics", "Carrier", "ChannelEstimate", "DegenerateSubspaceError",
+    "DesignInput", "DesignResult", "ExperimentRecord", "ExperimentResult", "GainRangeError",
     "IllConditionedTriangulationError", "InfeasibleArrayError", "ModularArray",
     "NearFieldGrid", "NullNotFoundError", "PEAK_PROMINENCE", "PositionEstimate",
     "QuadratureRule", "RippleMetrics", "SPEED_OF_LIGHT", "Scenario", "SearchCounter",

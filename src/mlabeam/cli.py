@@ -7,7 +7,9 @@ converted to SI/watts/radians exactly once, here.
 
 Exit codes: 0 success, 2 config error, 3 infeasible design, 4 numerical
 degeneracy, 5 I/O error. Config errors are raised where config values become
-library inputs; any other exception is a bug and propagates.
+library inputs; any other exception is a bug and propagates. Every float
+value must be finite, and every gain column a figure command writes must lie
+in [0, 1] before its file is opened.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 from .channel import dbm_to_watts
 from .design import DesignInput, design_num_arrays
 from .experiments import TrialConfig, _write_csv, run_localization_experiment, run_se_sweep
-from .gain import (GainProfile, GainRangeError, NullNotFoundError, crossrange_gain,
-                   focus_chain, gain_exact_sweep, gain_mla_fresnel, half_power_beamwidth)
+from .gain import (GainRangeError, NullNotFoundError, crossrange_gain, focus_chain,
+                   gain_exact_sweep, gain_mla_fresnel, half_power_beamwidth)
 from .geometry import (Carrier, InfeasibleArrayError, ModularArray, derived_metrics,
                        spacing_for_aperture)
 from .localization import DegenerateSubspaceError, IllConditionedTriangulationError
@@ -153,10 +155,11 @@ def _parse_value(key: str, spec: _Key, raw: str, where: str):
             raise ValueError(f"unhandled kind {spec.kind}")
     except ValueError as exc:
         raise ConfigError(f"invalid value for '{key}' ({where}): {exc}") from None
-    if spec.positive:
-        vals = value if isinstance(value, tuple) else (value,)
-        if any(v <= 0 for v in vals):
-            raise ConfigError(f"'{key}' must be positive ({where})")
+    vals = value if isinstance(value, tuple) else (value,)
+    if spec.kind.startswith("float") and not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"'{key}' must be finite ({where})")
+    if spec.positive and any(v <= 0 for v in vals):
+        raise ConfigError(f"'{key}' must be positive ({where})")
     return value
 
 
@@ -237,18 +240,25 @@ def _samples(cfg: dict, lo: float, hi: float, axis: str, log: bool = False) -> n
     return (np.geomspace if log else np.linspace)(lo, hi, points)
 
 
+def _write_figure(out: str, comments: list, columns: dict, gains: tuple = ()) -> None:
+    """Write the flattened columns as CSV, after checking that every gain
+    column is finite and within [0, 1]; a failed check opens no file."""
+    flat = {name: np.ravel(values) for name, values in columns.items()}
+    for name in gains:
+        g = flat[name]
+        if g.size and not (np.isfinite(g).all() and g.min() >= 0 and g.max() <= 1 + 1e-9):
+            raise GainRangeError(f"'{name}' samples must be finite and lie in [0, 1]")
+    _write_csv(out, comments, list(flat), zip(*(v.tolist() for v in flat.values())))
+
+
 def _cmd_beampattern(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg)
     xs = _samples(cfg, cfg["x_min_m"], cfg["x_max_m"], "x")
     zs = _samples(cfg, cfg["z_min_m"], cfg["z_max_m"], "z", log=cfg["log_z"])
     X, Z = np.meshgrid(xs, zs)
     gains = gain_exact_sweep(mla, X, Z, cfg["focus_m"], carrier)
-    profile = GainProfile("plane_xz", (xs, zs), gains, cfg["focus_m"])
-    rows = ((float(z), float(x), float(g))
-            for z, xrow, grow in zip(zs, [xs] * len(zs), profile.gain)
-            for x, g in zip(xrow, grow))
-    _write_csv(out, [_config_comment(cfg)], ["z_m", "x_m", "gain"], rows)
-    print(f"wrote {cfg['z_points'] * cfg['x_points']} gain samples to {out}")
+    _write_figure(out, [_config_comment(cfg)], {"z_m": Z, "x_m": X, "gain": gains}, ("gain",))
+    print(f"wrote {gains.size} gain samples to {out}")
     return 0
 
 
@@ -256,16 +266,15 @@ def _cmd_cutline(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg, closed_form=True)
     metrics = derived_metrics(mla, carrier)
     focus = cfg["focus_m"]
-    bw = half_power_beamwidth(mla.elements_per_subarray, focus)
+    bw = half_power_beamwidth(mla.elements_per_subarray, focus, carrier, mla.spacing)
     halfwidth = cfg["x_halfwidth_m"] if cfg["x_halfwidth_m"] is not None else bw
     xs = np.linspace(-halfwidth, halfwidth, cfg["x_points"])
     g, env = crossrange_gain(mla.num_subarrays, mla.elements_per_subarray,
-                             metrics.half_pitch, focus, xs, carrier)
-    GainProfile("cross_range_x", (xs,), g, focus)
-    rows = ((float(x), float(gv), float(ev), int(abs(x) <= bw / 2))
-            for x, gv, ev in zip(xs, g, env))
-    _write_csv(out, [_config_comment(cfg), f"halfpower_beamwidth_m: {bw!r}"],
-               ["x_m", "gain", "envelope", "in_halfpower_window"], rows)
+                             metrics.half_pitch, focus, xs, carrier, mla.spacing)
+    _write_figure(out, [_config_comment(cfg), f"halfpower_beamwidth_m: {bw!r}"],
+                  {"x_m": xs, "gain": g, "envelope": env,
+                   "in_halfpower_window": (np.abs(xs) <= bw / 2).astype(int)},
+                  ("gain", "envelope"))
     print(f"wrote cross-range cut ({cfg['x_points']} samples, beamwidth {bw:.4g} m) to {out}")
     return 0
 
@@ -280,20 +289,14 @@ def _cmd_depth(cfg: dict, out: str) -> int:
     z_lo = cfg["z_min_m"] if cfg["z_min_m"] is not None else foci[0] / 2
     z_hi = cfg["z_max_m"] if cfg["z_max_m"] is not None else foci[-1] * 2.5
     zs = _samples(cfg, z_lo, z_hi, "z")
-    columns = ["z_m"] + [f"gain_focus_{i + 1}" for i in range(len(foci))]
-    series = [gain_mla_fresnel(L, N, metrics.half_pitch, f, zs, carrier, mla.spacing)
-              for f in foci]
-    for f, g in zip(foci, series):
-        GainProfile("depth_z", (zs,), g, f)
+    columns = {f"gain_focus_{i}": gain_mla_fresnel(L, N, metrics.half_pitch, f, zs, carrier,
+                                                   mla.spacing)
+               for i, f in enumerate(foci, start=1)}
     if cfg["include_exact"]:
-        columns += [f"exact_focus_{i + 1}" for i in range(len(foci))]
-        exact = [gain_exact_sweep(mla, np.zeros_like(zs), zs, f, carrier) for f in foci]
-        for f, g in zip(foci, exact):
-            GainProfile("depth_z", (zs,), g, f)
-        series += exact
-    rows = ((float(z), *(float(s[i]) for s in series)) for i, z in enumerate(zs))
-    _write_csv(out, [_config_comment(cfg), "foci_m: " + ",".join(repr(f) for f in foci)],
-               columns, rows)
+        columns |= {f"exact_focus_{i}": gain_exact_sweep(mla, np.zeros_like(zs), zs, f, carrier)
+                    for i, f in enumerate(foci, start=1)}
+    _write_figure(out, [_config_comment(cfg), "foci_m: " + ",".join(repr(f) for f in foci)],
+                  {"z_m": zs, **columns}, tuple(columns))
     for i, f in enumerate(foci, start=1):
         print(f"focus {i}: {f:.4f} m")
     print(f"wrote {len(zs)} depth samples to {out}")
@@ -302,7 +305,7 @@ def _cmd_depth(cfg: dict, out: str) -> int:
 
 def _cmd_design(cfg: dict, out: str) -> int:
     carrier = _carrier(cfg)
-    results = []
+    rows = []
     print(f"{'N':>5} {'L':>5} {'gap_m':>10} {'peaks':>6}  note")
     for n in cfg["antenna_counts"]:
         with _input_boundary():
@@ -312,12 +315,11 @@ def _cmd_design(cfg: dict, out: str) -> int:
         note = "guard-limited" if res.guard_limited else (
             "aperture-filled" if res.aperture_filled else "")
         print(f"{n:>5} {res.num_subarrays:>5} {res.gap:>10.4f} {res.final_peak_count:>6}  {note}")
-        results.append((int(n), res))
-    _write_csv(out, [_config_comment(cfg)],
-               ["antennas_per_subarray", "num_subarrays", "gap_m", "final_peak_count",
-                "guard_limited"],
-               ((n, r.num_subarrays, float(r.gap), r.final_peak_count,
-                 int(r.guard_limited)) for n, r in results))
+        rows.append((int(n), res.num_subarrays, float(res.gap), res.final_peak_count,
+                     int(res.guard_limited)))
+    header = ("antennas_per_subarray", "num_subarrays", "gap_m", "final_peak_count",
+              "guard_limited")
+    _write_figure(out, [_config_comment(cfg)], dict(zip(header, zip(*rows))))
     return 0
 
 

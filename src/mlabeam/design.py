@@ -107,10 +107,11 @@ class DesignResult:
 
 
 def _window_peak_count(inp: DesignInput, num_subarrays: int, half_pitch: float) -> int:
-    bw = half_power_beamwidth(inp.elements_per_subarray, inp.focus)
+    bw = half_power_beamwidth(inp.elements_per_subarray, inp.focus, inp.carrier,
+                              inp.element_spacing)
     xs = np.linspace(-bw / 2, bw / 2, inp.grid_points)
     g, _ = crossrange_gain(num_subarrays, inp.elements_per_subarray, half_pitch,
-                           inp.focus, xs, inp.carrier)
+                           inp.focus, xs, inp.carrier, inp.element_spacing)
     return count_peaks(g)
 
 

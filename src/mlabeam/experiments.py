@@ -78,6 +78,8 @@ class TrialConfig:
             raise ValueError(f"unknown sweep variable {self.sweep_variable!r}")
         if not self.sweep_values:
             raise ValueError("sweep needs at least one value")
+        if len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ValueError("sweep values must be distinct")
         # what every trial's Scenario, and triangulate, would otherwise reject
         if not (-90 < self.angle_bounds_deg[0] and self.angle_bounds_deg[1] <= 90
                 and self.distance_bounds[0] > 0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Carrier, ModularArray, element_positions
-from .numerics import QuadratureRule, fresnel_cs, gauss_legendre_rule, normalized_sinc
+from .numerics import QuadratureRule, fresnel_cs, gauss_legendre_rule
 
 _DEFAULT_RULE = gauss_legendre_rule(8)
 # Complex field samples per block of gain_exact_sweep, 256 KB: the
@@ -50,57 +50,6 @@ def _z_eff(focus: float, z: np.ndarray) -> np.ndarray:
         raise ValueError("focal and observation depths must be positive")
     with np.errstate(divide="ignore"):
         return focus * z / np.abs(focus - z)
-
-
-@dataclass(frozen=True)
-class EffectiveDistance:
-    """Focus/observation depth pair collapsed to the one distance that drives
-    every closed-form gain: z_eff = F*z/|F - z|, with curvature parameter
-    a = wavelength / (8 * z_eff). Observation at the focus is the a -> 0
-    limit, represented by infinite z_eff and curvature 0.
-    """
-
-    z_eff: float
-    curvature: float
-
-    def __post_init__(self):
-        if self.curvature < 0 or (math.isfinite(self.z_eff) and self.z_eff <= 0):
-            raise ValueError("effective distance must be positive")
-
-    @property
-    def at_focus(self) -> bool:
-        return self.curvature == 0.0
-
-    @classmethod
-    def from_focus(cls, focus: float, z: float, wavelength: float) -> "EffectiveDistance":
-        z_eff = float(_z_eff(focus, np.float64(z)))
-        return cls(z_eff, wavelength / (8 * z_eff))
-
-
-@dataclass(frozen=True)
-class GainProfile:
-    """Sampled normalized gain along one axis or over the xz-plane.
-
-    axis is one of 'cross_range_x', 'depth_z', 'plane_xz'. For the plane,
-    coordinates holds (x_values, z_values) and gain has shape
-    (len(z_values), len(x_values)); otherwise coordinates holds a single
-    strictly increasing array matching gain.
-    """
-
-    axis: str
-    coordinates: tuple
-    gain: np.ndarray
-    focus: float
-
-    def __post_init__(self):
-        if self.axis not in ("cross_range_x", "depth_z", "plane_xz"):
-            raise ValueError(f"unknown profile axis {self.axis!r}")
-        for c in self.coordinates:
-            if not np.all(np.diff(c) > 0):
-                raise ValueError("profile coordinates must be strictly increasing")
-        g = np.asarray(self.gain)
-        if g.size and not (np.isfinite(g).all() and g.min() >= 0 and g.max() <= 1 + 1e-9):
-            raise GainRangeError("gain samples must be finite and lie in [0, 1]")
 
 
 def exact_field(x, y, tx: TxPoint, wavelength: float):
@@ -295,18 +244,18 @@ def gain_mla_fresnel(num_subarrays: int, elements_per_subarray: int, half_pitch:
 
 
 def crossrange_gain(num_subarrays: int, elements_per_subarray: int, half_pitch: float,
-                    focus: float, x, carrier: Carrier):
+                    focus: float, x, carrier: Carrier, spacing: float | None = None):
     """Gain and envelope at lateral offset x in the focal plane.
 
-    Half-wavelength element spacing is assumed. The envelope is the squared
-    sinc of the single-sub-array pattern; the modular layout multiplies it by
-    a squared sum of cosines, so gain <= envelope everywhere.
+    spacing defaults to half a wavelength. The envelope is the squared sinc
+    of the single-sub-array pattern; the modular layout multiplies it by a
+    squared sum of cosines, so gain <= envelope everywhere.
     Returns (gain, envelope), arrays when x is an array.
     """
     L, N = num_subarrays, elements_per_subarray
     lam = carrier.wavelength
     xs = np.asarray(x, dtype=float)
-    env = normalized_sinc(N * xs / (2 * focus)) ** 2
+    env = np.sinc(N * xs * _half_wavelengths(carrier, spacing) / (2 * focus)) ** 2
     if L == 1:
         g = env.copy()
     else:
@@ -320,11 +269,22 @@ def crossrange_gain(num_subarrays: int, elements_per_subarray: int, half_pitch: 
     return g, env
 
 
-def half_power_beamwidth(num_elements: int, focus: float) -> float:
-    """Cross-range width of the envelope's half-power region, 1.77 * F / N."""
+def half_power_beamwidth(num_elements: int, focus: float, carrier: Carrier | None = None,
+                         spacing: float | None = None) -> float:
+    """Cross-range width of the envelope's half-power region, 1.77 * F / N at
+    half-wavelength spacing and inversely proportional to the spacing
+    otherwise; a spacing needs the carrier."""
     if num_elements < 1:
         raise ValueError("need at least one element")
-    return 1.77 * focus / num_elements
+    if spacing is not None and carrier is None:
+        raise ValueError("a spacing needs the carrier's wavelength")
+    return 1.77 * focus / num_elements / _half_wavelengths(carrier, spacing)
+
+
+def _half_wavelengths(carrier: Carrier | None, spacing: float | None) -> float:
+    # element spacing in half wavelengths; exactly 1.0 when spacing is None or
+    # half the wavelength, so default results keep their bits
+    return 1.0 if spacing is None else 2 * spacing / carrier.wavelength
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,6 @@ def fresnel_cs(u):
     return c, s
 
 
-def normalized_sinc(x):
-    """sin(pi x) / (pi x), continuous at 0 with value 1."""
-    return np.sinc(x)
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Legendre nodes/weights on [-1, 1]."""

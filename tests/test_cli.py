@@ -141,17 +141,20 @@ def test_depth_no_null_degenerate(tmp_path):
 
 @pytest.mark.parametrize("command, name, fake", [
     ("cutline", "crossrange_gain", lambda *a: (np.full_like(a[4], 1.5), np.full_like(a[4], 2.0))),
+    ("cutline", "crossrange_gain", lambda *a: (np.full_like(a[4], 0.5), np.full_like(a[4], 1.5))),
+    ("cutline", "crossrange_gain", lambda *a: (np.zeros_like(a[4]), np.full_like(a[4], -1e-3))),
     ("depth", "gain_mla_fresnel", lambda *a: np.full_like(a[4], 1.5)),
     ("depth", "gain_mla_fresnel", lambda *a: np.full_like(a[4], np.nan)),
     ("beampattern", "gain_exact_sweep", lambda mla, x, z, *a: np.full_like(x, 1.5)),
     ("depth --include_exact true", "gain_exact_sweep", lambda mla, x, z, *a: np.full_like(z, 1.5)),
-], ids=["cutline", "depth", "depth_nan", "beampattern", "depth_exact"])
+], ids=["cutline", "cutline_envelope", "cutline_negative", "depth", "depth_nan", "beampattern",
+        "depth_exact"])
 def test_gain_above_one_is_rejected(tmp_path, monkeypatch, command, name, fake):
-    """The [0, 1] check sees the gains that would be written, not a clipped
-    copy, and a NaN gain fails it."""
+    """Every written gain column, envelope included, is checked before the
+    file is opened: a gain above 1, below 0 or NaN exits 4 and writes nothing."""
     monkeypatch.setattr(f"mlabeam.cli.{name}", fake)
     out = tmp_path / "g.csv"
-    assert main([*command.split(), "--focus_m", "30", "--out", str(out)]) != 0
+    assert main([*command.split(), "--focus_m", "30", "--out", str(out)]) == 4
     assert not out.exists()
 
 
@@ -219,8 +222,17 @@ def test_exit_code_infeasible_geometry():
     ["localize", "--trials", "1", "--angle_max_deg", "100"],
     ["localize", "--trials", "1", "--sweep_variable", "num_subarrays", "--sweep_values", "1,2"],
     ["se", "--trials", "1", "--snapshots", "1"],
+    ["localize", "--trials", "3", "--sweep_values", "4,4"],
+    ["cutline", "--focus_m", "nan"],
+    ["design", "--aperture_m", "2", "--focus_m", "nan"],
+    ["beampattern", "--focus_m", "30", "--z_max_m", "inf"],
+    ["localize", "--trials", "1", "--noise_dbm", "nan"],
+    ["localize", "--trials", "1", "--noise_dbm=-inf"],
+    ["depth", "--focus_m", "2", "--depth_threshold", "nan"],
+    ["se", "--trials", "1", "--power_dbm_values", "10,inf"],
 ], ids=["reversed_range", "odd_depth", "design_grid", "angle_bounds", "one_subarray",
-        "one_snapshot"])
+        "one_snapshot", "repeated_sweep_value", "nan_focus", "nan_design_focus", "inf_depth",
+        "nan_noise", "minus_inf_noise", "nan_threshold", "inf_in_float_list"])
 def test_bad_inputs_are_config_errors(argv, capsys):
     """Inputs the library rejects are reported as config errors before any work."""
     assert main([*argv, "--out", "/dev/null"]) == 2

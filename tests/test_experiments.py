@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mlabeam import (Carrier, TrialConfig, derive_trial_seed, dbm_to_watts,
                      read_records_csv, run_localization_experiment, run_se_sweep,
@@ -36,12 +37,18 @@ def test_seed_derivation_frozen():
     assert derive_trial_seed(1, 1) == 14191963223590139570
 
 
-def test_seed_derivation_properties():
-    seen = {derive_trial_seed(7, t, stream=s) for t in range(50) for s in (0, 1)}
-    assert len(seen) == 100  # streams and trials never collide in practice
-    assert all(0 <= v < 2**64 for v in seen)
-    assert derive_trial_seed(7, 3) == derive_trial_seed(7, 3)
-    assert derive_trial_seed(8, 3) != derive_trial_seed(7, 3)
+@settings(max_examples=200, deadline=None)
+@given(base_seed=st.integers(0, 2**64 - 1),
+       trials=st.sets(st.integers(0, 2**32), min_size=1, max_size=64))
+@example(base_seed=7, trials=set(range(50)))
+def test_seed_derivation_properties(base_seed, trials):
+    """The user and snapshot streams of any trials under one base seed never
+    share a seed, every seed fits in 64 bits, and the base seed matters."""
+    seeds = [derive_trial_seed(base_seed, t, stream=s) for t in trials for s in (0, 1)]
+    assert len(set(seeds)) == len(seeds)
+    assert all(0 <= v < 2**64 for v in seeds)
+    t = min(trials)
+    assert derive_trial_seed(base_seed ^ 1, t) != derive_trial_seed(base_seed, t)
 
 
 def test_draw_user_bounds_and_determinism():
@@ -226,6 +233,8 @@ def test_config_validation():
         _config(sweep_variable="bandwidth")
     with pytest.raises(ValueError):
         _config(trials=0)
+    with pytest.raises(ValueError, match="distinct"):
+        _config(sweep_values=(4, 4))
     with pytest.raises(ValueError):
         run_se_sweep(_config())  # geometry sweep fed to the power harness
     for steps in ({"angle_step": 0.0}, {"angle_step": -0.002}, {"distance_step": 0.0},

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from mlabeam import (Carrier, EffectiveDistance, GainProfile, GainRangeError,
-                     ModularArray, NullNotFoundError, TxPoint, cell_channel,
-                     crossrange_gain, element_positions, exact_field,
+from mlabeam import (Carrier, ModularArray, NullNotFoundError, TxPoint, cell_channel,
+                     crossrange_gain, derived_metrics, element_positions, exact_field,
                      first_null_after_focus, focus_chain, gain_exact,
                      gain_exact_sweep, gain_mla_fresnel, gain_ula_fresnel,
                      half_power_beamwidth, integrate_cell, matched_filter_weights,
-                     ripple_metrics, subarray_centers)
+                     ripple_metrics, spacing_for_aperture, subarray_centers)
 from mlabeam.numerics import gauss_legendre_rule
 
 LAM = Carrier.from_wavelength(0.02)
@@ -57,16 +56,6 @@ def test_weights_far_focus_uniform():
     mla = ModularArray(2, 8, 0.01, 0.2)
     W = matched_filter_weights(mla, math.inf, LAM)
     np.testing.assert_allclose(W, 1.0 / math.sqrt(16), atol=1e-15)
-
-
-def test_effective_distance():
-    e = EffectiveDistance.from_focus(30.0, 20.0, 0.02)
-    assert e.z_eff == pytest.approx(60.0)
-    assert e.curvature == pytest.approx(0.02 / (8 * 60.0))
-    assert EffectiveDistance.from_focus(30.0, 30.0, 0.02).at_focus
-    # before and behind the focus at equal z_eff
-    b = EffectiveDistance.from_focus(30.0, 60.0, 0.02)
-    assert b.z_eff == pytest.approx(60.0)
 
 
 def _aperture_integral(half_width, z_eff, lam, center=0.0):
@@ -286,6 +275,43 @@ def test_half_power_beamwidth_value():
     assert env == pytest.approx(0.5, abs=0.01)
 
 
+@pytest.mark.parametrize("wavelengths", [0.25, 0.5])
+def test_crossrange_cut_follows_spacing(wavelengths):
+    """The closed-form cut and its half-power window track the exact gain at
+    any element spacing, and half-wavelength spacing keeps the default bits."""
+    d = wavelengths * LAM.wavelength
+    mla = ModularArray(2, 64, d, spacing_for_aperture(2.0, 2, 64, d))
+    hp, F = derived_metrics(mla, LAM).half_pitch, 10.0
+    bw = half_power_beamwidth(64, F, LAM, d)
+    xs = np.linspace(-bw, bw, 201)
+    g, env = crossrange_gain(2, 64, hp, F, xs, LAM, d)
+    exact = gain_exact_sweep(mla, xs, np.full_like(xs, F), F, LAM)
+    np.testing.assert_allclose(g, exact, atol=0.03)
+    assert crossrange_gain(1, 64, hp, F, bw / 2, LAM, d)[1] == pytest.approx(0.5, abs=0.01)
+    if wavelengths == 0.5:
+        assert bw == half_power_beamwidth(64, F)
+        default_g, default_env = crossrange_gain(2, 64, hp, F, xs, LAM)
+        assert np.array_equal(g, default_g) and np.array_equal(env, default_env)
+
+
+# sub-arrays, elements per sub-array, spacing (m), gap beyond the spacing (m),
+# focus (m), then source offsets and depths in units of the aperture
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 6), N=st.integers(1, 32), d=st.floats(0.005, 0.02),
+       extra=st.floats(0.0, 1.0), F=st.floats(0.5, 200.0),
+       sources=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(1.0, 50.0)),
+                        min_size=1, max_size=8))
+def test_exact_gain_in_unit_interval(L, N, d, extra, F, sources):
+    """For sources at least one aperture deep the exact gain lies in [0, 1].
+    Nearer sources are not covered: the single-cell reference at the origin
+    can then see a much weaker field than the elements do."""
+    mla = ModularArray(L, N, d, d + extra)
+    aperture = derived_metrics(mla, LAM).aperture
+    u, v = np.array(sources).T
+    g = gain_exact_sweep(mla, aperture * u, aperture * v, F, LAM)
+    assert np.all((g >= 0) & (g <= 1))
+
+
 def test_ripple_metrics_values():
     r = ripple_metrics(64, 0.68, LAM)
     assert (r.predicted_peak_count, r.single_peak) == (1, True)
@@ -316,14 +342,3 @@ def test_no_null_beyond_fraunhofer():
     # a focus past the far-field boundary leaves no deep on-axis minimum
     with pytest.raises(NullNotFoundError):
         first_null_after_focus(2, 64, 0.68, 500.0, LAM)
-
-
-def test_gain_profile_validation():
-    xs = np.linspace(-1, 1, 11)
-    GainProfile("cross_range_x", (xs,), np.full(11, 0.5), 30.0)
-    with pytest.raises(GainRangeError):
-        GainProfile("cross_range_x", (xs,), np.full(11, 1.5), 30.0)
-    with pytest.raises(GainRangeError):
-        GainProfile("cross_range_x", (xs,), np.where(xs > 0, np.nan, 0.5), 30.0)
-    with pytest.raises(ValueError):
-        GainProfile("sideways", (xs,), np.full(11, 0.5), 30.0)
