@@ -144,6 +144,8 @@ class ExperimentRecord:
 
 
 RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentRecord))
+_INT_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentRecord)
+                        if f.type in (int, "int"))
 
 
 @dataclass
@@ -221,7 +223,10 @@ def write_records_csv(path, result: ExperimentResult):
 
 
 def read_records_csv(path):
-    """Parse an emitted CSV back into (config dict, record dicts, aggregate dicts)."""
+    """Parse an emitted CSV back into (config dict, record dicts, aggregate dicts).
+
+    Record fields come back with their written values: the int fields
+    (trial, 64-bit seed, excluded) as ints, the rest as floats."""
     config, records, aggregates = {}, [], []
     header = None
     with open(path, encoding="utf-8", newline="\n") as f:
@@ -235,8 +240,8 @@ def read_records_csv(path):
             elif header is None:
                 header = line.split(",")
             else:
-                vals = [float(v) for v in line.split(",")]
-                records.append(dict(zip(header, vals)))
+                records.append({k: int(v) if k in _INT_FIELDS else float(v)
+                                for k, v in zip(header, line.split(","))})
     return config, records, aggregates
 
 

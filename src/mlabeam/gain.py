@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Carrier, ModularArray, element_positions
-from .numerics import QuadratureRule, fresnel_cs, gauss_legendre_rule
+from .numerics import QuadratureRule, _run_blocks, fresnel_cs, gauss_legendre_rule
 
 _DEFAULT_RULE = gauss_legendre_rule(8)
 # Complex field samples per block of gain_exact_sweep, 256 KB: the
@@ -160,11 +160,15 @@ def _exact_gains(mla: ModularArray, w: np.ndarray, xs: np.ndarray, y: float,
     nodes = _CellNodes(np.append(element_positions(mla).ravel(), 0.0), d, y, rule)
     step = max(1, _SWEEP_BLOCK_SAMPLES // nodes.x.size // nodes.dy2.size)
     out = np.empty(xs.size)
-    for s in range(0, xs.size, step):
-        E = nodes.field(xs[s:s + step], zs[s:s + step], wavelength)
-        cells = (E[:, :P] * nodes.weights).sum(-1) * (0.25 * d * d)
-        ref = (np.abs(E[:, P]) ** 2 * nodes.weights).sum(-1) * 0.25 * d * d
-        out[s:s + step] = np.abs((w * cells).sum(-1)) ** 2 / (P * d * d * ref)
+
+    def run(first, stop):
+        for s in range(first * step, min(stop * step, xs.size), step):
+            E = nodes.field(xs[s:s + step], zs[s:s + step], wavelength)
+            cells = (E[:, :P] * nodes.weights).sum(-1) * (0.25 * d * d)
+            ref = (np.abs(E[:, P]) ** 2 * nodes.weights).sum(-1) * 0.25 * d * d
+            out[s:s + step] = np.abs((w * cells).sum(-1)) ** 2 / (P * d * d * ref)
+
+    _run_blocks(run, -(-xs.size // step))
     return out
 
 

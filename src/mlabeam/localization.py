@@ -15,6 +15,7 @@ import numpy as np
 
 from .channel import friis_beta
 from .geometry import Carrier, ModularArray, element_positions, subarray_centers
+from .numerics import _run_blocks
 
 _SPECTRUM_FLOOR = 1e-30
 # Size of one block's float32 GEMM product in NearFieldGrid.argmax_rank1: small
@@ -286,15 +287,29 @@ class NearFieldGrid:
         self.distance_grid = np.asarray(distance_grid, dtype=float)
         if self.angle_grid.size == 0 or self.distance_grid.size == 0:
             raise ValueError("grids must be non-empty")
+        if not np.all(np.isfinite(self.angle_grid)):
+            raise ValueError("grid angles must be finite")
+        if not np.all((self.distance_grid > 0) & np.isfinite(self.distance_grid)):
+            raise ValueError("grid distances must be finite and positive")
         x = element_positions(mla).ravel()
         k = 2 * np.pi / carrier.wavelength
         gd = self.distance_grid
         self.matrix = np.empty((self.angle_grid.size * gd.size, x.size),
                                dtype=np.complex64)
         d2 = (gd * gd)[:, None]
-        for i, phi in enumerate(self.angle_grid):
-            r = np.sqrt(d2 + x * x - 2 * np.cos(phi) * gd[:, None] * x)
-            self.matrix[i * gd.size:(i + 1) * gd.size] = np.exp(-1j * k * r)
+
+        def build_rows(first, stop):
+            # exp(-1j*k*r) as cos and sin of the float64 phase -k*r, written
+            # into the float32 parts of each angle's rows: the same bits
+            # without a complex128 temporary
+            for i in range(first, stop):
+                r = np.sqrt(d2 + x * x - 2 * np.cos(self.angle_grid[i]) * gd[:, None] * x)
+                theta = np.multiply(r, -k, out=r)
+                rows = self.matrix[i * gd.size:(i + 1) * gd.size]
+                np.cos(theta, out=rows.real)
+                np.sin(theta, out=rows.imag)
+
+        _run_blocks(build_rows, self.angle_grid.size)
 
     @property
     def num_points(self) -> int:

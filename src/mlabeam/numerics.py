@@ -2,10 +2,37 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
+
+# Threads for the elementwise block layers (the steering-grid build and the
+# exact-gain sweep): at most 4, and no more than the CPUs this process may
+# run on. Never derived from the input size; results do not depend on it.
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+def _run_blocks(task, num_blocks: int) -> None:
+    """Call task(first, stop) over contiguous ranges of block indices that
+    together cover range(num_blocks), one range per worker thread.
+
+    Each task must write only its own blocks' output. numpy releases the GIL
+    inside ufuncs, so elementwise work on independent blocks runs in
+    parallel. With one worker or one block the task runs inline, no pool.
+    """
+    workers = min(_WORKERS, num_blocks)
+    if workers <= 1:
+        task(0, num_blocks)
+        return
+    bounds = [num_blocks * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(task, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        for future in futures:
+            future.result()
 
 
 def fresnel_cs(u):

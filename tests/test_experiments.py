@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ from mlabeam import (Carrier, TrialConfig, derive_trial_seed, dbm_to_watts,
                      read_records_csv, run_localization_experiment, run_se_sweep,
                      write_records_csv)
 from mlabeam import experiments, localization
-from mlabeam.experiments import RECORD_FIELDS
+from mlabeam.experiments import RECORD_FIELDS, ExperimentRecord
 from mlabeam.localization import IllConditionedTriangulationError, NearFieldGrid
 
 CAR = Carrier.from_frequency(15e9)
@@ -167,9 +168,42 @@ def test_write_read_round_trip(tmp_path, driver):
     write_records_csv(str(written), res)
     assert written.read_bytes() == streamed.read_bytes()
     _, records, aggregates = read_records_csv(str(written))
-    assert len(records) == len(res.records)
+    assert [_exact(r.values()) for r in records] == [
+        _exact(dataclasses.astuple(r)) for r in res.records]
+    assert list(records[0]) == list(RECORD_FIELDS)
     for want, got in zip(res.aggregates, aggregates):
         assert got == want
+
+
+def _exact(values):
+    """Ints as themselves and floats as their 8 bytes, so that a seed read back
+    as a float, a NaN, or a -0.0 read back as 0.0 all compare unequal."""
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in values]
+
+
+_CSV_FLOATS = st.floats(allow_nan=False) | st.just(math.nan)
+_RECORDS = st.lists(st.builds(
+    ExperimentRecord,
+    **{f.name: (st.integers(0, 2**64 - 1) if f.name == "seed"
+                else st.integers(0, 1) if f.name == "excluded"
+                else st.integers(0, 10**6) if f.type == "int"
+                else _CSV_FLOATS)
+       for f in dataclasses.fields(ExperimentRecord)}), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_RECORDS)
+@example(records=[ExperimentRecord(-0.0, 0, 2**64 - 1, math.nan, math.inf, -math.inf,
+                                   5e-324, -2.2250738585072009e-308, 1.7976931348623157e308,
+                                   0.1, -0.0, 1.0, 2.0, 3.0, 1)])
+def test_records_csv_round_trip(tmp_path_factory, records):
+    """write_records_csv then read_records_csv gives back every record field:
+    floats bit for bit (NaN as the one NaN the writer prints), ints exactly."""
+    path = tmp_path_factory.mktemp("csv") / "r.csv"
+    write_records_csv(str(path), experiments.ExperimentResult(_config(), records, []))
+    _, got, _ = read_records_csv(str(path))
+    assert [_exact(r.values()) for r in got] == [_exact(dataclasses.astuple(r))
+                                                 for r in records]
 
 
 def test_records_do_not_depend_on_batch_size(monkeypatch):

@@ -222,7 +222,10 @@ def test_exact_gain_off_plane_source():
         assert abs(h - ref) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("samples", [1, 5000, 20000, 10**9])
+SWEEP_BLOCK_SAMPLES = [1, 5000, 20000, 10**9]
+
+
+@pytest.mark.parametrize("samples", SWEEP_BLOCK_SAMPLES)
 def test_exact_sweep_does_not_depend_on_block_size(samples, monkeypatch):
     """One point per block, a few, several, all in one: the same bits."""
     mla = ModularArray(2, 16, 0.01, 0.2)
@@ -230,6 +233,20 @@ def test_exact_sweep_does_not_depend_on_block_size(samples, monkeypatch):
     default = gain_exact_sweep(mla, X, Z, 30.0, LAM)
     monkeypatch.setattr("mlabeam.gain._SWEEP_BLOCK_SAMPLES", samples)
     assert np.array_equal(gain_exact_sweep(mla, X, Z, 30.0, LAM), default)
+
+
+@pytest.mark.parametrize("samples", SWEEP_BLOCK_SAMPLES)
+def test_exact_sweep_does_not_depend_on_worker_count(samples, monkeypatch):
+    """Each worker evaluates a contiguous range of blocks: at every block size,
+    1, 2 and 3 workers give the bits of the one-worker default-block sweep."""
+    mla = ModularArray(2, 16, 0.01, 0.2)
+    X, Z = np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(5.0, 60.0, 7))
+    monkeypatch.setattr("mlabeam.numerics._WORKERS", 1)
+    default = gain_exact_sweep(mla, X, Z, 30.0, LAM)
+    monkeypatch.setattr("mlabeam.gain._SWEEP_BLOCK_SAMPLES", samples)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr("mlabeam.numerics._WORKERS", workers)
+        assert np.array_equal(gain_exact_sweep(mla, X, Z, 30.0, LAM), default)
 
 
 def test_exact_sweep_rejects_source_behind_array():

@@ -13,7 +13,7 @@ from mlabeam import (Carrier, DegenerateSubspaceError,
                      principal_eigenvectors, sample_covariance, spacing_for_aperture,
                      subarray_centers, synthesize_snapshots, triangulate,
                      bracketing_floor)
-from mlabeam import localization
+from mlabeam import localization, numerics
 from mlabeam.localization import default_angle_grid
 
 CAR = Carrier.from_wavelength(0.02)
@@ -337,6 +337,44 @@ def test_grid_argmax_phase_invariance():
     r2 = grid.argmax_rank1(u * np.exp(1j * 0.7))
     assert r1 == r2
     assert grid.num_points == ag.size * dg.size
+
+
+def _exp_reference_grid(mla, ag, dg):
+    """The steering grid built angle row by angle row with exp(-1j*k*r)."""
+    x = element_positions(mla).ravel()
+    k = 2 * np.pi / CAR.wavelength
+    d2 = (dg * dg)[:, None]
+    rows = [np.exp(-1j * k * np.sqrt(d2 + x * x - 2 * np.cos(phi) * dg[:, None] * x))
+            for phi in ag]
+    return np.concatenate(rows).astype(np.complex64)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_grid_does_not_depend_on_worker_count(workers, monkeypatch):
+    """Each worker builds a contiguous range of angle rows from cos and sin of
+    the phase; at 1, 2 and 3 workers (an uneven split of 7 angles) the matrix
+    has the bits of the exp formula."""
+    mla = _array(L=2, N=8, D=1.0)
+    ag, dg = np.linspace(1.2, 1.26, 7), np.arange(10.0, 14.0, 0.1)
+    monkeypatch.setattr(numerics, "_WORKERS", workers)
+    grid = NearFieldGrid(mla, CAR, ag, dg)
+    ref = _exp_reference_grid(mla, ag, dg)
+    assert np.array_equal(grid.matrix.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("angles, distances", [
+    (np.arange(1.2, 1.4, 0.01), np.arange(-14.0, -10.0, 0.1)),
+    (np.arange(1.2, 1.4, 0.01), np.array([10.0, np.nan, 12.0])),
+    (np.arange(1.2, 1.4, 0.01), np.array([0.0, 10.0])),
+    (np.arange(1.2, 1.4, 0.01), np.array([10.0, np.inf])),
+    (np.array([1.2, np.nan]), np.arange(10.0, 14.0, 0.1)),
+    (np.array([1.2, -np.inf]), np.arange(10.0, 14.0, 0.1)),
+], ids=["negative", "nan_distance", "zero", "inf_distance", "nan_angle", "inf_angle"])
+def test_grid_rejects_points_it_cannot_search(angles, distances):
+    """A grid with a negative distance used to build and then fail a sweep
+    after all its trials; a NaN distance broke argmax_rank1's unpacking."""
+    with pytest.raises(ValueError):
+        NearFieldGrid(_array(L=2, N=8, D=1.0), CAR, angles, distances)
 
 
 SMALL_GRID = NearFieldGrid(_array(L=2, N=8, D=1.0), CAR, np.arange(1.2, 1.4, 0.01),

@@ -1,10 +1,13 @@
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from mlabeam import QuadratureRule, fresnel_cs, gauss_legendre_rule, integrate_cell
+from mlabeam import numerics
 
 
 def fresnel_oracle(u):
@@ -88,3 +91,48 @@ def test_integrate_cell_scaling():
     rule = gauss_legendre_rule(8)
     one = integrate_cell(rule, 0.0, 0.0, 0.3, 0.7, lambda x, y: np.ones_like(x + y, dtype=complex))
     assert one.real == pytest.approx(0.21, rel=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.floats(1.0, 500.0),
+       r=st.lists(st.floats(1e-6, 40.0), min_size=1, max_size=300))
+def test_exp_of_phase_is_cos_and_sin(k, r):
+    """The steering grid writes cos and sin of the float64 phase -k*r in place
+    of exp(-1j*k*r); both parts must agree bit for bit, for k*r up to 2e4 rad
+    (40 m at 15 GHz is 1.26e4). Array lengths up to 300 cover SIMD tails."""
+    r = np.array(r)
+    e = np.exp(-1j * k * r)
+    theta = np.multiply(r, -k)
+    assert np.array_equal(np.ascontiguousarray(e.real).view(np.uint64),
+                          np.cos(theta).view(np.uint64))
+    assert np.array_equal(np.ascontiguousarray(e.imag).view(np.uint64),
+                          np.sin(theta).view(np.uint64))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("num_blocks", [0, 1, 2, 7])
+def test_run_blocks_covers_each_block_once(workers, num_blocks, monkeypatch):
+    monkeypatch.setattr(numerics, "_WORKERS", workers)
+    ranges, threads = [], set()
+
+    def task(first, stop):
+        ranges.append((first, stop))
+        threads.add(threading.get_ident())
+
+    numerics._run_blocks(task, num_blocks)
+    ranges.sort()
+    assert [b for first, stop in ranges for b in range(first, stop)] == list(range(num_blocks))
+    assert len(ranges) == max(1, min(workers, num_blocks))
+    if len(ranges) == 1:  # inline, no pool
+        assert threads == {threading.get_ident()}
+
+
+def test_run_blocks_raises_a_task_error(monkeypatch):
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+
+    def task(first, stop):
+        if first:
+            raise ZeroDivisionError("second range")
+
+    with pytest.raises(ZeroDivisionError):
+        numerics._run_blocks(task, 4)
