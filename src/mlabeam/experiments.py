@@ -3,9 +3,10 @@
 Per-trial randomness is derived from a base seed so runs are reproducible
 bit-for-bit; the user draw and the snapshot noise use disjoint derived
 streams, and the user draw depends only on the trial index so every sweep
-point sees the same users. Records stream to CSV one sweep point at a time,
-once that point's batch of trials is evaluated, with an aggregate footer
-written last.
+point sees the same users. The CSV file is opened before the first trial;
+records reach it after the last one, once the SE sweep's single pass over
+its 2D grid has searched every kept trial, with an aggregate footer written
+last.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .geometry import Carrier, ModularArray, spacing_for_aperture, subarray_cent
 from .localization import (DegenerateSubspaceError, IllConditionedTriangulationError,
                            NearFieldGrid, Scenario, SearchCounter, centered_angle_grid,
                            default_angle_grid, default_distance_grid, locate, music_2d,
-                           near_steering, synthesize_snapshots, triangulate)
+                           near_steering, principal_eigenvectors, synthesize_snapshots,
+                           triangulate)
 
 _USER_STREAM = 0
 _SNAPSHOT_STREAM = 1
@@ -166,12 +168,10 @@ def _fmt(value) -> str:
 
 class _CsvWriter:
     """The one CSV format every mlabeam file uses: '# ' comment lines, a header,
-    rows with floats as %.17g, then '# ' footer lines. flush makes each row
-    reach the file as it is written, so a Monte Carlo run streams."""
+    rows with floats as %.17g, then '# ' footer lines."""
 
-    def __init__(self, path, comments, header, flush: bool = False):
+    def __init__(self, path, comments, header):
         self._file = open(path, "w", encoding="utf-8", newline="\n")
-        self._flush = flush
         self.comments(comments)
         self._file.write(",".join(header) + "\n")
 
@@ -187,8 +187,6 @@ class _CsvWriter:
 
     def row(self, values):
         self._file.write(",".join(_fmt(v) for v in values) + "\n")
-        if self._flush:
-            self._file.flush()
 
 
 def _write_csv(path, comments, header, rows, footer=()):
@@ -271,25 +269,27 @@ def _se_summary(kept):
     return summary
 
 
-def _run_trials(config: TrialConfig, out_path, evaluate, summarize) -> ExperimentResult:
+def _run_trials(config: TrialConfig, out_path, summarize, evaluate=None,
+                finish=None) -> ExperimentResult:
     """The Monte Carlo protocol both drivers share: per sweep value and trial,
-    draw the user, synthesize snapshots and locate; then hand the sweep
-    point's trials to evaluate as one batch and stream their records.
+    draw the user, synthesize snapshots and locate; once every trial has run,
+    make the records and write them in that order.
 
     Trials whose triangulation is ill-conditioned or whose subspace is
-    degenerate keep NaN estimates and excluded=1. evaluate(batch) takes the
-    sweep point's (scenario, snapshots, estimate) triples in trial order,
-    estimate None for an excluded trial, and returns one dict of the
-    sweep's own record fields per triple.
+    degenerate keep NaN estimates and excluded=1. evaluate(fields, scenario,
+    snaps, est), if given, runs as each trial does, est None for an excluded
+    trial, and adds the sweep's own record fields to that trial's fields
+    dict; it may keep the dict and a few values per trial for later, never
+    the snapshots. finish(), if given, runs once after the last trial and
+    completes the dicts evaluate kept.
     """
     grid = default_angle_grid(config.angle_step)
     counter = SearchCounter()
-    records = []
-    with (_CsvWriter(out_path, [_config_comment(config)], RECORD_FIELDS, flush=True)
+    rows = []
+    with (_CsvWriter(out_path, [_config_comment(config)], RECORD_FIELDS)
           if out_path else contextlib.nullcontext()) as writer:
         for v in config.sweep_values:
             mla, power = config._sweep_point(v)
-            rows, batch = [], []
             for trial in range(config.trials):
                 angle, distance = config.draw_user(trial)
                 seed = derive_trial_seed(config.base_seed, trial, _SNAPSHOT_STREAM)
@@ -307,15 +307,16 @@ def _run_trials(config: TrialConfig, out_path, evaluate, summarize) -> Experimen
                 if est is not None:
                     fields.update(est_x=est.x, est_z=est.z,
                                   sq_error=(est.x - tx) ** 2 + (est.z - tz) ** 2)
+                if evaluate:
+                    evaluate(fields, scenario, snaps, est)
                 rows.append(fields)
-                batch.append((scenario, snaps, est))
-            for fields, extra in zip(rows, evaluate(batch), strict=True):
-                fields.update(extra)
-                records.append(ExperimentRecord(**fields))
-                if writer:
-                    writer.row(dataclasses.astuple(records[-1]))
+        if finish:
+            finish()
+        records = [ExperimentRecord(**fields) for fields in rows]
         aggregates = _aggregate(records, summarize)
         if writer:
+            for record in records:
+                writer.row(dataclasses.astuple(record))
             writer.comments(_aggregate_comments(aggregates))
     return ExperimentResult(config, records, aggregates,
                             excluded_total=sum(r.excluded for r in records),
@@ -333,7 +334,7 @@ def run_localization_experiment(config: TrialConfig, out_path=None) -> Experimen
     """
     if config.sweep_variable == "power":
         raise ValueError("use run_se_sweep for power sweeps")
-    return _run_trials(config, out_path, lambda batch: [{}] * len(batch), _nmse_summary)
+    return _run_trials(config, out_path, _nmse_summary)
 
 
 def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
@@ -342,8 +343,10 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
     whole-array 2D search baseline, and perfect channel knowledge.
 
     The perfect-knowledge rate is closed-form per trial. The 2D baseline
-    shares one precomputed steering grid across all trials and searches it
-    once per sweep point for all of that point's kept trials.
+    shares one precomputed steering grid, built for the sweep's array and
+    carrier, across all trials: each kept trial is reduced to its whole-array
+    principal eigenvector as it runs, and after the last trial one pass over
+    the grid searches every kept trial at every power.
     """
     if config.sweep_variable != "power":
         raise ValueError("run_se_sweep expects a power sweep")
@@ -355,34 +358,39 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
     if include_2d and grid_2d is None:
         grid_2d = NearFieldGrid(mla, carrier, centered_angle_grid(step=config.angle_step),
                                 default_distance_grid(step=config.distance_step))
+    if include_2d and (grid_2d.mla != mla or grid_2d.carrier != carrier):
+        raise ValueError("grid_2d was built for another array or carrier than the sweep's")
+    kept = []  # (fields, scenario, u1, h_true, beta) per kept trial, for the 2D pass
 
-    def evaluate(batch):
-        out, kept = [], []
-        for scenario, snaps, est in batch:
-            power = scenario.power
-            beta = friis_beta(carrier, scenario.distance)
-            fields = {"se_perfect": math.log2(1 + power * beta * mla.num_elements / noise)}
-            if est is not None:
-                h_true = near_steering(mla, carrier, scenario.angle, scenario.distance)
-                ch = estimate_channel(mla, carrier, est.angle, est.distance)
-                fields["se_proposed"] = spectral_efficiency(h_true, ch.vector, power, beta, noise)
-                kept.append((fields, scenario, snaps, h_true, beta))
-            out.append(fields)
-        if include_2d and kept:
-            stacked = np.stack([snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
-                                for _, _, snaps, _, _ in kept])
-            picks = music_2d(stacked, grid_2d, counter=counter_2d)
-            for (fields, scenario, _, h_true, beta), (phi2, d2) in zip(kept, picks):
-                ch2 = estimate_channel(mla, carrier, phi2, d2)
-                ex2, ez2 = d2 * math.cos(phi2), d2 * math.sin(phi2)
-                tx, tz = scenario.user_xz
-                fields.update(est_x_2d=ex2, est_z_2d=ez2,
-                              sq_error_2d=(ex2 - tx) ** 2 + (ez2 - tz) ** 2,
-                              se_2d=spectral_efficiency(h_true, ch2.vector, scenario.power,
-                                                        beta, noise))
-        return out
+    def evaluate(fields, scenario, snaps, est):
+        power = scenario.power
+        beta = friis_beta(carrier, scenario.distance)
+        fields["se_perfect"] = math.log2(1 + power * beta * mla.num_elements / noise)
+        if est is not None:
+            h_true = near_steering(mla, carrier, scenario.angle, scenario.distance)
+            ch = estimate_channel(mla, carrier, est.angle, est.distance)
+            fields["se_proposed"] = spectral_efficiency(h_true, ch.vector, power, beta, noise)
+            if include_2d:
+                whole = snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
+                # a copy, not a column view that would keep all L*N eigenvectors alive
+                u1 = principal_eigenvectors(whole).copy()
+                kept.append((fields, scenario, u1, h_true, beta))
 
-    result = _run_trials(config, out_path, evaluate, _se_summary)
+    def search_2d():
+        if not kept:
+            return
+        picks = music_2d(np.stack([u1 for _, _, u1, _, _ in kept], axis=1), grid_2d,
+                         counter=counter_2d)
+        for (fields, scenario, _, h_true, beta), (phi2, d2) in zip(kept, picks, strict=True):
+            ch2 = estimate_channel(mla, carrier, phi2, d2)
+            ex2, ez2 = d2 * math.cos(phi2), d2 * math.sin(phi2)
+            tx, tz = scenario.user_xz
+            fields.update(est_x_2d=ex2, est_z_2d=ez2,
+                          sq_error_2d=(ex2 - tx) ** 2 + (ez2 - tz) ** 2,
+                          se_2d=spectral_efficiency(h_true, ch2.vector, scenario.power,
+                                                    beta, noise))
+
+    result = _run_trials(config, out_path, _se_summary, evaluate, search_2d)
     result.search_cost_2d = counter_2d.count
     return result
 

@@ -8,6 +8,7 @@ accuracy/complexity baseline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -198,6 +199,18 @@ def principal_eigenvectors(snapshots: np.ndarray) -> np.ndarray:
     return _split_eigh(sample_covariance(snapshots), 1)[1][..., -1]
 
 
+@functools.lru_cache(maxsize=8)
+def _conj_steering_rows(positions: bytes, grid: bytes, wavelength: float) -> np.ndarray:
+    """conj(a(phi)) rows of music_1d, for the float64 element x-coordinates
+    and grid angles packed in positions and grid. A sweep asks for the same
+    few matrices on every trial; the cached one is read-only, as every caller
+    shares it."""
+    x, angles = np.frombuffer(positions), np.frombuffer(grid)
+    rows = np.exp(-2j * np.pi / wavelength * np.outer(np.cos(angles), x))
+    rows.flags.writeable = False
+    return rows
+
+
 def music_1d(principal: np.ndarray, positions, grid: np.ndarray, wavelength: float,
              counter: SearchCounter | None = None):
     """Single-source angle pseudo-spectrum 1 / (N - |a(phi)^H u1|^2) over the
@@ -214,8 +227,7 @@ def music_1d(principal: np.ndarray, positions, grid: np.ndarray, wavelength: flo
         raise ValueError("angle grid must be non-empty and strictly increasing")
     x = np.asarray(positions, dtype=float)
     u = np.asarray(principal)
-    A = np.exp(-2j * np.pi / wavelength * np.outer(np.cos(grid), x))  # conj(a) rows
-    proj = A @ u
+    proj = _conj_steering_rows(x.tobytes(), grid.tobytes(), float(wavelength)) @ u
     power = proj.real**2 + proj.imag**2
     spectrum = 1.0 / np.maximum(x.size - power, _SPECTRUM_FLOOR)
     picks = grid[np.argmax(power, axis=0)]
@@ -279,6 +291,7 @@ class NearFieldGrid:
     The matrix is held in single precision (about a gigabyte at the default
     resolutions) and built once, then shared across trials. Rows are ordered
     angle-major: row = angle_index * len(distance_grid) + distance_index.
+    mla and carrier are the array and carrier the grid was built for.
     """
 
     def __init__(self, mla: ModularArray, carrier: Carrier,
@@ -291,6 +304,7 @@ class NearFieldGrid:
             raise ValueError("grid angles must be finite")
         if not np.all((self.distance_grid > 0) & np.isfinite(self.distance_grid)):
             raise ValueError("grid distances must be finite and positive")
+        self.mla, self.carrier = mla, carrier
         x = element_positions(mla).ravel()
         k = 2 * np.pi / carrier.wavelength
         gd = self.distance_grid
@@ -380,23 +394,23 @@ class NearFieldGrid:
         return picks if stack.ndim == 2 else picks[0]
 
 
-def music_2d(snapshots: np.ndarray, grid: NearFieldGrid,
+def music_2d(principal: np.ndarray, grid: NearFieldGrid,
              counter: SearchCounter | None = None):
     """Single-source (angle, distance) estimate treating the modular array as
     one aperture.
 
-    snapshots is one trial's stacked T x (L*N) matrix, giving one (angle,
-    distance) pair, or a (B, T, L*N) stack of B trials, giving a list of B
-    pairs from one pass over the grid. With one source the noise projector
-    is I - u1 u1^H, so only the principal eigenvector of each sample
-    covariance is needed and the spectrum denominator is
+    principal is the principal eigenvector u1 of one trial's T x (L*N)
+    whole-array snapshots (see principal_eigenvectors), giving one (angle,
+    distance) pair, or an (L*N, B) stack of B trials' vectors, giving a list
+    of B pairs from one pass over the grid. With one source the noise
+    projector is I - u1 u1^H, so the spectrum denominator is
     ||b||^2 - |u1^H b|^2 over the precomputed grid. Every grid point counts
     once per trial.
     """
-    principal = principal_eigenvectors(snapshots)
+    principal = np.asarray(principal)
     if counter is not None:
-        counter.add(grid.num_points * math.prod(principal.shape[:-1]))
-    return grid.argmax_rank1(principal.T)
+        counter.add(grid.num_points * math.prod(principal.shape[1:]))
+    return grid.argmax_rank1(principal)
 
 
 def nmse(estimates, truths) -> float:

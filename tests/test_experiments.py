@@ -207,7 +207,7 @@ def test_records_csv_round_trip(tmp_path_factory, records):
 
 
 def test_records_do_not_depend_on_batch_size(monkeypatch):
-    """A sweep point's 2D search runs as one batch of all its kept trials, so
+    """The 2D search runs as one batch of all the sweep's kept trials, so
     trials=3 and trials=7 batch differently; the shared trials must not move.
     Small grid blocks put the block boundaries at different rows for B=3 and 7."""
     monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1 << 15)
@@ -215,6 +215,53 @@ def test_records_do_not_depend_on_batch_size(monkeypatch):
     head = [dataclasses.astuple(r) for r in seven if r.trial < 3]
     np.testing.assert_equal([dataclasses.astuple(r) for r in three], head)
     assert all(math.isfinite(r.se_2d) for r in seven)
+
+
+def test_se_sweep_searches_every_power_in_one_pass(monkeypatch):
+    """One 2D pass per run_se_sweep call covers the kept trials of every
+    power, and gives the records of one one-power sweep per power."""
+    _exclude_trials(monkeypatch, (1,), trials=4)
+    real, calls = NearFieldGrid.argmax_rank1, []
+
+    def spy(grid, principal):
+        calls.append(np.shape(principal))
+        return real(grid, principal)
+    monkeypatch.setattr(NearFieldGrid, "argmax_rank1", spy)
+    powers = tuple(dbm_to_watts(p) for p in (10, 15, 20))
+    cfg = _config(sweep_variable="power", sweep_values=powers, trials=4)
+    grid = NearFieldGrid(cfg.array_for(4, 16), CAR, COARSE_ANGLES, COARSE_DISTANCES)
+    res = run_se_sweep(cfg, grid_2d=grid)
+    kept = len(res.records) - res.excluded_total
+    assert (kept, res.excluded_total) == (9, 3)
+    assert calls == [(64, kept)]
+    assert res.search_cost_2d == grid.num_points * kept
+    singles = [run_se_sweep(dataclasses.replace(cfg, sweep_values=(p,)), grid_2d=grid)
+               for p in powers]
+    assert len(calls) == 1 + len(powers)
+    np.testing.assert_equal([dataclasses.astuple(r) for r in res.records],
+                            [dataclasses.astuple(r) for s in singles for r in s.records])
+    assert all(math.isfinite(r.se_2d) != r.excluded for r in res.records)
+
+
+def test_se_sweep_rejects_grid_of_another_array(monkeypatch):
+    """A 2D grid built for another array or carrier is refused before any
+    trial runs: a different gap, a different element count, another carrier."""
+    trials = []
+    monkeypatch.setattr(experiments, "synthesize_snapshots",
+                        lambda *args: trials.append(args))
+    cfg = _config(sweep_variable="power", sweep_values=(0.1,), trials=2)
+    mla = cfg.array_for(4, 16)
+    ag, dg = COARSE_ANGLES[:3], COARSE_DISTANCES[:3]
+    for grid in (NearFieldGrid(dataclasses.replace(mla, gap=0.3), CAR, ag, dg),
+                 NearFieldGrid(cfg.array_for(2, 16), CAR, ag, dg),
+                 NearFieldGrid(mla, Carrier.from_frequency(28e9), ag, dg)):
+        with pytest.raises(ValueError, match="grid_2d"):
+            run_se_sweep(cfg, grid_2d=grid)
+    assert trials == []
+    # without the 2D baseline the grid is not used, so it is not checked
+    monkeypatch.undo()
+    run_se_sweep(cfg, include_2d=False, grid_2d=NearFieldGrid(cfg.array_for(2, 16), CAR,
+                                                              ag, dg))
 
 
 def test_records_do_not_depend_on_blas_threads(tmp_path):

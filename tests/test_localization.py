@@ -150,6 +150,32 @@ def test_music_exact_on_grid():
     assert counter.count == 4 * grid.size
 
 
+def test_music_1d_cached_steering_is_bitwise_fresh():
+    """music_1d builds its steering matrix once per (offsets, grid,
+    wavelength) and reuses it; the spectrum and picks equal a fresh
+    computation bit for bit, whether the matrix was built or reused."""
+    mla = _array(L=2, N=16, D=1.0)
+    pos = element_positions(mla)[0] - subarray_centers(mla)[0]
+    grid = default_angle_grid()
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    u /= np.linalg.norm(u, axis=0)
+    proj = np.exp(-2j * np.pi / 0.02 * np.outer(np.cos(grid), pos)) @ u
+    power = proj.real**2 + proj.imag**2
+    fresh = 1.0 / np.maximum(16 - power, 1e-30)
+    cached = localization._conj_steering_rows
+    cached.cache_clear()
+    built = music_1d(u, pos, grid, 0.02)
+    reused = music_1d(u, pos.copy(), grid.copy(), 0.02)  # equal values, new arrays
+    assert (cached.cache_info().misses, cached.cache_info().hits) == (1, 1)
+    for spectrum, picks in (built, reused):
+        assert spectrum.tobytes() == fresh.tobytes()
+        assert picks == tuple(grid[np.argmax(power, axis=0)].tolist())
+    music_1d(u, pos, grid, 0.01)  # another wavelength is another matrix
+    assert cached.cache_info().misses == 2
+    assert not cached(pos.tobytes(), grid.tobytes(), 0.02).flags.writeable
+
+
 def test_music_high_snr_within_two_steps():
     mla = _array(L=2, N=16, D=1.0)
     pos = element_positions(mla)[0] - subarray_centers(mla)[0]
@@ -231,10 +257,11 @@ def test_degenerate_member_of_a_stack_raises():
     sc = Scenario(_array(L=2, N=8, D=1.0), CAR, 12.0, 1.3, 0.1, 1e-10, 8)
     one = synthesize_snapshots(sc, seed=11).data.transpose(1, 0, 2).reshape(8, -1)
     trials = np.stack([one] * 3)
-    assert music_2d(trials, SMALL_GRID) == [music_2d(one, SMALL_GRID)] * 3
+    assert (music_2d(principal_eigenvectors(trials).T, SMALL_GRID)
+            == [music_2d(principal_eigenvectors(one), SMALL_GRID)] * 3)
     trials[1] = 0
     with pytest.raises(DegenerateSubspaceError):
-        music_2d(trials, SMALL_GRID)
+        principal_eigenvectors(trials)
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,16 +339,16 @@ def test_music_2d_exact_on_grid():
     s = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     grid = NearFieldGrid(mla, CAR, ag, dg)
     counter = SearchCounter()
-    ang, d = music_2d(np.outer(s, b), grid, counter=counter)
+    ang, d = music_2d(principal_eigenvectors(np.outer(s, b)), grid, counter=counter)
     assert ang == phi and d == dist
     assert counter.count == ag.size * dg.size
 
-    # a (B, T, L*N) stack: one pick per trial, every grid point counted per trial
+    # an (L*N, B) stack: one pick per trial, every grid point counted per trial
     truths = [(37, 101), (0, 0), (ag.size - 1, dg.size - 1)]
     stacked = np.stack([np.outer(s, near_steering(mla, CAR, ag[i], dg[j]))
                         for i, j in truths])
     counter = SearchCounter()
-    picks = music_2d(stacked, grid, counter=counter)
+    picks = music_2d(principal_eigenvectors(stacked).T, grid, counter=counter)
     assert picks == [(float(ag[i]), float(dg[j])) for i, j in truths]
     assert counter.count == grid.num_points * len(truths)
 

@@ -1,8 +1,10 @@
 """Byte identity of the CLI commands on the README sample configs.
 
-Each command runs on its README sample config at full size and the sha256 of
-the CSV it writes is compared with a pinned value. The se sample stays out:
-it builds the ~1 GB whole-array steering grid. A change that moves any
+Each command runs on its README sample config and the sha256 of the CSV it
+writes is compared with a pinned value. All run at full size except se,
+whose README sample builds the ~1 GB whole-array steering grid: it runs the
+same array and powers with 20 trials on a 0.01 rad x 0.1 m grid, which pins
+its 1D and 2D picks and its rates in about 2 s. A change that moves any
 written value, even by one ulp, fails here; such a change re-pins the hash
 and lists the moved values in CHANGES.md. The hashes depend on the platform's
 libm and scipy builds as well as on mlabeam.
@@ -51,6 +53,15 @@ power_dbm = 20
 noise_dbm = -78
 snapshots = 100
 """, "0e9400e567248aaf7e97d622317e8b9a6bf16ab2695e9008e198e62c7981f33f"),
+    "se": ("""aperture_m = 2.0
+num_subarrays = 4
+antennas_per_subarray = 16
+power_dbm_values = 10, 15, 20
+trials = 20
+include_2d = true
+angle_step_rad = 0.01
+distance_step_m = 0.1
+""", "d87d35950160d8f3cbb87b51d56c2dcf6c3cbb4245ef6ae41d9433c69a24d4f9"),
 }
 
 
