@@ -4,7 +4,7 @@ Each command runs on its README sample config and the sha256 of the CSV it
 writes is compared with a pinned value. All run at full size except se,
 whose README sample builds the ~1 GB whole-array steering grid: it runs the
 same array and powers with 20 trials on a 0.01 rad x 0.1 m grid, which pins
-its 1D and 2D picks and its rates in about 2 s. A change that moves any
+its 1D and 2D picks and its rates in under a second. A change that moves any
 written value, even by one ulp, fails here; such a change re-pins the hash
 and lists the moved values in CHANGES.md. The hashes depend on the platform's
 libm and scipy builds as well as on mlabeam.
