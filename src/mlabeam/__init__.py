@@ -17,9 +17,9 @@ from .geometry import (ArrayMetrics, Carrier, InfeasibleArrayError, ModularArray
                        SPEED_OF_LIGHT, derived_metrics, element_positions,
                        spacing_for_aperture, subarray_centers)
 from .localization import (DegenerateSubspaceError, IllConditionedTriangulationError,
-                           NearFieldGrid, PositionEstimate, Scenario, SearchCounter,
-                           SnapshotSet, estimate_angles, far_steering, locate, music_1d,
-                           music_2d, near_steering, nmse, noise_subspace, principal_eigenvectors,
+                           NearFieldGrid, PositionEstimate, Scenario, SnapshotSet,
+                           estimate_angles, far_steering, locate, music_1d, music_2d,
+                           near_steering, nmse, noise_subspace, principal_eigenvectors,
                            sample_covariance, synthesize_snapshots, triangulate)
 from .numerics import QuadratureRule, fresnel_cs, gauss_legendre_rule, integrate_cell
 from .experiments import (ExperimentRecord, ExperimentResult, TrialConfig,
@@ -34,7 +34,7 @@ __all__ = [
     "DesignInput", "DesignResult", "ExperimentRecord", "ExperimentResult", "GainRangeError",
     "IllConditionedTriangulationError", "InfeasibleArrayError", "ModularArray",
     "NearFieldGrid", "NullNotFoundError", "PEAK_PROMINENCE", "PositionEstimate",
-    "QuadratureRule", "RippleMetrics", "SPEED_OF_LIGHT", "Scenario", "SearchCounter",
+    "QuadratureRule", "RippleMetrics", "SPEED_OF_LIGHT", "Scenario",
     "SnapshotSet", "TrialConfig", "TxPoint", "bracketing_floor", "cell_channel",
     "count_peaks", "crossrange_gain", "dbm_to_watts", "derive_trial_seed",
     "derived_metrics", "design_num_arrays", "design_sweep", "element_positions",

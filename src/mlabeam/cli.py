@@ -324,10 +324,10 @@ def _cmd_design(cfg: dict, out: str) -> int:
 
 
 def _trial_config(cfg: dict, sweep_variable: str, sweep_values: tuple) -> TrialConfig:
-    """Validated Monte Carlo config; every sweep point's array is resolved
-    here, so a geometry a sweep cannot use is a config error before any trial."""
+    """Validated Monte Carlo config; TrialConfig resolves every sweep point's
+    array, so a geometry a sweep cannot use is a config error before any trial."""
     with _input_boundary():
-        config = TrialConfig(
+        return TrialConfig(
             aperture=cfg["aperture_m"],
             num_subarrays=cfg["num_subarrays"],
             elements_per_subarray=cfg["antennas_per_subarray"],
@@ -346,9 +346,6 @@ def _trial_config(cfg: dict, sweep_variable: str, sweep_values: tuple) -> TrialC
             ridge=cfg["ridge"],
             spacing=cfg["spacing_m"],
         )
-        for v in sweep_values:
-            config._sweep_point(v)
-    return config
 
 
 def _cmd_localize(cfg: dict, out: str) -> int:

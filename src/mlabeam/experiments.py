@@ -3,15 +3,14 @@
 Per-trial randomness is derived from a base seed so runs are reproducible
 bit-for-bit; the user draw and the snapshot noise use disjoint derived
 streams, and the user draw depends only on the trial index so every sweep
-point sees the same users. The CSV file is opened before the first trial;
-records reach it after the last one, once the SE sweep's single pass over
-its 2D grid has searched every kept trial, with an aggregate footer written
-last.
+point sees the same users. An unwritable CSV path fails before the first
+trial; the file is written after the last one, once the SE sweep's single
+pass over its 2D grid has searched every kept trial, with an aggregate
+footer written last.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -23,7 +22,7 @@ import numpy as np
 from .channel import estimate_channel, friis_beta, spectral_efficiency
 from .geometry import Carrier, ModularArray, spacing_for_aperture, subarray_centers
 from .localization import (DegenerateSubspaceError, IllConditionedTriangulationError,
-                           NearFieldGrid, Scenario, SearchCounter, centered_angle_grid,
+                           NearFieldGrid, Scenario, centered_angle_grid,
                            default_angle_grid, default_distance_grid, locate, music_2d,
                            near_steering, principal_eigenvectors, synthesize_snapshots,
                            triangulate)
@@ -92,6 +91,13 @@ class TrialConfig:
             raise ValueError("ridge must be non-negative")
         if not (self.angle_step > 0 and self.distance_step > 0):
             raise ValueError("grid steps must be positive")
+        if not 0 <= self.noise_power < math.inf:
+            raise ValueError("noise power must be finite and non-negative")
+        # every sweep point's array and transmit power, before any trial runs
+        for value in self.sweep_values:
+            _, power = self._sweep_point(value)
+            if not 0 < power < math.inf:
+                raise ValueError(f"transmit power must be finite and positive, got {power!r}")
 
     @property
     def element_spacing(self) -> float:
@@ -152,6 +158,13 @@ _INT_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentRecord)
 
 @dataclass
 class ExperimentResult:
+    """Records and per-sweep aggregates of one run, and the grid points its
+    searches visited. search_cost_proposed counts every 1D angle grid point
+    once per sub-array of each trial that reached the angle search: a
+    degenerate subspace stops a trial before it, an ill-conditioned
+    triangulation after it. search_cost_2d counts every 2D grid point once
+    per kept trial."""
+
     config: TrialConfig
     records: list
     aggregates: list  # one dict per sweep point
@@ -166,34 +179,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-class _CsvWriter:
+def _write_csv(path, comments, header, rows, footer=()):
     """The one CSV format every mlabeam file uses: '# ' comment lines, a header,
     rows with floats as %.17g, then '# ' footer lines."""
-
-    def __init__(self, path, comments, header):
-        self._file = open(path, "w", encoding="utf-8", newline="\n")
-        self.comments(comments)
-        self._file.write(",".join(header) + "\n")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._file.close()
-
-    def comments(self, lines):
-        for line in lines:
-            self._file.write(f"# {line}\n")
-
-    def row(self, values):
-        self._file.write(",".join(_fmt(v) for v in values) + "\n")
-
-
-def _write_csv(path, comments, header, rows, footer=()):
-    with _CsvWriter(path, comments, header) as writer:
-        for row in rows:
-            writer.row(row)
-        writer.comments(footer)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(f"# {line}\n" for line in comments)
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        f.writelines(f"# {line}\n" for line in footer)
 
 
 def _config_comment(config: TrialConfig) -> str:
@@ -209,15 +202,11 @@ def _config_comment(config: TrialConfig) -> str:
     return "config: " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-def _aggregate_comments(aggregates):
-    return ["aggregate: " + " ".join(f"{k}={_fmt(v)}" for k, v in agg.items())
-            for agg in aggregates]
-
-
 def write_records_csv(path, result: ExperimentResult):
     _write_csv(path, [_config_comment(result.config)], RECORD_FIELDS,
                (dataclasses.astuple(r) for r in result.records),
-               _aggregate_comments(result.aggregates))
+               ["aggregate: " + " ".join(f"{k}={_fmt(v)}" for k, v in agg.items())
+                for agg in result.aggregates])
 
 
 def read_records_csv(path):
@@ -284,43 +273,44 @@ def _run_trials(config: TrialConfig, out_path, summarize, evaluate=None,
     completes the dicts evaluate kept.
     """
     grid = default_angle_grid(config.angle_step)
-    counter = SearchCounter()
-    rows = []
-    with (_CsvWriter(out_path, [_config_comment(config)], RECORD_FIELDS)
-          if out_path else contextlib.nullcontext()) as writer:
-        for v in config.sweep_values:
-            mla, power = config._sweep_point(v)
-            for trial in range(config.trials):
-                angle, distance = config.draw_user(trial)
-                seed = derive_trial_seed(config.base_seed, trial, _SNAPSHOT_STREAM)
-                scenario = Scenario(mla, config.carrier, distance, angle,
-                                    power, config.noise_power, config.num_snapshots)
-                snaps = synthesize_snapshots(scenario, seed)
-                tx, tz = scenario.user_xz
-                try:
-                    est = locate(snaps, grid, counter=counter, ridge=config.ridge)
-                except (IllConditionedTriangulationError, DegenerateSubspaceError):
-                    est = None
-                fields = dict.fromkeys(RECORD_FIELDS, float("nan"))
-                fields.update(sweep_value=float(v), trial=trial, seed=seed, true_x=tx,
-                              true_z=tz, excluded=int(est is None))
-                if est is not None:
-                    fields.update(est_x=est.x, est_z=est.z,
-                                  sq_error=(est.x - tx) ** 2 + (est.z - tz) ** 2)
-                if evaluate:
-                    evaluate(fields, scenario, snaps, est)
-                rows.append(fields)
-        if finish:
-            finish()
-        records = [ExperimentRecord(**fields) for fields in rows]
-        aggregates = _aggregate(records, summarize)
-        if writer:
-            for record in records:
-                writer.row(dataclasses.astuple(record))
-            writer.comments(_aggregate_comments(aggregates))
-    return ExperimentResult(config, records, aggregates,
-                            excluded_total=sum(r.excluded for r in records),
-                            search_cost_proposed=counter.count)
+    if out_path:  # fail on an unwritable path now, not after the last trial
+        open(out_path, "w").close()
+    rows, searches = [], 0  # searches: sub-array angle searches run
+    for v in config.sweep_values:
+        mla, power = config._sweep_point(v)
+        for trial in range(config.trials):
+            angle, distance = config.draw_user(trial)
+            seed = derive_trial_seed(config.base_seed, trial, _SNAPSHOT_STREAM)
+            scenario = Scenario(mla, config.carrier, distance, angle,
+                                power, config.noise_power, config.num_snapshots)
+            snaps = synthesize_snapshots(scenario, seed)
+            tx, tz = scenario.user_xz
+            try:
+                est = locate(snaps, grid, ridge=config.ridge)
+            except DegenerateSubspaceError:  # raised before the angle search
+                est = None
+            except IllConditionedTriangulationError:  # raised after it
+                est, searches = None, searches + mla.num_subarrays
+            else:
+                searches += mla.num_subarrays
+            fields = dict.fromkeys(RECORD_FIELDS, float("nan"))
+            fields.update(sweep_value=float(v), trial=trial, seed=seed, true_x=tx,
+                          true_z=tz, excluded=int(est is None))
+            if est is not None:
+                fields.update(est_x=est.x, est_z=est.z,
+                              sq_error=(est.x - tx) ** 2 + (est.z - tz) ** 2)
+            if evaluate:
+                evaluate(fields, scenario, snaps, est)
+            rows.append(fields)
+    if finish:
+        finish()
+    records = [ExperimentRecord(**fields) for fields in rows]
+    result = ExperimentResult(config, records, _aggregate(records, summarize),
+                              excluded_total=sum(r.excluded for r in records),
+                              search_cost_proposed=searches * grid.size)
+    if out_path:
+        write_records_csv(out_path, result)
+    return result
 
 
 def run_localization_experiment(config: TrialConfig, out_path=None) -> ExperimentResult:
@@ -354,7 +344,6 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
         raise ValueError("spectral efficiency needs a positive noise power")
     mla = config.array_for(config.num_subarrays, config.elements_per_subarray)
     carrier, noise = config.carrier, config.noise_power
-    counter_2d = SearchCounter()
     if include_2d and grid_2d is None:
         grid_2d = NearFieldGrid(mla, carrier, centered_angle_grid(step=config.angle_step),
                                 default_distance_grid(step=config.distance_step))
@@ -379,8 +368,7 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
     def search_2d():
         if not kept:
             return
-        picks = music_2d(np.stack([u1 for _, _, u1, _, _ in kept], axis=1), grid_2d,
-                         counter=counter_2d)
+        picks = music_2d(np.stack([u1 for _, _, u1, _, _ in kept], axis=1), grid_2d)
         for (fields, scenario, _, h_true, beta), (phi2, d2) in zip(kept, picks, strict=True):
             ch2 = estimate_channel(mla, carrier, phi2, d2)
             ex2, ez2 = d2 * math.cos(phi2), d2 * math.sin(phi2)
@@ -391,7 +379,7 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
                                                     beta, noise))
 
     result = _run_trials(config, out_path, _se_summary, evaluate, search_2d)
-    result.search_cost_2d = counter_2d.count
+    result.search_cost_2d = grid_2d.num_points * len(kept) if kept else 0
     return result
 
 

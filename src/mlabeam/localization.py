@@ -50,10 +50,10 @@ class Scenario:
     num_snapshots: int
 
     def __post_init__(self):
-        if self.distance <= 0 or not 0 < self.angle < math.pi:
+        if not (0 < self.distance < math.inf and 0 < self.angle < math.pi):
             raise ValueError("user must be in front of the array")
-        if self.power <= 0 or self.noise_power < 0:
-            raise ValueError("powers must be positive (noise may be zero)")
+        if not (0 < self.power < math.inf and 0 <= self.noise_power < math.inf):
+            raise ValueError("powers must be finite and positive (noise may be zero)")
         if self.num_snapshots < 2:
             raise ValueError("covariance estimation needs at least two snapshots")
         if self.mla.elements_per_subarray < 2:
@@ -91,16 +91,6 @@ class PositionEstimate:
     def __post_init__(self):
         if abs(self.distance - math.hypot(self.x, self.z)) > 1e-9 * max(1.0, self.distance):
             raise ValueError("polar and cartesian coordinates disagree")
-
-
-@dataclass
-class SearchCounter:
-    """Tallies steering-vector projections spent by grid searches."""
-
-    count: int = 0
-
-    def add(self, n: int):
-        self.count += int(n)
 
 
 def far_steering(positions, phi: float, wavelength: float) -> np.ndarray:
@@ -158,24 +148,23 @@ def sample_covariance(snapshots: np.ndarray) -> np.ndarray:
     return (R + np.swapaxes(R.conj(), -1, -2)) / 2
 
 
-def _split_eigh(R: np.ndarray, num_sources: int):
-    evals, evecs = np.linalg.eigh(R)  # ascending, per matrix of a stack
-    n = R.shape[-1]
-    if not 0 < num_sources < n:
-        raise ValueError("source count must be between 1 and N-1")
-    desc = evals[..., ::-1]
-    gap = desc[..., num_sources - 1] - desc[..., num_sources]
-    if np.any(gap <= 1e-12 * np.maximum(np.abs(desc[..., 0]), np.finfo(float).tiny)):
+def _split_eigh(R: np.ndarray) -> np.ndarray:
+    """Eigenvectors of a covariance, or of each of a stack, by ascending
+    eigenvalue; raises if the gap between the two largest vanishes."""
+    if R.shape[-1] < 2:
+        raise ValueError("the subspace split needs at least two elements")
+    evals, evecs = np.linalg.eigh(R)
+    gap = evals[..., -1] - evals[..., -2]
+    if np.any(gap <= 1e-12 * np.maximum(np.abs(evals[..., -1]), np.finfo(float).tiny)):
         raise DegenerateSubspaceError(
             "signal and noise eigenvalues coincide within 1e-12 relative")
-    return evals, evecs
+    return evecs
 
 
-def noise_subspace(R: np.ndarray, num_sources: int = 1) -> np.ndarray:
-    """Orthonormal basis of the noise subspace: eigenvectors of the N-K
-    smallest eigenvalues of the Hermitian covariance."""
-    _, evecs = _split_eigh(R, num_sources)
-    return evecs[:, : R.shape[0] - num_sources]
+def noise_subspace(R: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the one-source noise subspace: eigenvectors of the
+    N-1 smallest eigenvalues of the Hermitian covariance."""
+    return _split_eigh(R)[:, :-1]
 
 
 def default_angle_grid(step: float = 0.002) -> np.ndarray:
@@ -196,7 +185,7 @@ def principal_eigenvectors(snapshots: np.ndarray) -> np.ndarray:
     """Unit principal eigenvector u1 of the sample covariance of T x N
     snapshots, shape (N,), or of each of a (..., T, N) stack, shape (..., N).
     With one source the MUSIC noise projector is I - u1 u1^H."""
-    return _split_eigh(sample_covariance(snapshots), 1)[1][..., -1]
+    return _split_eigh(sample_covariance(snapshots))[..., -1]
 
 
 @functools.lru_cache(maxsize=8)
@@ -211,8 +200,7 @@ def _conj_steering_rows(positions: bytes, grid: bytes, wavelength: float) -> np.
     return rows
 
 
-def music_1d(principal: np.ndarray, positions, grid: np.ndarray, wavelength: float,
-             counter: SearchCounter | None = None):
+def music_1d(principal: np.ndarray, positions, grid: np.ndarray, wavelength: float):
     """Single-source angle pseudo-spectrum 1 / (N - |a(phi)^H u1|^2) over the
     grid, for elements at the given x-coordinates, and its argmax.
 
@@ -231,13 +219,10 @@ def music_1d(principal: np.ndarray, positions, grid: np.ndarray, wavelength: flo
     power = proj.real**2 + proj.imag**2
     spectrum = 1.0 / np.maximum(x.size - power, _SPECTRUM_FLOOR)
     picks = grid[np.argmax(power, axis=0)]
-    if counter is not None:
-        counter.add(grid.size * picks.size)
     return spectrum, (float(picks) if u.ndim == 1 else tuple(picks.tolist()))
 
 
-def estimate_angles(snapshots: SnapshotSet, grid: np.ndarray | None = None,
-                    counter: SearchCounter | None = None) -> tuple:
+def estimate_angles(snapshots: SnapshotSet, grid: np.ndarray | None = None) -> tuple:
     """Per-sub-array MUSIC bearings to the source, a tuple of radians from
     the positive x-axis. One steering matrix serves every sub-array: it uses
     element offsets from the sub-array center, whose phase is common to a
@@ -248,8 +233,7 @@ def estimate_angles(snapshots: SnapshotSet, grid: np.ndarray | None = None,
     N = mla.elements_per_subarray
     offsets = (np.arange(N) - (N - 1) / 2) * mla.spacing
     principal = principal_eigenvectors(snapshots.data)
-    return music_1d(principal.T, offsets, grid, snapshots.scenario.carrier.wavelength,
-                    counter)[1]
+    return music_1d(principal.T, offsets, grid, snapshots.scenario.carrier.wavelength)[1]
 
 
 def triangulate(angles, centers, ridge: float = 0.0) -> PositionEstimate:
@@ -279,9 +263,9 @@ def triangulate(angles, centers, ridge: float = 0.0) -> PositionEstimate:
 
 
 def locate(snapshots: SnapshotSet, grid: np.ndarray | None = None,
-           counter: SearchCounter | None = None, ridge: float = 0.0) -> PositionEstimate:
+           ridge: float = 0.0) -> PositionEstimate:
     """Full pipeline: per-sub-array angles, then bearing-line intersection."""
-    angles = estimate_angles(snapshots, grid, counter=counter)
+    angles = estimate_angles(snapshots, grid)
     return triangulate(angles, subarray_centers(snapshots.scenario.mla), ridge)
 
 
@@ -394,8 +378,7 @@ class NearFieldGrid:
         return picks if stack.ndim == 2 else picks[0]
 
 
-def music_2d(principal: np.ndarray, grid: NearFieldGrid,
-             counter: SearchCounter | None = None):
+def music_2d(principal: np.ndarray, grid: NearFieldGrid):
     """Single-source (angle, distance) estimate treating the modular array as
     one aperture.
 
@@ -404,12 +387,8 @@ def music_2d(principal: np.ndarray, grid: NearFieldGrid,
     distance) pair, or an (L*N, B) stack of B trials' vectors, giving a list
     of B pairs from one pass over the grid. With one source the noise
     projector is I - u1 u1^H, so the spectrum denominator is
-    ||b||^2 - |u1^H b|^2 over the precomputed grid. Every grid point counts
-    once per trial.
+    ||b||^2 - |u1^H b|^2 over the precomputed grid.
     """
-    principal = np.asarray(principal)
-    if counter is not None:
-        counter.add(grid.num_points * math.prod(principal.shape[1:]))
     return grid.argmax_rank1(principal)
 
 

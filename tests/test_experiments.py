@@ -16,7 +16,9 @@ from mlabeam import (Carrier, TrialConfig, derive_trial_seed, dbm_to_watts,
                      write_records_csv)
 from mlabeam import experiments, localization
 from mlabeam.experiments import RECORD_FIELDS, ExperimentRecord
-from mlabeam.localization import IllConditionedTriangulationError, NearFieldGrid
+from mlabeam.geometry import InfeasibleArrayError
+from mlabeam.localization import (DegenerateSubspaceError, IllConditionedTriangulationError,
+                                  NearFieldGrid, default_angle_grid)
 
 CAR = Carrier.from_frequency(15e9)
 COARSE_ANGLES = np.arange(0.4, math.pi - 0.4, 0.01)
@@ -102,15 +104,48 @@ def _run(driver, out_path=None, **kw):
     return run_se_sweep(cfg, out_path=out_path, grid_2d=grid)
 
 
-def _exclude_trials(monkeypatch, dropped, trials):
-    """Make locate fail as ill-conditioned on the given trial indices."""
-    real, calls = experiments.locate, itertools.count()
+def _exclude_trials(monkeypatch, trials, ill_conditioned=(), degenerate=()):
+    """Make locate fail on the given trial indices where the real pipeline
+    does: a degenerate subspace before the angle search, an ill-conditioned
+    triangulation after it. Returns the list of grid points each real angle
+    search visited, counted from its picks."""
+    real_locate, real_music = experiments.locate, localization.music_1d
+    calls, visited = itertools.count(), []
 
     def locate(*args, **kwargs):
-        if next(calls) % trials in dropped:
+        trial = next(calls) % trials
+        if trial in degenerate:
+            raise DegenerateSubspaceError("forced degeneracy")
+        est = real_locate(*args, **kwargs)
+        if trial in ill_conditioned:
             raise IllConditionedTriangulationError("forced exclusion")
-        return real(*args, **kwargs)
+        return est
+
+    def music_1d(principal, positions, grid, wavelength):
+        spectrum, picks = real_music(principal, positions, grid, wavelength)
+        visited.append(len(grid) * np.size(picks))
+        return spectrum, picks
     monkeypatch.setattr(experiments, "locate", locate)
+    monkeypatch.setattr(localization, "music_1d", music_1d)
+    return visited
+
+
+@pytest.mark.parametrize("driver", ["localize", "se"])
+def test_search_costs_are_exact(monkeypatch, driver):
+    """search_cost_proposed is L(v) x angle points for every trial that
+    reached the angle search: an ill-conditioned trial counts, a degenerate
+    one does not, and the sum is what the searches visited. search_cost_2d
+    is every 2D grid point once per kept trial."""
+    visited = _exclude_trials(monkeypatch, 4, ill_conditioned=(2,), degenerate=(1,))
+    geometry = dict(sweep_variable="num_subarrays", sweep_values=(2, 4))
+    res = _run(driver, trials=4, **(geometry if driver == "localize" else {}))
+    subarrays = 2 + 4 if driver == "localize" else 4 + 4  # L summed over sweep points
+    kept = len(res.records) - res.excluded_total
+    assert kept == 4
+    angle_points = default_angle_grid(res.config.angle_step).size
+    assert res.search_cost_proposed == sum(visited) == subarrays * angle_points * 3
+    assert res.search_cost_2d == (COARSE_ANGLES.size * COARSE_DISTANCES.size * kept
+                                  if driver == "se" else 0)
 
 
 def _summary_from_rows(driver, kept):
@@ -129,7 +164,7 @@ def _summary_from_rows(driver, kept):
 @pytest.mark.parametrize("driver", ["localize", "se", "se_no_2d"])
 def test_aggregates_recomputable_from_rows(tmp_path, monkeypatch, driver, dropped):
     """The footer statistics must follow from the stored rows bit for bit."""
-    _exclude_trials(monkeypatch, dropped, trials=7)
+    _exclude_trials(monkeypatch, 7, ill_conditioned=dropped)
     p = tmp_path / "r.csv"
     _run(driver, out_path=str(p), trials=7)
     config, records, aggregates = read_records_csv(str(p))
@@ -146,7 +181,7 @@ def test_aggregates_recomputable_from_rows(tmp_path, monkeypatch, driver, droppe
 
 @pytest.mark.parametrize("driver", ["localize", "se"])
 def test_excluded_trial_rows(monkeypatch, driver):
-    _exclude_trials(monkeypatch, (0, 3), trials=5)
+    _exclude_trials(monkeypatch, 5, ill_conditioned=(0, 3))
     res = _run(driver, trials=5)
     assert res.excluded_total == 4
     estimates = ("est_x", "est_z", "sq_error", "est_x_2d", "est_z_2d", "sq_error_2d",
@@ -220,7 +255,7 @@ def test_records_do_not_depend_on_batch_size(monkeypatch):
 def test_se_sweep_searches_every_power_in_one_pass(monkeypatch):
     """One 2D pass per run_se_sweep call covers the kept trials of every
     power, and gives the records of one one-power sweep per power."""
-    _exclude_trials(monkeypatch, (1,), trials=4)
+    _exclude_trials(monkeypatch, 4, ill_conditioned=(1,))
     real, calls = NearFieldGrid.argmax_rank1, []
 
     def spy(grid, principal):
@@ -309,7 +344,17 @@ def test_se_sweep_without_2d():
     assert all(math.isfinite(r.se_proposed) for r in res.records)
 
 
-def test_config_validation():
+@pytest.mark.parametrize("driver", ["localize", "se"])
+def test_unwritable_out_path_fails_before_any_trial(tmp_path, monkeypatch, driver):
+    trials = []
+    monkeypatch.setattr(experiments, "synthesize_snapshots",
+                        lambda *args: trials.append(args))
+    with pytest.raises(OSError):
+        _run(driver, out_path=str(tmp_path / "missing" / "r.csv"))
+    assert trials == []
+
+
+def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         _config(sweep_variable="bandwidth")
     with pytest.raises(ValueError):
@@ -326,5 +371,28 @@ def test_config_validation():
     for noise in (0.0, -1e-11):
         with pytest.raises(ValueError):
             run_se_sweep(_config(noise_power=noise, **power_sweep), include_2d=False)
+    # refused before any trial: a sweep point without a feasible array, a
+    # transmit power or a noise power that is not a number every trial can use
+    trials = []
+    monkeypatch.setattr(experiments, "synthesize_snapshots",
+                        lambda *args: trials.append(args))
+    with pytest.raises(InfeasibleArrayError):
+        run_localization_experiment(_config(sweep_values=(4, 64)))
+    with pytest.raises(ValueError):
+        run_localization_experiment(_config(sweep_values=(8, 1)))
+    for bad in (math.nan, math.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="transmit power"):
+            run_localization_experiment(_config(power=bad))
+        with pytest.raises(ValueError, match="transmit power"):
+            run_se_sweep(_config(sweep_variable="power", sweep_values=(0.1, bad)),
+                         include_2d=False)
+    for noise in (math.nan, math.inf, -1e-11):
+        with pytest.raises(ValueError, match="noise power"):
+            run_localization_experiment(_config(noise_power=noise))
+    assert trials == []
+    monkeypatch.undo()
+    # a power sweep ignores power, and the CLI passes NaN there
+    nan_power = _config(power=math.nan, sweep_variable="power", sweep_values=(0.1,), trials=1)
+    assert run_se_sweep(nan_power, include_2d=False).excluded_total == 0
     # noiseless localization stays supported
     assert run_localization_experiment(_config(noise_power=0.0, trials=1)).excluded_total == 0
