@@ -1,9 +1,9 @@
 """Choose the number of sub-arrays that focuses a single beam peak.
 
-The search doubles the sub-array count, spreads the sub-arrays over the fixed
-total aperture, and samples the cross-range gain inside the half-power window
-until only one genuine peak remains or the aperture is completely filled with
-elements.
+The search raises the sub-array count two at a time, spreads the sub-arrays
+over the fixed total aperture, and samples the cross-range gain inside the
+half-power window until only one genuine peak remains or the aperture is
+completely filled with elements.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .geometry import Carrier, InfeasibleArrayError, spacing_for_aperture
 from .gain import crossrange_gain, half_power_beamwidth
@@ -19,6 +18,41 @@ from .gain import crossrange_gain, half_power_beamwidth
 # Peaks shallower than this are treated as numerical ripple. Genuine lobes of
 # the cosine-modulated envelope are two orders of magnitude more prominent.
 PEAK_PROMINENCE = 1e-2
+
+
+def _end_slope(m0: float, m1: float) -> float:
+    # one-sided three-point slope, clipped to keep the end monotone
+    d = (3.0 * m0 - m1) / 2.0
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_upsample(y: np.ndarray, upsample: int) -> np.ndarray:
+    """Monotone cubic (PCHIP) interpolant of y at unit spacing, evaluated at
+    upsample * len(y) evenly spaced points from the first sample to the last.
+
+    Fritsch-Carlson slopes inside (the harmonic mean of the two secant
+    slopes, 0 at a local extremum), one-sided three-point slopes at the ends,
+    and each piece's Hermite cubic evaluated in the order scipy's
+    PchipInterpolator uses, so the values match it.
+    """
+    m = np.diff(y)
+    d = np.empty_like(y)
+    left, right = m[:-1], m[1:]
+    smooth = (np.sign(left) == np.sign(right)) & (left != 0) & (right != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(smooth, 1.0 / ((3.0 / left + 3.0 / right) / 6.0), 0.0)
+    d[0], d[-1] = _end_slope(m[0], m[1]), _end_slope(m[-1], m[-2])
+    cubic = d[:-1] + d[1:] - 2 * m
+    square = m - d[:-1] - cubic
+    xs = np.linspace(0.0, y.size - 1.0, upsample * y.size)
+    k = np.minimum(xs.astype(np.intp), y.size - 2)
+    s = xs - k
+    s2 = s * s
+    return y[k] + d[k] * s + square[k] * s2 + cubic[k] * (s2 * s)
 
 
 def count_peaks(samples, prominence: float = PEAK_PROMINENCE, upsample: int = 10) -> int:
@@ -35,8 +69,7 @@ def count_peaks(samples, prominence: float = PEAK_PROMINENCE, upsample: int = 10
     y = np.asarray(samples, dtype=float)
     if y.size < 3:
         raise ValueError("need at least three samples")
-    x = np.arange(y.size, dtype=float)
-    dense = PchipInterpolator(x, y)(np.linspace(0.0, y.size - 1.0, upsample * y.size))
+    dense = _pchip_upsample(y, upsample)
     keep = np.empty(dense.size, dtype=bool)
     keep[0] = True
     keep[1:] = dense[1:] != dense[:-1]
@@ -119,9 +152,9 @@ def design_num_arrays(inp: DesignInput) -> DesignResult:
     """Smallest even sub-array count focusing a single peak in the half-power
     window, with the sub-arrays spread over the full aperture.
 
-    Doubling stops when one peak remains or when the elements fill the
-    aperture (L*N*delta >= aperture); in the latter case the last feasible
-    layout is returned with its remaining peak count. Raises
+    L steps by 2 from 2 and stops when one peak remains or when the
+    elements fill the aperture (L*N*delta >= aperture); in the latter case
+    the last feasible layout is returned with its remaining peak count. Raises
     InfeasibleArrayError when not even the first candidate layout fits.
     """
     d = inp.element_spacing
@@ -141,7 +174,7 @@ def design_num_arrays(inp: DesignInput) -> DesignResult:
         except InfeasibleArrayError:
             if result is None:
                 raise
-            filled = True  # the next doubling no longer fits; keep the last layout
+            filled = True  # the next even count no longer fits; keep the last layout
             break
         half_pitch = (gap + (N - 1) * d) / 2
         peaks = _window_peak_count(inp, L, half_pitch)

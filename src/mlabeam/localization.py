@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import friis_beta
 from .geometry import Carrier, ModularArray, element_positions, subarray_centers
-from .numerics import _run_blocks
+from .numerics import _run_blas_blocks, _run_blocks
 
 _SPECTRUM_FLOOR = 1e-30
 # Size of one block's float32 GEMM product in NearFieldGrid.argmax_rank1: small
@@ -320,12 +320,14 @@ class NearFieldGrid:
         principal is one eigenvector of length L*N, giving one (angle,
         distance) pair, or an (L*N, B) stack of B eigenvectors, giving a list
         of B pairs. The grid is read once per call, in row blocks, with one
-        single-precision GEMM per block against the whole stack. That pass
-        only screens: the points whose float32 |u1^H b|^2 lies within twice
-        its worst-case rounding error of the column's float32 best are
-        rescored in float64 from the same rows, and the best float64 score
-        wins, the lowest grid index breaking ties. So the pick does not depend
-        on B, on the BLAS kernel or on its thread count.
+        single-precision GEMM per block against the whole stack; the blocks
+        are split into contiguous ranges over the worker threads (see
+        numerics._run_blas_blocks). That pass only screens: the points whose
+        float32 |u1^H b|^2 lies within twice its worst-case rounding error of
+        the column's float32 best are rescored in float64 from the same rows,
+        and the best float64 score wins, the lowest grid index breaking ties.
+        So the pick does not depend on B, on the BLAS kernel, on its thread
+        count or on the number of workers.
         """
         stack = np.asarray(principal, dtype=np.complex128)
         w = np.conj(stack.reshape(stack.shape[0], -1))
@@ -334,32 +336,42 @@ class NearFieldGrid:
         # 6 n^2 u ||w||^2 (u = 2**-24: 2n-term real dot products, |p| <= sqrt(n) ||w||).
         margin = 12 * n * n * 2.0**-24 * (w.real**2 + w.imag**2).sum(axis=0)
         # The complex product as a real one on the interleaved float32 view of
-        # the rows: columns [Re p | Im p] of row block @ wr.
+        # the rows: columns [Re p_0, Im p_0, Re p_1, ...] of row block @ wr, so
+        # |p|^2 is one pairwise add over the squared product.
         w32 = w.astype(np.complex64)
         wr = np.empty((2 * n, 2 * batch), dtype=np.float32)
-        wr[0::2, :batch], wr[0::2, batch:] = w32.real, w32.imag
-        wr[1::2, :batch], wr[1::2, batch:] = -w32.imag, w32.real
+        wr[0::2, 0::2], wr[0::2, 1::2] = w32.real, w32.imag
+        wr[1::2, 0::2], wr[1::2, 1::2] = -w32.imag, w32.real
         rows = max(1, _BLOCK_PRODUCT_BYTES // (wr.itemsize * wr.shape[1]) // 64) * 64
-        product = np.empty((rows, 2 * batch), dtype=np.float32)
-        power = np.empty((rows, batch), dtype=np.float32)
-        best = np.full(batch, -np.inf)
-        found = []
-        for start in range(0, self.num_points, rows):
-            block = self.matrix[start:start + rows].view(np.float32)
-            h = block.shape[0]
-            q = np.square(np.matmul(block, wr, out=product[:h]), out=product[:h])
-            pw = np.add(q[:, :batch], q[:, batch:], out=power[:h])
-            # a column max over 64 * batch wide rows runs far faster than over
-            # batch wide ones
-            wide = pw.reshape(-1, 64 * batch) if h % 64 == 0 else pw
-            block_best = wide.max(axis=0).reshape(-1, batch).max(axis=0)
-            best = np.maximum(best, block_best)
-            floor = best - margin
-            hot = np.flatnonzero(block_best >= floor)
-            if hot.size:
-                sub = pw[:, hot]
-                r, c = np.nonzero(sub >= floor[hot])
-                found.append((start + r, hot[c], sub[r, c]))
+        bests, found = [], []  # each worker's final best; every worker's candidates
+
+        def screen(first, stop):
+            # one worker's contiguous range of row blocks, with its own buffers
+            # and running best
+            product = np.empty((rows, 2 * batch), dtype=np.float32)
+            power = np.empty((rows, batch), dtype=np.float32)
+            best = np.full(batch, -np.inf)
+            for start in range(first * rows, min(stop * rows, self.num_points), rows):
+                block = self.matrix[start:start + rows].view(np.float32)
+                h = block.shape[0]
+                q = np.square(np.matmul(block, wr, out=product[:h]), out=product[:h])
+                flat, pw = q.ravel(), power[:h]
+                np.add(flat[0::2], flat[1::2], out=pw.ravel())
+                # a column max over 64 * batch wide rows runs far faster than
+                # over batch wide ones
+                wide = pw.reshape(-1, 64 * batch) if h % 64 == 0 else pw
+                block_best = wide.max(axis=0).reshape(-1, batch).max(axis=0)
+                best = np.maximum(best, block_best)
+                floor = best - margin
+                hot = np.flatnonzero(block_best >= floor)
+                if hot.size:
+                    sub = pw[:, hot]
+                    r, c = np.nonzero(sub >= floor[hot])
+                    found.append((start + r, hot[c], sub[r, c]))
+            bests.append(best)
+
+        _run_blas_blocks(screen, -(-self.num_points // rows))
+        best = np.max(bests, axis=0)
         idx, col, val = (np.concatenate(parts) for parts in zip(*found))
         keep = val >= (best - margin)[col]
         idx, col = idx[keep], col[keep]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +34,45 @@ def _run_blocks(task, num_blocks: int) -> None:
         futures = [pool.submit(task, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         for future in futures:
             future.result()
+
+
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, looked
+    up through numpy's own extension module, or None when this numpy build
+    does not export them."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    put.restype, put.argtypes = None, [ctypes.c_int]
+    return get, put
+
+
+_BLAS_THREADS = _openblas_threads()
+
+
+def _run_blas_blocks(task, num_blocks: int) -> None:
+    """_run_blocks for tasks that call BLAS.
+
+    While the workers run, numpy's OpenBLAS is held at one thread, process
+    wide, so each worker's GEMM has a core to itself rather than contending
+    with BLAS's own threads; the calling thread sets the count and restores
+    the old one, also when a task raises. Without the thread controls the
+    task runs as one range on the caller and BLAS is left alone.
+    """
+    if _BLAS_THREADS is None or min(_WORKERS, num_blocks) <= 1:
+        task(0, num_blocks)
+        return
+    get, put = _BLAS_THREADS
+    old = get()
+    put(1)
+    try:
+        _run_blocks(task, num_blocks)
+    finally:
+        put(old)
 
 
 def fresnel_cs(u):

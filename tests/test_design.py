@@ -1,8 +1,15 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
+from mlabeam import design
 from mlabeam import (Carrier, DesignInput, InfeasibleArrayError, count_peaks,
                      design_num_arrays, design_sweep, spacing_for_aperture)
 
@@ -46,7 +53,8 @@ def test_prominence_threshold():
 
 
 def _count_peaks_loop(samples, prominence, upsample):
-    # the per-run walk count_peaks replaced, kept as its reference
+    # the per-run walk count_peaks replaced, kept as its reference, on
+    # scipy's PCHIP
     y = np.asarray(samples, dtype=float)
     x = np.arange(y.size, dtype=float)
     dense = PchipInterpolator(x, y)(np.linspace(0.0, y.size - 1.0, upsample * y.size))
@@ -71,15 +79,50 @@ def _count_peaks_loop(samples, prominence, upsample):
     return count
 
 
+# repeated values, plateaus and zero prominence
+COUNT_PEAKS_INPUTS = dict(
+    samples=st.lists(st.sampled_from([0.0, 0.005, 0.25, 0.5, 0.51, 1.0]), min_size=3,
+                     max_size=60),
+    prominence=st.sampled_from([0.0, 1e-2, 0.2, 0.6]),
+    upsample=st.sampled_from([1, 2, 10]))
+
+
 @settings(max_examples=200, deadline=None)
-@given(samples=st.lists(st.sampled_from([0.0, 0.005, 0.25, 0.5, 0.51, 1.0]), min_size=3,
-                        max_size=60),
-       prominence=st.sampled_from([0.0, 1e-2, 0.2, 0.6]),
-       upsample=st.sampled_from([1, 2, 10]))
+@given(**COUNT_PEAKS_INPUTS)
 def test_count_peaks_matches_loop(samples, prominence, upsample):
     """Repeated values, plateaus and zero prominence give the loop's count."""
     assert count_peaks(samples, prominence, upsample) == _count_peaks_loop(
         samples, prominence, upsample)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**COUNT_PEAKS_INPUTS, scale=st.sampled_from([1.0, 1e-3, 37.5]),
+       wiggle=st.floats(0.0, 1e-3))
+def test_pchip_matches_scipy(samples, prominence, upsample, scale, wiggle):
+    """The numpy PCHIP gives scipy's dense values and hence its peak counts;
+    a small ramp breaks the generator's plateaus into near-plateaus."""
+    y = scale * (np.asarray(samples) + wiggle * np.arange(len(samples)))
+    dense = PchipInterpolator(np.arange(y.size, dtype=float), y)(
+        np.linspace(0.0, y.size - 1.0, upsample * y.size))
+    np.testing.assert_allclose(design._pchip_upsample(y, upsample), dense, rtol=0,
+                               atol=1e-15 * scale)
+    assert count_peaks(y, prominence * scale, upsample) == _count_peaks_loop(
+        y, prominence * scale, upsample)
+
+
+def test_design_imports_no_interpolation():
+    """scipy.interpolate costs about a quarter second to import, and no
+    library module needs it."""
+    code = "import sys, mlabeam.cli; print(any(m.startswith('scipy.interpolate') for m in sys.modules))"
+    src = str(Path(design.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
+    tree = ast.parse(Path(design.__file__).read_text())
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 def test_design_n64_needs_two():

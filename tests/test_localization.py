@@ -1,4 +1,7 @@
+import copy
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -409,40 +412,127 @@ def _brute_force_argmax(grid, u):
     return float(grid.angle_grid[ia]), float(grid.distance_grid[idist])
 
 
-def _planted_column(rng, kind, grid):
-    """A unit eigenvector-like column: random, or an exact tie (in exact
-    arithmetic) between two grid points one angle or one distance step apart."""
+# SMALL_GRID with rows 256 and 384 replaced by copies of rows 255 and 383, so
+# that each pair ties exactly across the boundary between the first two
+# screen workers' ranges of 64-row blocks (13 blocks; 3 and 2 workers).
+TIE_GRID = copy.copy(SMALL_GRID)
+TIE_GRID.matrix = SMALL_GRID.matrix.copy()
+TIE_GRID.matrix[[256, 384]] = SMALL_GRID.matrix[[255, 383]]
+
+
+def _planted_column(rng, kind, grid, boundary):
+    """A unit eigenvector-like column: random, a tie (in exact arithmetic)
+    between two grid points one angle or one distance step apart, or grid
+    row boundary - 1 itself, which TIE_GRID ties exactly with row boundary."""
     n = grid.matrix.shape[1]
+    rows = grid.matrix.astype(np.complex128)
     if kind == "random":
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    elif kind == "boundary_tie":
+        u = rows[boundary - 1] * np.exp(1j * rng.uniform(0, 2 * np.pi))
     else:
         step = 1 if kind == "distance_tie" else grid.distance_grid.size
         j = int(rng.integers(0, grid.num_points - step))
-        rows = grid.matrix.astype(np.complex128)
         u = rows[j] + np.exp(1j * rng.uniform(0, 2 * np.pi)) * rows[j + step]
     return u / np.linalg.norm(u)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       kinds=st.lists(st.sampled_from(["random", "distance_tie", "angle_tie"]),
-                      min_size=1, max_size=6),
+       kinds=st.lists(st.sampled_from(["random", "distance_tie", "angle_tie",
+                                       "boundary_tie"]), min_size=1, max_size=6),
        phase_copy=st.booleans(),
-       block_bytes=st.sampled_from([1, 1 << 12, 1 << 21]))
+       block_bytes=st.sampled_from([1, 1 << 12, 1 << 21]),
+       workers=st.sampled_from([1, 2, 3]),
+       blas_control=st.booleans())
+@example(seed=0, kinds=["boundary_tie"], phase_copy=False, block_bytes=1, workers=2,
+         blas_control=True)
+@example(seed=1, kinds=["boundary_tie", "random"], phase_copy=True, block_bytes=1,
+         workers=3, blas_control=True)
 def test_grid_argmax_batch_matches_columns_and_brute_force(seed, kinds, phase_copy,
-                                                           block_bytes):
+                                                           block_bytes, workers,
+                                                           blas_control):
     """Batched picks equal one-column picks and a float64 brute force, for any
-    block height (1 gives 64-row blocks and a short last block)."""
+    block height (1 gives 64-row blocks and a short last block), at 1, 2 and 3
+    screen workers, and with the BLAS thread controls missing (one range on
+    the caller). A boundary tie straddles the first two workers' ranges at
+    64-row blocks, and the lower row must win."""
     rng = np.random.default_rng(seed)
-    grid = SMALL_GRID
-    cols = [_planted_column(rng, kind, grid) for kind in kinds]
+    grid = TIE_GRID
+    boundary = 13 // max(workers, 2) * 64
+    cols = [_planted_column(rng, kind, grid, boundary) for kind in kinds]
     if phase_copy:  # equal up to a global phase
         cols.append(cols[0] * np.exp(1j * rng.uniform(0, 2 * np.pi)))
     stack = np.stack(cols, axis=1)
-    with mock.patch.object(localization, "_BLOCK_PRODUCT_BYTES", block_bytes):
+    controls = numerics._BLAS_THREADS if blas_control else None
+    with mock.patch.object(localization, "_BLOCK_PRODUCT_BYTES", block_bytes), \
+            mock.patch.object(numerics, "_WORKERS", workers), \
+            mock.patch.object(numerics, "_BLAS_THREADS", controls):
         picks = grid.argmax_rank1(stack)
         singles = [grid.argmax_rank1(u) for u in cols]
     assert picks == singles == [_brute_force_argmax(grid, u) for u in cols]
+
+
+def test_screen_workers_lose_no_candidates_under_switching(monkeypatch):
+    """Eight screen workers on two cores append to shared lists with the
+    interpreter switching threads every microsecond; every pick still equals
+    the brute force, which a lost best or candidate list would break."""
+    monkeypatch.setattr(numerics, "_WORKERS", 8)
+    monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1)
+    rng = np.random.default_rng(11)
+    cols = [_planted_column(rng, kind, TIE_GRID, 384)
+            for kind in ("random", "angle_tie", "distance_tie", "boundary_tie") * 3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        picks = [TIE_GRID.argmax_rank1(np.stack(cols, axis=1)) for _ in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert picks == [[_brute_force_argmax(TIE_GRID, u) for u in cols]] * 10
+
+
+@pytest.mark.skipif(numerics._BLAS_THREADS is None,
+                    reason="this numpy's OpenBLAS exports no thread controls")
+def test_screen_leaves_blas_threads_as_found(monkeypatch):
+    """The screen workers run with BLAS at one thread, and the old count is
+    back after the call, also when a worker raises; only the calling thread
+    reads or sets the count."""
+    get, put = numerics._BLAS_THREADS
+    callers, in_workers = [], []
+
+    def spy(fn):
+        def called(*args):
+            callers.append(threading.get_ident())
+            return fn(*args)
+        return called
+
+    matmul = np.matmul
+
+    def worker_matmul(*args, **kwargs):
+        in_workers.append(get())
+        if fail and threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "_BLAS_THREADS", (spy(get), spy(put)))
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+    monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1)
+    monkeypatch.setattr(np, "matmul", worker_matmul)
+    u = _planted_column(np.random.default_rng(3), "random", SMALL_GRID, 0)
+    before = get()
+    put(2)  # a count other than the pin's, so that a restore shows
+    try:
+        fail = False
+        assert SMALL_GRID.argmax_rank1(u) == _brute_force_argmax(SMALL_GRID, u)
+        assert get() == 2
+        assert in_workers and set(in_workers) == {1}
+        fail = True
+        with pytest.raises(RuntimeError, match="worker failed"):
+            SMALL_GRID.argmax_rank1(u)
+        assert get() == 2
+    finally:
+        put(before)
+    assert callers and set(callers) == {threading.get_ident()}
 
 
 def test_nmse_values():

@@ -136,3 +136,29 @@ def test_run_blocks_raises_a_task_error(monkeypatch):
 
     with pytest.raises(ZeroDivisionError):
         numerics._run_blocks(task, 4)
+
+
+def test_openblas_threads_missing_gives_none(monkeypatch):
+    """A numpy without the bundled OpenBLAS's thread controls, or without
+    np._core, leaves the screen on the caller rather than failing import."""
+    monkeypatch.setattr(numerics.ctypes, "CDLL", lambda path: object())
+    assert numerics._openblas_threads() is None
+    monkeypatch.delattr(np, "_core")
+    assert numerics._openblas_threads() is None
+
+
+@pytest.mark.parametrize("workers, num_blocks, pool", [(1, 7, False), (2, 1, False),
+                                                       (2, 7, True)])
+def test_run_blas_blocks_pins_only_around_a_pool(workers, num_blocks, pool, monkeypatch):
+    """BLAS is pinned to one thread only when the blocks run on a pool, and
+    without thread controls the task runs as one range on the caller."""
+    calls, ranges = [], []
+    monkeypatch.setattr(numerics, "_BLAS_THREADS", (lambda: 2, calls.append))
+    monkeypatch.setattr(numerics, "_WORKERS", workers)
+    numerics._run_blas_blocks(lambda first, stop: ranges.append((first, stop)), num_blocks)
+    assert calls == ([1, 2] if pool else [])
+    assert len(ranges) == (workers if pool else 1)
+    monkeypatch.setattr(numerics, "_BLAS_THREADS", None)
+    ranges.clear()
+    numerics._run_blas_blocks(lambda first, stop: ranges.append((first, stop)), num_blocks)
+    assert ranges == [(0, num_blocks)]
