@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
-# Threads for the elementwise block layers (the steering-grid build and the
-# exact-gain sweep): at most 4, and no more than the CPUs this process may
-# run on. Never derived from the input size; results do not depend on it.
+# Threads for the block layers: the steering-grid build and the exact-gain
+# sweep (elementwise), and the 2D screen (GEMM per block, with BLAS held at
+# one thread; see _run_blas_blocks). At most 4, and no more than the CPUs
+# this process may run on. Never derived from the input size; results do not
+# depend on it.
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -52,6 +55,7 @@ def _openblas_threads():
 
 
 _BLAS_THREADS = _openblas_threads()
+_BLAS_PIN = threading.Lock()
 
 
 def _run_blas_blocks(task, num_blocks: int) -> None:
@@ -60,19 +64,24 @@ def _run_blas_blocks(task, num_blocks: int) -> None:
     While the workers run, numpy's OpenBLAS is held at one thread, process
     wide, so each worker's GEMM has a core to itself rather than contending
     with BLAS's own threads; the calling thread sets the count and restores
-    the old one, also when a task raises. Without the thread controls the
-    task runs as one range on the caller and BLAS is left alone.
+    the old one, also when a task raises. The count is process wide, so
+    BLAS calls on other threads also run on one thread meanwhile, and calls
+    from several threads take turns on a lock: two pins that overlapped
+    could restore in crossed order and leave BLAS at one thread. Without
+    the thread controls the task runs as one range on the caller and BLAS
+    is left alone.
     """
     if _BLAS_THREADS is None or min(_WORKERS, num_blocks) <= 1:
         task(0, num_blocks)
         return
     get, put = _BLAS_THREADS
-    old = get()
-    put(1)
-    try:
-        _run_blocks(task, num_blocks)
-    finally:
-        put(old)
+    with _BLAS_PIN:
+        old = get()
+        put(1)
+        try:
+            _run_blocks(task, num_blocks)
+        finally:
+            put(old)
 
 
 def fresnel_cs(u):

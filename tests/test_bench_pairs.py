@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -11,6 +14,7 @@ spec.loader.exec_module(bench_pairs)
 
 FAKE_RUN = '''import sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+assert args["--seconds"] == "7", "run length must come from BENCHMARK.json"
 seed = int(args["--seed"])
 print("report line")
 print('{{"correct": true, "attempted": 1, "failed": 0, "metrics": {{'
@@ -19,24 +23,45 @@ print('{{"correct": true, "attempted": 1, "failed": 0, "metrics": {{'
 '''
 
 
-def _checkout(root: Path, bonus: int) -> Path:
-    (root / "perfbench").mkdir(parents=True)
+def _git(root: Path, *args) -> str:
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                           "-c", "commit.gpgsign=false", *args], cwd=root, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _commit_run(root: Path, bonus: int) -> str:
     (root / "perfbench" / "run.py").write_text(FAKE_RUN.format(bonus=bonus))
-    return root
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", f"bonus {bonus}")
+    return _git(root, "rev-parse", "HEAD")
 
 
-def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
-    parent = _checkout(tmp_path / "parent", 0)
-    change = _checkout(tmp_path / "change", 5)
-    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A stand-in repository and its first commit, the parent: the run.py at
+    its HEAD scores 5 more than the parent's."""
+    root = tmp_path / "change"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7, "end_to_end": [
         {"name": "units_per_s", "better": "higher"},
         {"name": "peak_rss_mb", "better": "lower"}]}))
-    monkeypatch.setattr(bench_pairs, "CHECKOUT", change)
-    monkeypatch.setattr(bench_pairs, "_git", lambda *args, **kw: "f" * 40)
-    assert bench_pairs.main(["--label", "t", "--parent-dir", str(parent), "--pairs", "3",
-                             "--seconds", "1", "--workload", "se_2d:10"]) == 0
+    _git(root, "init", "-q")
+    parent = _commit_run(root, 0)
+    _commit_run(root, 5)
+    monkeypatch.setattr(bench_pairs, "CHECKOUT", root)
+    return root, parent
+
+
+def test_pairs_alternate_and_summarize(repo, tmp_path):
+    change, parent = repo
+    parent_dir = tmp_path / "parent"  # missing: the tool clones it
+    assert bench_pairs.main(["--label", "t", "--parent", parent,
+                             "--parent-dir", str(parent_dir), "--pairs", "3",
+                             "--workload", "se_2d:10"]) == 0
+    assert _git(parent_dir, "rev-parse", "HEAD") == parent
     doc = json.loads((change / "BENCH_t.json").read_text())
-    assert doc["parent"] == "f" * 40 and doc["seeds"] == {"se_2d": "10-12"}
+    assert doc["parent"] == parent and doc["seeds"] == {"se_2d": "10-12"}
+    assert "--seconds 7 " in doc["description"]
     assert [(r["pair"], r["side"], r["seed"]) for r in doc["runs"]] == [
         (0, "parent", 10), (0, "change", 10), (1, "change", 11), (1, "parent", 11),
         (2, "parent", 12), (2, "change", 12)]
@@ -45,3 +70,25 @@ def test_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     assert rate["parent"] == {"median": 11, "q1": 10.5, "q3": 11.5}
     assert rate["change"]["median"] == 16
     assert doc["summary"]["se_2d"]["peak_rss_mb"]["change_won"] == 0  # ties win nothing
+
+
+@pytest.mark.parametrize("stand_in", ["wrong_commit", "not_git", "edited"])
+def test_parent_dir_must_hold_parent(repo, tmp_path, stand_in):
+    """An existing --parent-dir is checked, not trusted: a checkout at another
+    commit, a copy without git, or a checkout with edited files stops the
+    tool before any run."""
+    change, parent = repo
+    parent_dir = tmp_path / "parent"
+    if stand_in == "not_git":
+        (parent_dir / "perfbench").mkdir(parents=True)
+        (parent_dir / "perfbench" / "run.py").write_text(FAKE_RUN.format(bonus=0))
+    else:
+        subprocess.run(["git", "clone", "-q", str(change), str(parent_dir)], check=True)
+        if stand_in == "edited":
+            _git(parent_dir, "checkout", "-q", "--detach", parent)
+            (parent_dir / "perfbench" / "run.py").write_text(FAKE_RUN.format(bonus=5))
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--label", "t", "--parent", parent,
+                          "--parent-dir", str(parent_dir), "--pairs", "1",
+                          "--workload", "se_2d:10"])
+    assert not (change / "BENCH_t.json").exists()

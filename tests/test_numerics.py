@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -162,3 +163,33 @@ def test_run_blas_blocks_pins_only_around_a_pool(workers, num_blocks, pool, monk
     ranges.clear()
     numerics._run_blas_blocks(lambda first, stop: ranges.append((first, stop)), num_blocks)
     assert ranges == [(0, num_blocks)]
+
+
+def test_run_blas_blocks_callers_take_turns(monkeypatch):
+    """Two threads that each run a pinned pool leave the BLAS count as found:
+    the second waits for the first, rather than saving the first's pin as
+    the count to restore."""
+    count = {"threads": 2}
+    monkeypatch.setattr(numerics, "_BLAS_THREADS",
+                        (lambda: count["threads"], lambda n: count.update(threads=n)))
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+    running, overlapped, lock = {0: 0, 1: 0}, [], threading.Lock()
+
+    def caller(name):
+        def task(first, stop):
+            with lock:
+                running[name] += 1
+                overlapped.append(running[1 - name] > 0)
+            time.sleep(0.02)
+            with lock:
+                running[name] -= 1
+        numerics._run_blas_blocks(task, 4)
+
+    threads = [threading.Thread(target=caller, args=(name,)) for name in (0, 1)]
+    threads[0].start()
+    time.sleep(0.005)
+    threads[1].start()
+    for thread in threads:
+        thread.join()
+    assert count["threads"] == 2
+    assert len(overlapped) == 4 and not any(overlapped)

@@ -1,19 +1,21 @@
 """Alternating untraced benchmark pairs: a parent commit against the checkout.
 
-    python3 tools/bench_pairs.py --label NAME --parent HEAD \
+    python3 tools/bench_pairs.py --label NAME --parent COMMIT \
         --parent-dir ../parent-checkout --pairs 10 \
         --workload se_2d:1401 --workload beam_figures:1501
 
 For each workload and each pair i it runs ``perfbench/run.py --workload W
 --seed FIRST+i --seconds S --trace 0`` once in the parent's checkout and once
 in this checkout, the parent first in even pairs and the checkout first in
-odd ones, one run at a time. The parent's checkout is --parent-dir: used as
-it is when it exists (it must hold --parent), otherwise made there with
-``git worktree add --detach``. Each run's last-line JSON goes into
-``BENCH_<label>.json`` in the checkout root, rewritten after every run, with
-a summary per workload and end-to-end metric: the median and quartiles of
-each side and the number of pairs the checkout won, by the metric's
-direction in BENCHMARK.json.
+odd ones, one run at a time; S is ``run_seconds`` in BENCHMARK.json, so both
+sides and every pair run as long as the benchmark does. The parent's
+checkout is --parent-dir: when it exists it must be a git checkout with
+HEAD at --parent and no changes to tracked files, otherwise the tool stops;
+when it does not, it is cloned there from this repository at --parent.
+Each run's last-line JSON goes into ``BENCH_<label>.json`` in the checkout
+root, rewritten after every run, with a summary per workload and end-to-end
+metric: the median and quartiles of each side and the number of pairs the
+checkout won, by the metric's direction in BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from pathlib import Path
 CHECKOUT = Path(__file__).resolve().parent.parent
 
 
-def _git(*args, cwd=CHECKOUT) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
-                          text=True).stdout.strip()
+def _git(*args, cwd=None) -> str:
+    return subprocess.run(["git", *args], cwd=cwd or CHECKOUT, check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
 def _host() -> str:
@@ -83,11 +85,10 @@ def summarize(runs: list, better: dict) -> dict:
 def _parse(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    p.add_argument("--parent", default="HEAD", help="commit to compare against")
+    p.add_argument("--parent", required=True, help="commit to compare against")
     p.add_argument("--parent-dir", type=Path, required=True,
-                   help="checkout of --parent; made with git worktree if missing")
+                   help="git checkout of --parent; cloned there if missing")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=int, default=35)
     p.add_argument("--workload", action="append", required=True, metavar="NAME:FIRST_SEED",
                    help="pair i runs seed FIRST_SEED + i; repeat for more workloads")
     args = p.parse_args(argv)
@@ -98,12 +99,20 @@ def _parse(argv):
 
 def main(argv=None) -> int:
     args = _parse(argv)
-    parent = _git("rev-parse", args.parent)
+    parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     if not args.parent_dir.exists():
-        _git("worktree", "add", "--detach", str(args.parent_dir), parent)
+        _git("clone", "--quiet", "--no-checkout", str(CHECKOUT), str(args.parent_dir))
+        _git("checkout", "--quiet", "--detach", parent, cwd=args.parent_dir)
+    if not (args.parent_dir / ".git").exists():
+        raise SystemExit(f"{args.parent_dir} is not a git checkout of --parent {parent}")
+    head = _git("rev-parse", "HEAD", cwd=args.parent_dir)
+    if head != parent:
+        raise SystemExit(f"{args.parent_dir} is at {head}, not --parent {parent}")
+    if _git("status", "--porcelain", "--untracked-files=no", cwd=args.parent_dir):
+        raise SystemExit(f"{args.parent_dir} has changes to tracked files")
     bench = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds
+    seconds = bench["run_seconds"]
     doc = {
         "description": (f"Paired untraced runs of perfbench/run.py (--seconds {seconds} "
                         f"--trace 0), parent commit {parent[:7]} against this change, "
