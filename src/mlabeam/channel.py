@@ -7,7 +7,6 @@ All powers are in watts; dBm conversion happens only at the CLI boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,39 +24,13 @@ def dbm_to_watts(dbm: float) -> float:
     return 10 ** ((dbm - 30) / 10)
 
 
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0:
-        raise ValueError("power must be positive")
-    return 10 * math.log10(watts) + 30
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Array response rebuilt from an estimated source location.
-
-    vector has unit-modulus entries and squared norm L*N; large_scale_gain is
-    the free-space power gain at the estimated distance.
-    """
-
-    vector: np.ndarray
-    large_scale_gain: float
-    angle: float
-    distance: float
-
-    def __post_init__(self):
-        if not np.allclose(np.abs(self.vector), 1.0, atol=1e-9):
-            raise ValueError("channel entries must be unit modulus")
-        if self.large_scale_gain <= 0:
-            raise ValueError("large-scale gain must be positive")
-
-
 def estimate_channel(mla: ModularArray, carrier: Carrier, angle: float,
-                     distance: float) -> ChannelEstimate:
-    """Whole-array channel vector for a source at the estimated polar location."""
+                     distance: float) -> np.ndarray:
+    """Whole-array channel vector for a source at the estimated polar location:
+    the near-field steering vector, unit-modulus entries, length L*N."""
     from .localization import near_steering
 
-    return ChannelEstimate(near_steering(mla, carrier, angle, distance),
-                           friis_beta(carrier, distance), angle, distance)
+    return near_steering(mla, carrier, angle, distance)
 
 
 def spectral_efficiency(h_true: np.ndarray, h_est: np.ndarray, power: float,

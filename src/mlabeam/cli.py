@@ -326,6 +326,9 @@ def _cmd_design(cfg: dict, out: str) -> int:
 def _trial_config(cfg: dict, sweep_variable: str, sweep_values: tuple) -> TrialConfig:
     """Validated Monte Carlo config; TrialConfig resolves every sweep point's
     array, so a geometry a sweep cannot use is a config error before any trial."""
+    noise_power = dbm_to_watts(cfg["noise_dbm"])
+    if not noise_power > 0:
+        raise ConfigError(f"'noise_dbm' = {cfg['noise_dbm']!r} underflows to 0 W")
     with _input_boundary():
         return TrialConfig(
             aperture=cfg["aperture_m"],
@@ -333,7 +336,7 @@ def _trial_config(cfg: dict, sweep_variable: str, sweep_values: tuple) -> TrialC
             elements_per_subarray=cfg["antennas_per_subarray"],
             carrier=_carrier(cfg),
             power=dbm_to_watts(cfg["power_dbm"]) if "power_dbm" in cfg else float("nan"),
-            noise_power=dbm_to_watts(cfg["noise_dbm"]),
+            noise_power=noise_power,
             sweep_variable=sweep_variable,
             sweep_values=sweep_values,
             num_snapshots=cfg["snapshots"],

@@ -91,6 +91,8 @@ class TrialConfig:
             raise ValueError("ridge must be non-negative")
         if not (self.angle_step > 0 and self.distance_step > 0):
             raise ValueError("grid steps must be positive")
+        if not self.angle_step < math.pi:  # else the (0, pi) angle grid is empty
+            raise ValueError(f"angle step must be below pi, got {self.angle_step!r}")
         if not 0 <= self.noise_power < math.inf:
             raise ValueError("noise power must be finite and non-negative")
         # every sweep point's array and transmit power, before any trial runs
@@ -358,7 +360,7 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
         if est is not None:
             h_true = near_steering(mla, carrier, scenario.angle, scenario.distance)
             ch = estimate_channel(mla, carrier, est.angle, est.distance)
-            fields["se_proposed"] = spectral_efficiency(h_true, ch.vector, power, beta, noise)
+            fields["se_proposed"] = spectral_efficiency(h_true, ch, power, beta, noise)
             if include_2d:
                 whole = snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
                 # a copy, not a column view that would keep all L*N eigenvectors alive
@@ -375,7 +377,7 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
             tx, tz = scenario.user_xz
             fields.update(est_x_2d=ex2, est_z_2d=ez2,
                           sq_error_2d=(ex2 - tx) ** 2 + (ez2 - tz) ** 2,
-                          se_2d=spectral_efficiency(h_true, ch2.vector, scenario.power,
+                          se_2d=spectral_efficiency(h_true, ch2, scenario.power,
                                                     beta, noise))
 
     result = _run_trials(config, out_path, _se_summary, evaluate, search_2d)

@@ -74,40 +74,26 @@ def _spherical_field(dx, dy2, z, wavelength: float):
 
 class _CellNodes:
     """Quadrature nodes of delta x delta cells centered at (position, 0), seen
-    from sources at one height y.
+    from sources in the y = 0 plane.
 
-    The field depends on a node's y only through (y_node - y)^2, so nodes that
-    share that value (mirror pairs when y = 0, as Gauss-Legendre nodes are
-    exactly symmetric) share one field sample and carry their summed weight.
+    The field depends on a node's y offset only through its square, so mirror
+    nodes (Gauss-Legendre nodes are exactly symmetric) share one field sample
+    and carry their summed weight.
     """
 
-    def __init__(self, positions: np.ndarray, d: float, y: float, rule: QuadratureRule):
+    def __init__(self, positions: np.ndarray, d: float, rule: QuadratureRule):
         offsets = 0.5 * d * rule.nodes
         self.x = (positions[:, None] + offsets).ravel()
-        dy = offsets - y
-        self.dy2, inverse = np.unique(dy * dy, return_inverse=True)
+        self.dy2, inverse = np.unique(offsets * offsets, return_inverse=True)
         wy = np.bincount(inverse, weights=rule.weights)
         self.weights = (rule.weights[:, None] * wy[None, :]).ravel()
         self.shape = (positions.size, self.weights.size)
 
     def field(self, xs: np.ndarray, zs: np.ndarray, wavelength: float) -> np.ndarray:
-        """Field samples for sources (xs[b], y, zs[b]), shape (B, cells, nodes)."""
+        """Field samples for sources (xs[b], 0, zs[b]), shape (B, cells, nodes)."""
         E = _spherical_field(self.x[:, None] - xs[:, None, None], self.dy2,
                              zs[:, None, None], wavelength)
         return E.reshape(xs.size, *self.shape)
-
-
-def cell_channel(tx: TxPoint, subarray: int, element: int, mla: ModularArray,
-                 carrier: Carrier, rule: QuadratureRule | None = None) -> complex:
-    """Per-element channel coefficient: the field integrated over the element's
-    square cell, scaled by 1/sqrt(cell area)."""
-    rule = rule or _DEFAULT_RULE
-    d = mla.spacing
-    pos = element_positions(mla)[subarray, element]
-    nodes = _CellNodes(np.array([pos]), d, tx.y, rule)
-    E = nodes.field(np.array([tx.x]), np.array([tx.z]), carrier.wavelength)
-    integral = (E[0, 0] * nodes.weights).sum() * (0.25 * d * d)
-    return complex(integral / d)
 
 
 def matched_filter_weights(mla: ModularArray, focus: float, carrier: Carrier,
@@ -136,54 +122,39 @@ def matched_filter_weights(mla: ModularArray, focus: float, carrier: Carrier,
     return w.reshape(pos.shape)
 
 
-def gain_exact(mla: ModularArray, tx: TxPoint, focus: float, carrier: Carrier,
-               rule: QuadratureRule | None = None) -> float:
-    """Normalized array gain by direct quadrature of the exact field.
-
-    Matched-filter combination of the per-cell field integrals, normalized by
-    the single-cell reference at the origin so the result lies in [0, 1].
-    The same quadrature rule is used in numerator and reference so the cell
-    discretization bias cancels.
-    """
-    rule = rule or _DEFAULT_RULE
-    w = matched_filter_weights(mla, focus, carrier, rule).ravel()
-    return float(_exact_gains(mla, w, np.array([tx.x]), tx.y, np.array([tx.z]),
-                              carrier.wavelength, rule)[0])
-
-
-def _exact_gains(mla: ModularArray, w: np.ndarray, xs: np.ndarray, y: float,
-                 zs: np.ndarray, wavelength: float, rule: QuadratureRule) -> np.ndarray:
-    # gain_exact of the sources (xs[b], y, zs[b]) under one weight vector; the
-    # last cell is the single-cell reference at the origin
-    d = mla.spacing
-    P = mla.num_elements
-    nodes = _CellNodes(np.append(element_positions(mla).ravel(), 0.0), d, y, rule)
-    step = max(1, _SWEEP_BLOCK_SAMPLES // nodes.x.size // nodes.dy2.size)
-    out = np.empty(xs.size)
-
-    def run(first, stop):
-        for s in range(first * step, min(stop * step, xs.size), step):
-            E = nodes.field(xs[s:s + step], zs[s:s + step], wavelength)
-            cells = (E[:, :P] * nodes.weights).sum(-1) * (0.25 * d * d)
-            ref = (np.abs(E[:, P]) ** 2 * nodes.weights).sum(-1) * 0.25 * d * d
-            out[s:s + step] = np.abs((w * cells).sum(-1)) ** 2 / (P * d * d * ref)
-
-    _run_blocks(run, -(-xs.size // step))
-    return out
-
-
 def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
                      rule: QuadratureRule | None = None) -> np.ndarray:
-    """gain_exact over paired source coordinates (x, 0, z), reusing the weight
-    vector and evaluating the points in blocks of a fixed number of field
-    samples."""
+    """Normalized array gain by direct quadrature of the exact field, for
+    sources at the paired coordinates (x, 0, z).
+
+    Matched-filter combination of the per-cell field integrals, normalized by
+    the single-cell reference at the origin. The same quadrature rule is used
+    in numerator and reference so the cell discretization bias cancels. One
+    weight vector serves every point, and the points are evaluated in blocks
+    of a fixed number of field samples.
+    """
     rule = rule or _DEFAULT_RULE
     X, Z = np.broadcast_arrays(np.asarray(xs, float), np.asarray(zs, float))
     if np.any(Z <= 0):
         raise ValueError("source must be in front of the array (z > 0)")
     w = matched_filter_weights(mla, focus, carrier, rule).ravel()
-    return _exact_gains(mla, w, X.ravel(), 0.0, Z.ravel(), carrier.wavelength,
-                        rule).reshape(X.shape)
+    xs, zs, lam = X.ravel(), Z.ravel(), carrier.wavelength
+    d = mla.spacing
+    P = mla.num_elements
+    # the last cell is the single-cell reference at the origin
+    nodes = _CellNodes(np.append(element_positions(mla).ravel(), 0.0), d, rule)
+    step = max(1, _SWEEP_BLOCK_SAMPLES // nodes.x.size // nodes.dy2.size)
+    out = np.empty(xs.size)
+
+    def run(first, stop):
+        for s in range(first * step, min(stop * step, xs.size), step):
+            E = nodes.field(xs[s:s + step], zs[s:s + step], lam)
+            cells = (E[:, :P] * nodes.weights).sum(-1) * (0.25 * d * d)
+            ref = (np.abs(E[:, P]) ** 2 * nodes.weights).sum(-1) * 0.25 * d * d
+            out[s:s + step] = np.abs((w * cells).sum(-1)) ** 2 / (P * d * d * ref)
+
+    _run_blocks(run, -(-xs.size // step))
+    return out.reshape(X.shape)
 
 
 def _on_axis(focus: float, z, gain_at) -> float | np.ndarray:

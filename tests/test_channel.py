@@ -5,7 +5,7 @@ import pytest
 
 from mlabeam import (Carrier, ModularArray, dbm_to_watts, estimate_channel,
                      friis_beta, near_steering, spacing_for_aperture,
-                     spectral_efficiency, watts_to_dbm)
+                     spectral_efficiency)
 
 CAR = Carrier.from_wavelength(0.02)
 MLA = ModularArray(4, 16, 0.01, spacing_for_aperture(2.0, 4, 16, 0.01))
@@ -21,23 +21,19 @@ def test_friis_values():
 def test_dbm_round_trip():
     assert dbm_to_watts(20.0) == pytest.approx(0.1, rel=1e-12)
     assert dbm_to_watts(-78.0) == pytest.approx(10**-10.8, rel=1e-12)
-    assert watts_to_dbm(0.1) == pytest.approx(20.0, abs=1e-12)
-    for p in (1e-9, 2e-3, 5.0):
-        assert dbm_to_watts(watts_to_dbm(p)) == pytest.approx(p, rel=1e-12)
 
 
 def test_estimate_channel_matches_steering():
     est = estimate_channel(MLA, CAR, math.pi / 2, 30.0)
     h = near_steering(MLA, CAR, math.pi / 2, 30.0)
-    np.testing.assert_allclose(est.vector, h, atol=1e-12)
-    np.testing.assert_allclose(np.abs(est.vector), 1.0, atol=1e-12)
-    assert est.large_scale_gain == pytest.approx(friis_beta(CAR, 30.0))
+    np.testing.assert_allclose(est, h, atol=1e-12)
+    np.testing.assert_allclose(np.abs(est), 1.0, atol=1e-12)
 
 
 def test_estimate_channel_one_grid_step_off():
     h = near_steering(MLA, CAR, math.pi / 2, 30.0)
     est = estimate_channel(MLA, CAR, math.pi / 2 + 0.002, 30.02)
-    corr = abs(np.vdot(est.vector, h)) / MLA.num_elements
+    corr = abs(np.vdot(est, h)) / MLA.num_elements
     assert corr >= 0.9
 
 

@@ -230,9 +230,15 @@ def test_exit_code_infeasible_geometry():
     ["localize", "--trials", "1", "--noise_dbm=-inf"],
     ["depth", "--focus_m", "2", "--depth_threshold", "nan"],
     ["se", "--trials", "1", "--power_dbm_values", "10,inf"],
+    ["localize", "--trials", "1", "--angle_step_rad", "4"],
+    ["se", "--trials", "1", "--angle_step_rad", "4"],
+    ["localize", "--trials", "1", "--noise_dbm", "-3300"],
+    ["se", "--trials", "1", "--noise_dbm", "-3300"],
 ], ids=["reversed_range", "odd_depth", "design_grid", "angle_bounds", "one_subarray",
         "one_snapshot", "repeated_sweep_value", "nan_focus", "nan_design_focus", "inf_depth",
-        "nan_noise", "minus_inf_noise", "nan_threshold", "inf_in_float_list"])
+        "nan_noise", "minus_inf_noise", "nan_threshold", "inf_in_float_list",
+        "localize_angle_step_pi", "se_angle_step_pi", "localize_noise_underflow",
+        "se_noise_underflow"])
 def test_bad_inputs_are_config_errors(argv, capsys):
     """Inputs the library rejects are reported as config errors before any work."""
     assert main([*argv, "--out", "/dev/null"]) == 2

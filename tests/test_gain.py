@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from mlabeam import (Carrier, ModularArray, NullNotFoundError, TxPoint, cell_channel,
-                     crossrange_gain, derived_metrics, element_positions, exact_field,
-                     first_null_after_focus, focus_chain, gain_exact,
-                     gain_exact_sweep, gain_mla_fresnel, gain_ula_fresnel,
-                     half_power_beamwidth, integrate_cell, matched_filter_weights,
-                     ripple_metrics, spacing_for_aperture, subarray_centers)
+from mlabeam import (Carrier, ModularArray, NullNotFoundError, TxPoint, crossrange_gain,
+                     derived_metrics, element_positions, exact_field, first_null_after_focus,
+                     focus_chain, gain_exact_sweep, gain_mla_fresnel, gain_ula_fresnel,
+                     half_power_beamwidth, matched_filter_weights, ripple_metrics,
+                     spacing_for_aperture, subarray_centers)
 from mlabeam.numerics import gauss_legendre_rule
 
 LAM = Carrier.from_wavelength(0.02)
@@ -166,19 +165,10 @@ def test_odd_subarray_count_rejected():
 
 def test_exact_matches_closed_form_near_focus():
     mla = ModularArray(2, 64, 0.01, 0.73)
-    for z in (15.0, 30.0, 70.0):
-        ge = gain_exact(mla, TxPoint(0.0, 0.0, z), 30.0, LAM)
-        gf = gain_mla_fresnel(2, 64, 0.68, 30.0, z, LAM)
-        assert abs(ge - gf) < 0.01
-
-
-def test_exact_sweep_matches_scalar():
-    mla = ModularArray(2, 16, 0.01, 0.2)
-    zs = np.array([20.0, 30.0, 40.0])
-    sweep = gain_exact_sweep(mla, np.zeros(3), zs, 30.0, LAM)
-    for z, g in zip(zs, sweep):
-        assert g == pytest.approx(gain_exact(mla, TxPoint(0.0, 0.0, z), 30.0, LAM),
-                                  rel=1e-12)
+    zs = np.array([15.0, 30.0, 70.0])
+    ge = gain_exact_sweep(mla, np.zeros(3), zs, 30.0, LAM)
+    gf = gain_mla_fresnel(2, 64, 0.68, 30.0, zs, LAM)
+    assert np.all(np.abs(ge - gf) < 0.01)
 
 
 def _unfolded_gain(mla, tx, focus, rule):
@@ -206,20 +196,6 @@ def test_folded_quadrature_matches_unfolded(order):
     sweep = gain_exact_sweep(mla, xs, zs, 20.0, LAM, rule=rule)
     ref = [_unfolded_gain(mla, TxPoint(x, 0.0, z), 20.0, rule) for x, z in zip(xs, zs)]
     np.testing.assert_allclose(sweep, ref, rtol=1e-12, atol=0)
-
-
-def test_exact_gain_off_plane_source():
-    """A source off the y = 0 plane leaves no mirror pairs to fold."""
-    rule = gauss_legendre_rule(8)
-    mla = ModularArray(2, 8, 0.01, 0.3)
-    for tx in (TxPoint(0.2, 0.003, 15.0), TxPoint(-0.5, -0.8, 6.0)):
-        assert gain_exact(mla, tx, 20.0, LAM, rule) == pytest.approx(
-            _unfolded_gain(mla, tx, 20.0, rule), rel=1e-12)
-        h = cell_channel(tx, 1, 3, mla, LAM, rule)
-        cx = element_positions(mla)[1, 3]
-        ref = integrate_cell(rule, cx, 0.0, 0.01, 0.01,
-                             lambda x, y: exact_field(x, y, tx, 0.02)) / 0.01
-        assert abs(h - ref) <= 1e-12 * abs(ref)
 
 
 SWEEP_BLOCK_SAMPLES = [1, 5000, 20000, 10**9]

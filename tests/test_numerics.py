@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from mlabeam import QuadratureRule, fresnel_cs, gauss_legendre_rule, integrate_cell
+from mlabeam import QuadratureRule, fresnel_cs, gauss_legendre_rule
 from mlabeam import numerics
 
 
@@ -59,39 +59,6 @@ def test_rule_construction():
     exact = 2.0 / 15  # integral of t^14 over [-1, 1]
     got = float(np.sum(rule.weights * rule.nodes**14))
     assert got == pytest.approx(exact, rel=1e-13)
-
-
-def test_integrate_cell_polynomial():
-    rule = gauss_legendre_rule(8)
-    # integral of x^2 * y over [1,3] x [0,2] = (26/3) * 2
-    val = integrate_cell(rule, 2.0, 1.0, 2.0, 2.0,
-                         lambda x, y: (x**2 * y).astype(complex))
-    assert val.real == pytest.approx(52.0 / 3, rel=1e-12)
-    assert val.imag == pytest.approx(0.0, abs=1e-12)
-
-
-def test_integrate_cell_oscillatory_vs_refined_midpoint():
-    """Order-8 tensor rule against a 400x400 midpoint reference on a cell
-    whose phase swings a few radians."""
-    k = 300.0
-
-    def f(x, y):
-        return np.exp(1j * k * (x**2 + y**2))
-
-    rule = gauss_legendre_rule(8)
-    got = integrate_cell(rule, 0.05, 0.02, 0.01, 0.01, f)
-
-    n = 2000
-    xs = 0.05 + (np.arange(n) + 0.5) / n * 0.01 - 0.005
-    ys = 0.02 + (np.arange(n) + 0.5) / n * 0.01 - 0.005
-    ref = f(xs[:, None], ys[None, :]).sum() * (0.01 / n) ** 2
-    assert abs(got - ref) < 1e-12
-
-
-def test_integrate_cell_scaling():
-    rule = gauss_legendre_rule(8)
-    one = integrate_cell(rule, 0.0, 0.0, 0.3, 0.7, lambda x, y: np.ones_like(x + y, dtype=complex))
-    assert one.real == pytest.approx(0.21, rel=1e-13)
 
 
 @settings(max_examples=300, deadline=None)

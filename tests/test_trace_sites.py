@@ -1,28 +1,32 @@
-"""Every patch site of the benchmark's tracer still names a library function.
+"""The benchmark's code still finds the library names it uses.
 
 perfbench/tracing.py wraps mlabeam functions at the names their callers look
-them up under. A renamed or deleted function would only surface when a traced
-benchmark run fails, so this loads the tracer by path and resolves each site
-the way Tracer.installed does.
+them up under, and perfbench/workloads.py imports names from mlabeam's
+modules. A renamed or deleted function would only surface when a benchmark
+run fails, so this loads both files by path, resolves each patch site the way
+Tracer.installed does, and imports the workloads.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks up its module as it is made
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
 
 
 def _site_function(module_name, path):
@@ -38,3 +42,14 @@ def _site_function(module_name, path):
 def test_patch_site_resolves(module_name, path, span_name):
     assert callable(_site_function(module_name, path))
 
+
+def test_workloads_import(monkeypatch):
+    """workloads.py imports its sibling modules checks and tracing by bare
+    name, as perfbench/run.py's workers do with perfbench/ on sys.path."""
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    try:
+        workloads = _load("workloads")
+    finally:
+        for name in ("checks", "tracing"):
+            sys.modules.pop(name, None)
+    assert {"se_2d", "beam_figures"} <= set(workloads.WORKLOADS)
