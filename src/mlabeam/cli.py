@@ -27,8 +27,7 @@ from .design import DesignInput, design_num_arrays
 from .experiments import TrialConfig, _write_csv, run_localization_experiment, run_se_sweep
 from .gain import (GainRangeError, NullNotFoundError, crossrange_gain, focus_chain,
                    gain_exact_sweep, gain_mla_fresnel, half_power_beamwidth)
-from .geometry import (Carrier, InfeasibleArrayError, ModularArray, derived_metrics,
-                       spacing_for_aperture)
+from .geometry import Carrier, InfeasibleArrayError, ModularArray, spacing_for_aperture
 from .localization import DegenerateSubspaceError, IllConditionedTriangulationError
 
 
@@ -264,13 +263,11 @@ def _cmd_beampattern(cfg: dict, out: str) -> int:
 
 def _cmd_cutline(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg, closed_form=True)
-    metrics = derived_metrics(mla, carrier)
     focus = cfg["focus_m"]
-    bw = half_power_beamwidth(mla.elements_per_subarray, focus, carrier, mla.spacing)
+    bw = half_power_beamwidth(mla, focus, carrier)
     halfwidth = cfg["x_halfwidth_m"] if cfg["x_halfwidth_m"] is not None else bw
     xs = np.linspace(-halfwidth, halfwidth, cfg["x_points"])
-    g, env = crossrange_gain(mla.num_subarrays, mla.elements_per_subarray,
-                             metrics.half_pitch, focus, xs, carrier, mla.spacing)
+    g, env = crossrange_gain(mla, focus, xs, carrier)
     _write_figure(out, [_config_comment(cfg), f"halfpower_beamwidth_m: {bw!r}"],
                   {"x_m": xs, "gain": g, "envelope": env,
                    "in_halfpower_window": (np.abs(xs) <= bw / 2).astype(int)},
@@ -281,16 +278,12 @@ def _cmd_cutline(cfg: dict, out: str) -> int:
 
 def _cmd_depth(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg, closed_form=True)
-    metrics = derived_metrics(mla, carrier)
-    L, N = mla.num_subarrays, mla.elements_per_subarray
-    foci = [float(f) for f in focus_chain(L, N, metrics.half_pitch, cfg["focus_m"],
-                                          carrier, cfg["chain"], cfg["depth_threshold"],
-                                          mla.spacing)]
+    foci = [float(f) for f in focus_chain(mla, cfg["focus_m"], carrier, cfg["chain"],
+                                          cfg["depth_threshold"])]
     z_lo = cfg["z_min_m"] if cfg["z_min_m"] is not None else foci[0] / 2
     z_hi = cfg["z_max_m"] if cfg["z_max_m"] is not None else foci[-1] * 2.5
     zs = _samples(cfg, z_lo, z_hi, "z")
-    columns = {f"gain_focus_{i}": gain_mla_fresnel(L, N, metrics.half_pitch, f, zs, carrier,
-                                                   mla.spacing)
+    columns = {f"gain_focus_{i}": gain_mla_fresnel(mla, f, zs, carrier)
                for i, f in enumerate(foci, start=1)}
     if cfg["include_exact"]:
         columns |= {f"exact_focus_{i}": gain_exact_sweep(mla, np.zeros_like(zs), zs, f, carrier)
@@ -323,20 +316,26 @@ def _cmd_design(cfg: dict, out: str) -> int:
     return 0
 
 
+def _watts(key: str, dbm: float) -> float:
+    """A dBm config value in watts; a finite dBm whose power overflows or
+    underflows to 0 W in floating point is a config error."""
+    with contextlib.suppress(OverflowError):
+        if 0 < (watts := dbm_to_watts(dbm)) < math.inf:
+            return watts
+    raise ConfigError(f"'{key}' = {dbm!r} dBm is not a finite positive power in watts")
+
+
 def _trial_config(cfg: dict, sweep_variable: str, sweep_values: tuple) -> TrialConfig:
     """Validated Monte Carlo config; TrialConfig resolves every sweep point's
     array, so a geometry a sweep cannot use is a config error before any trial."""
-    noise_power = dbm_to_watts(cfg["noise_dbm"])
-    if not noise_power > 0:
-        raise ConfigError(f"'noise_dbm' = {cfg['noise_dbm']!r} underflows to 0 W")
     with _input_boundary():
         return TrialConfig(
             aperture=cfg["aperture_m"],
             num_subarrays=cfg["num_subarrays"],
             elements_per_subarray=cfg["antennas_per_subarray"],
             carrier=_carrier(cfg),
-            power=dbm_to_watts(cfg["power_dbm"]) if "power_dbm" in cfg else float("nan"),
-            noise_power=noise_power,
+            power=_watts("power_dbm", cfg["power_dbm"]) if "power_dbm" in cfg else math.nan,
+            noise_power=_watts("noise_dbm", cfg["noise_dbm"]),
             sweep_variable=sweep_variable,
             sweep_values=sweep_values,
             num_snapshots=cfg["snapshots"],
@@ -366,7 +365,7 @@ def _cmd_localize(cfg: dict, out: str) -> int:
 
 
 def _cmd_se(cfg: dict, out: str) -> int:
-    powers = tuple(dbm_to_watts(p) for p in cfg["power_dbm_values"])
+    powers = tuple(_watts("power_dbm_values", p) for p in cfg["power_dbm_values"])
     config = _trial_config(cfg, "power", powers)
     result = run_se_sweep(config, out_path=out, include_2d=cfg["include_2d"])
     for agg in result.aggregates:

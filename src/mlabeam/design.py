@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Carrier, InfeasibleArrayError, spacing_for_aperture
+from .geometry import Carrier, InfeasibleArrayError, ModularArray, spacing_for_aperture
 from .gain import crossrange_gain, half_power_beamwidth
 
 # Peaks shallower than this are treated as numerical ripple. Genuine lobes of
@@ -139,12 +139,10 @@ class DesignResult:
         return self.aperture_filled and self.final_peak_count > 1
 
 
-def _window_peak_count(inp: DesignInput, num_subarrays: int, half_pitch: float) -> int:
-    bw = half_power_beamwidth(inp.elements_per_subarray, inp.focus, inp.carrier,
-                              inp.element_spacing)
+def _window_peak_count(inp: DesignInput, mla: ModularArray) -> int:
+    bw = half_power_beamwidth(mla, inp.focus, inp.carrier)
     xs = np.linspace(-bw / 2, bw / 2, inp.grid_points)
-    g, _ = crossrange_gain(num_subarrays, inp.elements_per_subarray, half_pitch,
-                           inp.focus, xs, inp.carrier, inp.element_spacing)
+    g, _ = crossrange_gain(mla, inp.focus, xs, inp.carrier)
     return count_peaks(g)
 
 
@@ -160,9 +158,8 @@ def design_num_arrays(inp: DesignInput) -> DesignResult:
     d = inp.element_spacing
     N = inp.elements_per_subarray
     L = 0
-    peaks = None
+    peaks = mla = None
     trace = []
-    result = None
     filled = False
     while peaks is None or peaks > 1:
         if L * N * d >= inp.aperture:
@@ -172,20 +169,16 @@ def design_num_arrays(inp: DesignInput) -> DesignResult:
         try:
             gap = spacing_for_aperture(inp.aperture, L, N, d)
         except InfeasibleArrayError:
-            if result is None:
+            if mla is None:
                 raise
             filled = True  # the next even count no longer fits; keep the last layout
             break
-        half_pitch = (gap + (N - 1) * d) / 2
-        peaks = _window_peak_count(inp, L, half_pitch)
+        mla = ModularArray(L, N, d, gap)
+        peaks = _window_peak_count(inp, mla)
         trace.append((L, peaks))
-        result = (L, gap, half_pitch, peaks)
-    if result is None:
-        raise InfeasibleArrayError("no even sub-array count fits the aperture")
-    L, gap, half_pitch, peaks = result
-    return DesignResult(num_subarrays=L, gap=gap, half_pitch=half_pitch,
-                        final_peak_count=peaks,
-                        aperture_filled=filled or L * N * d >= inp.aperture,
+    return DesignResult(num_subarrays=mla.num_subarrays, gap=mla.gap,
+                        half_pitch=mla.half_pitch, final_peak_count=peaks,
+                        aperture_filled=filled or mla.num_elements * d >= inp.aperture,
                         peak_trace=trace)
 
 

@@ -4,6 +4,9 @@ The exact route integrates a spherical-wave field over every element cell
 with Gauss-Legendre quadrature and combines with matched-filter weights.
 The closed forms use Fresnel integrals of the quadratic-phase approximation
 and agree with the exact route to a few percent beyond twice the aperture.
+They take the array as a ModularArray and read its element spacing and
+half_pitch; only gain_ula_fresnel (the L = 1 form) and ripple_metrics (the
+two-sub-array formula on a given half-pitch) take plain numbers.
 """
 
 from __future__ import annotations
@@ -187,23 +190,19 @@ def gain_ula_fresnel(num_elements: int, spacing: float, focus: float, z,
     return _on_axis(focus, z, gain_at)
 
 
-def gain_mla_fresnel(num_subarrays: int, elements_per_subarray: int, half_pitch: float,
-                     focus: float, z, carrier: Carrier,
-                     spacing: float | None = None) -> float | np.ndarray:
+def gain_mla_fresnel(mla: ModularArray, focus: float, z,
+                     carrier: Carrier) -> float | np.ndarray:
     """Closed-form on-axis gain of a modular array focused at depth `focus`.
 
-    half_pitch is half the center-to-center distance between adjacent
-    sub-arrays; spacing defaults to half a wavelength. Requires an even
-    number of sub-arrays (a single sub-array falls back to the uniform form).
-    z may be an array of depths; a scalar z gives a float.
+    Requires an even number of sub-arrays; a single sub-array falls back to
+    the uniform form. z may be an array of depths; a scalar z gives a float.
     """
-    L, N = num_subarrays, elements_per_subarray
-    lam = carrier.wavelength
-    d = lam / 2 if spacing is None else spacing
+    L, N, d = mla.num_subarrays, mla.elements_per_subarray, mla.spacing
     if L == 1:
         return gain_ula_fresnel(N, d, focus, z, carrier)
     if L % 2:
         raise ValueError("closed form requires an even number of sub-arrays")
+    lam, half_pitch = carrier.wavelength, mla.half_pitch
     k = np.arange(1, L, 2, dtype=float)
 
     def gain_at(z_eff):
@@ -218,48 +217,35 @@ def gain_mla_fresnel(num_subarrays: int, elements_per_subarray: int, half_pitch:
     return _on_axis(focus, z, gain_at)
 
 
-def crossrange_gain(num_subarrays: int, elements_per_subarray: int, half_pitch: float,
-                    focus: float, x, carrier: Carrier, spacing: float | None = None):
+def crossrange_gain(mla: ModularArray, focus: float, x, carrier: Carrier):
     """Gain and envelope at lateral offset x in the focal plane.
 
-    spacing defaults to half a wavelength. The envelope is the squared sinc
-    of the single-sub-array pattern; the modular layout multiplies it by a
-    squared sum of cosines, so gain <= envelope everywhere.
-    Returns (gain, envelope), arrays when x is an array.
+    The envelope is the squared sinc of the single-sub-array pattern; the
+    modular layout multiplies it by a squared sum of cosines, so
+    gain <= envelope everywhere. Returns (gain, envelope), arrays when x is
+    an array.
     """
-    L, N = num_subarrays, elements_per_subarray
+    L, N = mla.num_subarrays, mla.elements_per_subarray
     lam = carrier.wavelength
     xs = np.asarray(x, dtype=float)
-    env = np.sinc(N * xs * _half_wavelengths(carrier, spacing) / (2 * focus)) ** 2
+    env = np.sinc(N * xs * (2 * mla.spacing / lam) / (2 * focus)) ** 2
     if L == 1:
         g = env.copy()
     else:
         if L % 2:
             raise ValueError("even number of sub-arrays required")
         k = np.arange(1, L, 2, dtype=float)
-        arg = (2 * np.pi / (lam * focus)) * xs[..., None] * k * half_pitch
+        arg = (2 * np.pi / (lam * focus)) * xs[..., None] * k * mla.half_pitch
         g = env * ((2.0 / L) * np.cos(arg).sum(-1)) ** 2
     if xs.ndim == 0:
         return float(g), float(env)
     return g, env
 
 
-def half_power_beamwidth(num_elements: int, focus: float, carrier: Carrier | None = None,
-                         spacing: float | None = None) -> float:
-    """Cross-range width of the envelope's half-power region, 1.77 * F / N at
-    half-wavelength spacing and inversely proportional to the spacing
-    otherwise; a spacing needs the carrier."""
-    if num_elements < 1:
-        raise ValueError("need at least one element")
-    if spacing is not None and carrier is None:
-        raise ValueError("a spacing needs the carrier's wavelength")
-    return 1.77 * focus / num_elements / _half_wavelengths(carrier, spacing)
-
-
-def _half_wavelengths(carrier: Carrier | None, spacing: float | None) -> float:
-    # element spacing in half wavelengths; exactly 1.0 when spacing is None or
-    # half the wavelength, so default results keep their bits
-    return 1.0 if spacing is None else 2 * spacing / carrier.wavelength
+def half_power_beamwidth(mla: ModularArray, focus: float, carrier: Carrier) -> float:
+    """Cross-range width of the envelope's half-power region: 1.77 * F / N at
+    half-wavelength spacing, inversely proportional to the spacing otherwise."""
+    return 1.77 * focus / mla.elements_per_subarray / (2 * mla.spacing / carrier.wavelength)
 
 
 @dataclass(frozen=True)
@@ -303,10 +289,8 @@ def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def first_null_after_focus(num_subarrays: int, elements_per_subarray: int,
-                           half_pitch: float, focus: float, carrier: Carrier,
-                           depth_threshold: float = 0.05,
-                           spacing: float | None = None) -> float:
+def first_null_after_focus(mla: ModularArray, focus: float, carrier: Carrier,
+                           depth_threshold: float = 0.05) -> float:
     """Smallest depth beyond the focus where the closed-form gain reaches a
     deep local minimum (below depth_threshold).
 
@@ -316,8 +300,7 @@ def first_null_after_focus(num_subarrays: int, elements_per_subarray: int,
     """
 
     def f(z):
-        return gain_mla_fresnel(num_subarrays, elements_per_subarray, half_pitch,
-                                focus, z, carrier, spacing)
+        return gain_mla_fresnel(mla, focus, z, carrier)
 
     zs = np.geomspace(focus * (1 + 1e-6), focus * 100, 4000)
     g = f(zs)
@@ -329,9 +312,8 @@ def first_null_after_focus(num_subarrays: int, elements_per_subarray: int,
         f"no gain minimum below {depth_threshold} between the focus and 100x the focus")
 
 
-def focus_chain(num_subarrays: int, elements_per_subarray: int, half_pitch: float,
-                first_focus: float, carrier: Carrier, count: int,
-                depth_threshold: float = 0.05, spacing: float | None = None) -> list:
+def focus_chain(mla: ModularArray, first_focus: float, carrier: Carrier, count: int,
+                depth_threshold: float = 0.05) -> list:
     """Successive focal depths, each placed at the previous curve's first null.
 
     Returns `count` focal distances starting with first_focus; raises
@@ -339,7 +321,5 @@ def focus_chain(num_subarrays: int, elements_per_subarray: int, half_pitch: floa
     """
     foci = [float(first_focus)]
     while len(foci) < count:
-        foci.append(first_null_after_focus(num_subarrays, elements_per_subarray,
-                                           half_pitch, foci[-1], carrier,
-                                           depth_threshold, spacing))
+        foci.append(first_null_after_focus(mla, foci[-1], carrier, depth_threshold))
     return foci

@@ -73,6 +73,14 @@ class ModularArray:
     def num_elements(self) -> int:
         return self.num_subarrays * self.elements_per_subarray
 
+    @property
+    def half_pitch(self) -> float:
+        """Half the center-to-center distance between adjacent sub-arrays,
+        (Delta + (N-1)*delta)/2, with delta in place of the unused gap when
+        L = 1."""
+        gap = self.gap if self.num_subarrays > 1 else self.spacing
+        return (gap + (self.elements_per_subarray - 1) * self.spacing) / 2
+
 
 @dataclass(frozen=True)
 class ArrayMetrics:
@@ -101,23 +109,20 @@ class ArrayMetrics:
 def element_positions(mla: ModularArray) -> np.ndarray:
     """Element x-coordinates, shape (L, N), grouped by sub-array.
 
-    Sub-array ell (1-based) is centered at (ell-(L+1)/2)*(Delta+(N-1)*delta)
+    Sub-array ell (1-based) is centered at (ell-(L+1)/2) * 2*mla.half_pitch
     and its elements sit delta apart around that center; the whole layout is
     symmetric about x=0.
     """
-    L, N = mla.num_subarrays, mla.elements_per_subarray
-    d, D = mla.spacing, mla.gap
-    ell = np.arange(1, L + 1)
+    N = mla.elements_per_subarray
     n = np.arange(1, N + 1)
-    centers = (ell - (L + 1) / 2) * (D + (N - 1) * d)
-    return centers[:, None] + (n - (N + 1) / 2)[None, :] * d
+    return subarray_centers(mla)[:, None] + (n - (N + 1) / 2)[None, :] * mla.spacing
 
 
 def subarray_centers(mla: ModularArray) -> np.ndarray:
     """Center x-coordinate of each sub-array, shape (L,)."""
-    L, N = mla.num_subarrays, mla.elements_per_subarray
+    L = mla.num_subarrays
     ell = np.arange(1, L + 1)
-    return (ell - (L + 1) / 2) * (mla.gap + (N - 1) * mla.spacing)
+    return (ell - (L + 1) / 2) * (2 * mla.half_pitch)
 
 
 def derived_metrics(mla: ModularArray, carrier: Carrier) -> ArrayMetrics:
@@ -125,13 +130,12 @@ def derived_metrics(mla: ModularArray, carrier: Carrier) -> ArrayMetrics:
     d = mla.spacing
     D = mla.gap if L > 1 else d  # gap is meaningless for a single sub-array
     aperture = D * (L - 1) + (L * (N - 1) + 1) * d
-    half_pitch = (D + (N - 1) * d) / 2
     lam = carrier.wavelength
     sub_aperture = N * d
     return ArrayMetrics(
         aperture=aperture,
         span=aperture - d,
-        half_pitch=half_pitch,
+        half_pitch=mla.half_pitch,
         fraunhofer=2 * aperture**2 / lam,
         fraunhofer_subarray=2 * sub_aperture**2 / lam,
     )

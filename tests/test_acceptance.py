@@ -35,30 +35,30 @@ def test_criterion_01_fresnel_fidelity():
     mla = _canonical_mla()
     zs = np.linspace(10.0, 100.0, 200)
     exact = m.gain_exact_sweep(mla, np.zeros_like(zs), zs, 30.0, CAR)
-    closed = np.array([m.gain_mla_fresnel(2, 64, 0.68, 30.0, z, CAR) for z in zs])
+    closed = m.gain_mla_fresnel(mla, 30.0, zs, CAR)
     worst = float(np.max(np.abs(exact - closed)))
     _verdict(1, worst <= 0.03, f"max |exact - closed form| = {worst:.6f} (<= 0.03)")
 
 
 def test_criterion_02_single_peak_and_fill_ratio():
-    bw = m.half_power_beamwidth(64, 30.0)
+    mla = _canonical_mla()
+    bw = m.half_power_beamwidth(mla, 30.0, CAR)
     xs = np.linspace(-bw / 2, bw / 2, 300)
-    gain, _ = m.crossrange_gain(2, 64, 0.68, 30.0, xs, CAR)
+    gain, _ = m.crossrange_gain(mla, 30.0, xs, CAR)
     peaks = m.count_peaks(gain)
-    frac = m.ripple_metrics(64, 0.68, CAR).ula_fraction
+    frac = m.ripple_metrics(64, mla.half_pitch, CAR).ula_fraction
     ok = peaks == 1 and abs(frac - 0.64) <= 0.005
     _verdict(2, ok, f"peaks in window = {peaks} (want 1), fill ratio = {frac:.4f} "
                     f"(want 0.64 +- 0.005)")
 
 
 def test_criterion_03_ripple_regime():
-    gap = m.spacing_for_aperture(2.0, 2, 16, 0.01)
-    hp = (gap + 15 * 0.01) / 2
-    bw = m.half_power_beamwidth(16, 30.0)
+    mla = m.ModularArray(2, 16, 0.01, m.spacing_for_aperture(2.0, 2, 16, 0.01))
+    bw = m.half_power_beamwidth(mla, 30.0, CAR)
     xs = np.linspace(-bw / 2, bw / 2, 300)
-    gain, _ = m.crossrange_gain(2, 16, hp, 30.0, xs, CAR)
+    gain, _ = m.crossrange_gain(mla, 30.0, xs, CAR)
     counted = m.count_peaks(gain)
-    formula = m.ripple_metrics(16, hp, CAR).predicted_peak_count
+    formula = m.ripple_metrics(16, mla.half_pitch, CAR).predicted_peak_count
     ok = counted >= 9 and counted == formula
     _verdict(3, ok, f"counted {counted} peaks, formula predicts {formula}; "
                     f"published figure quotes 9 (window-edge lobes excluded here)")
@@ -91,14 +91,16 @@ def test_criterion_05_fraunhofer_metrics():
 
 
 def test_criterion_06_closed_form_sanity():
-    near = m.gain_mla_fresnel(2, 64, 0.68, 30.0, 30.0 - 1e-7, CAR)
-    at = m.gain_mla_fresnel(2, 64, 0.68, 30.0, 30.0, CAR)
+    mla = _canonical_mla()
+    near = m.gain_mla_fresnel(mla, 30.0, 30.0 - 1e-7, CAR)
+    at = m.gain_mla_fresnel(mla, 30.0, 30.0, CAR)
     ok_focus = abs(near - 1.0) <= 1e-6 and at == 1.0
-    _, env = m.crossrange_gain(2, 64, 0.68, 30.0, 0.885 * 30.0 / 64, CAR)
+    _, env = m.crossrange_gain(mla, 30.0, 0.885 * 30.0 / 64, CAR)
     ok_env = abs(env - 0.5) <= 0.01
+    contiguous = m.ModularArray(2, 64, 0.01, 0.01)
     worst = 0.0
     for z in (5.0, 18.0, 30.0, 77.0, 300.0):
-        a = m.gain_mla_fresnel(2, 64, 0.32, 30.0, z, CAR, spacing=0.01)
+        a = m.gain_mla_fresnel(contiguous, 30.0, z, CAR)
         b = m.gain_ula_fresnel(128, 0.01, 30.0, z, CAR)
         worst = max(worst, abs(a - b))
     ok = ok_focus and ok_env and worst <= 1e-9
@@ -164,9 +166,9 @@ def test_criterion_08_spectral_efficiency():
 
 
 def test_criterion_09_refocusing_chain():
-    gap = m.spacing_for_aperture(1.0, 4, 16, 0.01)
-    hp = (gap + 15 * 0.01) / 2
-    chain = m.focus_chain(4, 16, hp, 2.0, CAR, 3)
+    mla = m.ModularArray(4, 16, 0.01, m.spacing_for_aperture(1.0, 4, 16, 0.01))
+    hp = mla.half_pitch
+    chain = m.focus_chain(mla, 2.0, CAR, 3)
     second = float(chain[1])
     ok = abs(second - 2.74) <= 0.05
     _verdict(9, ok,

@@ -92,3 +92,21 @@ def test_parent_dir_must_hold_parent(repo, tmp_path, stand_in):
                           "--parent-dir", str(parent_dir), "--pairs", "1",
                           "--workload", "se_2d:10"])
     assert not (change / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("fault", ['"correct": false', '"failed": 1'],
+                         ids=["correct_false", "failed_1"])
+def test_run_that_fails_its_checks_stops_the_tool(repo, tmp_path, fault):
+    """A run that exits 0 but reports a failed check is not a sample: the tool
+    stops on it and BENCH_<label>.json holds only the runs before it."""
+    change, parent = repo
+    passing = '"correct": true' if "correct" in fault else '"failed": 0'
+    (change / "perfbench" / "run.py").write_text(FAKE_RUN.format(bonus=5).replace(passing, fault))
+    _git(change, "commit", "-qam", "fails its checks")
+    with pytest.raises(RuntimeError, match="change run of se_2d seed 10 .* failed its checks"):
+        bench_pairs.main(["--label", "t", "--parent", parent,
+                          "--parent-dir", str(tmp_path / "parent"), "--pairs", "2",
+                          "--workload", "se_2d:10"])
+    doc = json.loads((change / "BENCH_t.json").read_text())
+    assert [(r["side"], r["seed"], r["result"]["correct"]) for r in doc["runs"]] == [
+        ("parent", 10, True)]

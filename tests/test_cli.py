@@ -140,11 +140,11 @@ def test_depth_no_null_degenerate(tmp_path):
 
 
 @pytest.mark.parametrize("command, name, fake", [
-    ("cutline", "crossrange_gain", lambda *a: (np.full_like(a[4], 1.5), np.full_like(a[4], 2.0))),
-    ("cutline", "crossrange_gain", lambda *a: (np.full_like(a[4], 0.5), np.full_like(a[4], 1.5))),
-    ("cutline", "crossrange_gain", lambda *a: (np.zeros_like(a[4]), np.full_like(a[4], -1e-3))),
-    ("depth", "gain_mla_fresnel", lambda *a: np.full_like(a[4], 1.5)),
-    ("depth", "gain_mla_fresnel", lambda *a: np.full_like(a[4], np.nan)),
+    ("cutline", "crossrange_gain", lambda *a: (np.full_like(a[2], 1.5), np.full_like(a[2], 2.0))),
+    ("cutline", "crossrange_gain", lambda *a: (np.full_like(a[2], 0.5), np.full_like(a[2], 1.5))),
+    ("cutline", "crossrange_gain", lambda *a: (np.zeros_like(a[2]), np.full_like(a[2], -1e-3))),
+    ("depth", "gain_mla_fresnel", lambda *a: np.full_like(a[2], 1.5)),
+    ("depth", "gain_mla_fresnel", lambda *a: np.full_like(a[2], np.nan)),
     ("beampattern", "gain_exact_sweep", lambda mla, x, z, *a: np.full_like(x, 1.5)),
     ("depth --include_exact true", "gain_exact_sweep", lambda mla, x, z, *a: np.full_like(z, 1.5)),
 ], ids=["cutline", "cutline_envelope", "cutline_negative", "depth", "depth_nan", "beampattern",
@@ -234,11 +234,15 @@ def test_exit_code_infeasible_geometry():
     ["se", "--trials", "1", "--angle_step_rad", "4"],
     ["localize", "--trials", "1", "--noise_dbm", "-3300"],
     ["se", "--trials", "1", "--noise_dbm", "-3300"],
+    ["localize", "--trials", "1", "--noise_dbm", "4000"],
+    ["localize", "--trials", "1", "--power_dbm", "4000"],
+    ["se", "--trials", "1", "--include_2d", "false", "--power_dbm_values", "4000"],
 ], ids=["reversed_range", "odd_depth", "design_grid", "angle_bounds", "one_subarray",
         "one_snapshot", "repeated_sweep_value", "nan_focus", "nan_design_focus", "inf_depth",
         "nan_noise", "minus_inf_noise", "nan_threshold", "inf_in_float_list",
         "localize_angle_step_pi", "se_angle_step_pi", "localize_noise_underflow",
-        "se_noise_underflow"])
+        "se_noise_underflow", "localize_noise_overflow", "localize_power_overflow",
+        "se_power_overflow"])
 def test_bad_inputs_are_config_errors(argv, capsys):
     """Inputs the library rejects are reported as config errors before any work."""
     assert main([*argv, "--out", "/dev/null"]) == 2

@@ -15,6 +15,11 @@ from mlabeam.numerics import gauss_legendre_rule
 LAM = Carrier.from_wavelength(0.02)
 
 
+def _mla(L, N, half_pitch, d=0.01):
+    # the array whose adjacent sub-array centers sit 2 * half_pitch apart
+    return ModularArray(L, N, d, 2 * half_pitch - (N - 1) * d)
+
+
 def test_exact_field_on_axis():
     # boresight magnitude falls as 1/z with the free-space normalization
     for z in (5.0, 30.0, 120.0):
@@ -81,32 +86,37 @@ def test_ula_closed_form_vs_quadrature(z):
 @pytest.mark.parametrize("z", [12.0, 20.0, 45.0])
 def test_mla_closed_form_vs_quadrature(z):
     L, N, d, gap = 2, 64, 0.01, 0.73
-    half_pitch = (gap + (N - 1) * d) / 2
+    mla = ModularArray(L, N, d, gap)
     F = 30.0
     z_eff = F * z / abs(F - z)
-    centers = subarray_centers(ModularArray(L, N, d, gap))
+    centers = subarray_centers(mla)
     I_el = _aperture_integral(d / 2, z_eff, 0.02)
     J = sum(_aperture_integral(N * d / 2, z_eff, 0.02, center=c) for c in centers)
     ref = abs(I_el * J / (L * N * d**2)) ** 2
-    assert gain_mla_fresnel(L, N, half_pitch, F, z, LAM) == pytest.approx(ref, rel=1e-9)
+    assert gain_mla_fresnel(mla, F, z, LAM) == pytest.approx(ref, rel=1e-9)
 
 
 def test_gain_at_focus_is_one():
-    assert gain_mla_fresnel(2, 64, 0.68, 30.0, 30.0, LAM) == 1.0
+    assert gain_mla_fresnel(_mla(2, 64, 0.68), 30.0, 30.0, LAM) == 1.0
     assert gain_ula_fresnel(64, 0.01, 30.0, 30.0, LAM) == 1.0
 
 
 def test_zeff_pairs_equal_gain():
     # (F=30, z=20) and (F=10, z=12) share z_eff=60
-    g1 = gain_mla_fresnel(2, 64, 0.68, 30.0, 20.0, LAM)
-    g2 = gain_mla_fresnel(2, 64, 0.68, 10.0, 12.0, LAM)
+    mla = _mla(2, 64, 0.68)
+    g1 = gain_mla_fresnel(mla, 30.0, 20.0, LAM)
+    g2 = gain_mla_fresnel(mla, 10.0, 12.0, LAM)
     assert g1 == pytest.approx(g2, rel=1e-12)
 
 
-# even sub-array count, elements per sub-array, spacing (m), gap beyond the
-# contiguous layout (m), focus (m); the gap keeps sub-arrays from overlapping
-_geometries = st.tuples(st.sampled_from([2, 4, 6, 8, 16]), st.integers(1, 64),
-                        st.floats(0.002, 0.05), st.floats(0.0, 1.0), st.floats(0.5, 200.0))
+# an array of an even number of sub-arrays, N elements each at spacing d
+# (m), with a gap of d plus up to 1 m, so sub-arrays never overlap; and a
+# focus (m)
+_geometries = st.tuples(
+    st.builds(lambda L, N, d, extra: ModularArray(L, N, d, d + extra),
+              st.sampled_from([2, 4, 6, 8, 16]), st.integers(1, 64),
+              st.floats(0.002, 0.05), st.floats(0.0, 1.0)),
+    st.floats(0.5, 200.0))
 _depth_factors = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20)
 
 
@@ -115,14 +125,14 @@ _depth_factors = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20)
 def test_closed_forms_take_arrays_of_depths(geometry, factors):
     """An array of depths gives, element by element, the scalar call's bits;
     the focus itself gives exactly 1."""
-    L, N, d, extra, F = geometry
-    hp = (N * d + extra) / 2
+    mla, F = geometry
+    N, d = mla.elements_per_subarray, mla.spacing
     zs = np.array([F, *(F * f for f in factors)])
-    g_mla = gain_mla_fresnel(L, N, hp, F, zs, LAM, spacing=d)
+    g_mla = gain_mla_fresnel(mla, F, zs, LAM)
     g_ula = gain_ula_fresnel(N, d, F, zs, LAM)
     assert g_mla.shape == g_ula.shape == zs.shape
     for i, z in enumerate(zs):
-        a = gain_mla_fresnel(L, N, hp, F, float(z), LAM, spacing=d)
+        a = gain_mla_fresnel(mla, F, float(z), LAM)
         b = gain_ula_fresnel(N, d, F, float(z), LAM)
         assert type(a) is float and type(b) is float
         assert a == g_mla[i] and b == g_ula[i]
@@ -136,7 +146,7 @@ def test_closed_forms_take_arrays_of_depths(geometry, factors):
 def test_closed_forms_reject_depth_behind_array_in_array(bad):
     zs = np.array([10.0, bad, 40.0])
     with pytest.raises(ValueError):
-        gain_mla_fresnel(2, 64, 0.68, 30.0, zs, LAM)
+        gain_mla_fresnel(_mla(2, 64, 0.68), 30.0, zs, LAM)
     with pytest.raises(ValueError):
         gain_ula_fresnel(64, 0.01, 30.0, zs, LAM)
 
@@ -145,29 +155,30 @@ def test_closed_forms_reject_depth_behind_array_in_array(bad):
 @given(geometry=_geometries, factors=_depth_factors)
 def test_degeneration_to_contiguous(geometry, factors):
     """Gap equal to spacing makes the sub-arrays one contiguous aperture."""
-    L, N, d, _, F = geometry
+    mla, F = geometry
+    L, N, d = mla.num_subarrays, mla.elements_per_subarray, mla.spacing
     zs = np.array([F * f for f in factors])
-    a = gain_mla_fresnel(L, N, N * d / 2, F, zs, LAM, spacing=d)
-    b = gain_ula_fresnel(L * N, d, F, zs, LAM)
+    a = gain_mla_fresnel(ModularArray(L, N, d, d), F, zs, LAM)
+    b = gain_mla_fresnel(ModularArray.ula(L * N, d), F, zs, LAM)
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
 
 def test_single_subarray_delegates():
-    a = gain_mla_fresnel(1, 64, 0.32, 30.0, 50.0, LAM, spacing=0.01)
+    a = gain_mla_fresnel(ModularArray.ula(64, 0.01), 30.0, 50.0, LAM)
     b = gain_ula_fresnel(64, 0.01, 30.0, 50.0, LAM)
     assert a == b
 
 
 def test_odd_subarray_count_rejected():
     with pytest.raises(ValueError):
-        gain_mla_fresnel(3, 16, 0.2, 30.0, 20.0, LAM)
+        gain_mla_fresnel(_mla(3, 16, 0.2), 30.0, 20.0, LAM)
 
 
 def test_exact_matches_closed_form_near_focus():
     mla = ModularArray(2, 64, 0.01, 0.73)
     zs = np.array([15.0, 30.0, 70.0])
     ge = gain_exact_sweep(mla, np.zeros(3), zs, 30.0, LAM)
-    gf = gain_mla_fresnel(2, 64, 0.68, 30.0, zs, LAM)
+    gf = gain_mla_fresnel(mla, 30.0, zs, LAM)
     assert np.all(np.abs(ge - gf) < 0.01)
 
 
@@ -236,7 +247,7 @@ def test_crossrange_identity_with_complex_sum():
     L, N, hp, F = 6, 16, 0.1, 30.0
     centers = (2 * np.arange(1, L + 1) - L - 1) * hp / 1.0  # +-hp, +-3hp, +-5hp
     xs = np.linspace(-1.0, 1.0, 101)
-    g, env = crossrange_gain(L, N, hp, F, xs, LAM)
+    g, env = crossrange_gain(_mla(L, N, hp), F, xs, LAM)
     phasor = np.abs(np.exp(2j * np.pi * np.outer(xs, centers) / (0.02 * F)).sum(axis=1)) / L
     ref = np.sinc(N * xs / (2 * F)) ** 2 * phasor**2
     np.testing.assert_allclose(g, ref, atol=1e-12)
@@ -244,47 +255,45 @@ def test_crossrange_identity_with_complex_sum():
 
 
 def test_crossrange_center_and_null():
-    g0, e0 = crossrange_gain(2, 64, 0.68, 30.0, 0.0, LAM)
+    mla = _mla(2, 64, 0.68)
+    g0, e0 = crossrange_gain(mla, 30.0, 0.0, LAM)
     assert g0 == pytest.approx(1.0) and e0 == pytest.approx(1.0)
     # two-subarray factor vanishes where the center separation phase hits pi/2
     x_null = 0.02 * 30.0 / (4 * 0.68)
-    g, _ = crossrange_gain(2, 64, 0.68, 30.0, x_null, LAM)
+    g, _ = crossrange_gain(mla, 30.0, x_null, LAM)
     assert abs(g) < 1e-20
 
 
 @settings(max_examples=60, deadline=None)
 @given(geometry=_geometries, offsets=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=50))
 def test_envelope_dominates(geometry, offsets):
-    L, N, d, extra, F = geometry
-    g, env = crossrange_gain(L, N, (N * d + extra) / 2, F, np.array(offsets), LAM)
+    mla, F = geometry
+    g, env = crossrange_gain(mla, F, np.array(offsets), LAM)
     assert np.all(g <= env + 1e-12)
     assert np.all(g >= 0.0)
 
 
 def test_half_power_beamwidth_value():
-    assert half_power_beamwidth(64, 30.0) == pytest.approx(1.77 * 30.0 / 64)
-    bw = half_power_beamwidth(64, 30.0)
-    _, env = crossrange_gain(2, 64, 0.68, 30.0, bw / 2, LAM)
+    mla = _mla(2, 64, 0.68)
+    bw = half_power_beamwidth(mla, 30.0, LAM)
+    assert bw == pytest.approx(1.77 * 30.0 / 64)
+    _, env = crossrange_gain(mla, 30.0, bw / 2, LAM)
     assert env == pytest.approx(0.5, abs=0.01)
 
 
 @pytest.mark.parametrize("wavelengths", [0.25, 0.5])
 def test_crossrange_cut_follows_spacing(wavelengths):
     """The closed-form cut and its half-power window track the exact gain at
-    any element spacing, and half-wavelength spacing keeps the default bits."""
-    d = wavelengths * LAM.wavelength
+    any element spacing."""
+    d, F = wavelengths * LAM.wavelength, 10.0
     mla = ModularArray(2, 64, d, spacing_for_aperture(2.0, 2, 64, d))
-    hp, F = derived_metrics(mla, LAM).half_pitch, 10.0
-    bw = half_power_beamwidth(64, F, LAM, d)
+    bw = half_power_beamwidth(mla, F, LAM)
     xs = np.linspace(-bw, bw, 201)
-    g, env = crossrange_gain(2, 64, hp, F, xs, LAM, d)
+    g, env = crossrange_gain(mla, F, xs, LAM)
     exact = gain_exact_sweep(mla, xs, np.full_like(xs, F), F, LAM)
     np.testing.assert_allclose(g, exact, atol=0.03)
-    assert crossrange_gain(1, 64, hp, F, bw / 2, LAM, d)[1] == pytest.approx(0.5, abs=0.01)
-    if wavelengths == 0.5:
-        assert bw == half_power_beamwidth(64, F)
-        default_g, default_env = crossrange_gain(2, 64, hp, F, xs, LAM)
-        assert np.array_equal(g, default_g) and np.array_equal(env, default_env)
+    assert crossrange_gain(ModularArray.ula(64, d), F, bw / 2, LAM)[1] == pytest.approx(
+        0.5, abs=0.01)
 
 
 # sub-arrays, elements per sub-array, spacing (m), gap beyond the spacing (m),
@@ -315,17 +324,18 @@ def test_ripple_metrics_values():
 
 
 def test_first_null_location_and_depth():
-    z1 = first_null_after_focus(4, 16, 0.14, 2.0, LAM)
+    mla = _mla(4, 16, 0.14)
+    z1 = first_null_after_focus(mla, 2.0, LAM)
     assert z1 == pytest.approx(2.6745, abs=1e-3)
-    g_null = gain_mla_fresnel(4, 16, 0.14, 2.0, z1, LAM)
+    g_null = gain_mla_fresnel(mla, 2.0, z1, LAM)
     assert g_null < 0.05
     # genuine minimum: the gain rises on both sides
-    assert gain_mla_fresnel(4, 16, 0.14, 2.0, z1 - 0.05, LAM) > g_null
-    assert gain_mla_fresnel(4, 16, 0.14, 2.0, z1 + 0.05, LAM) > g_null
+    assert gain_mla_fresnel(mla, 2.0, z1 - 0.05, LAM) > g_null
+    assert gain_mla_fresnel(mla, 2.0, z1 + 0.05, LAM) > g_null
 
 
 def test_focus_chain_values():
-    chain = focus_chain(4, 16, 0.14, 2.0, LAM, 4)
+    chain = focus_chain(_mla(4, 16, 0.14), 2.0, LAM, 4)
     assert len(chain) == 4
     np.testing.assert_allclose(chain, [2.0, 2.6745, 4.0356, 8.2176], atol=5e-3)
     assert np.all(np.diff(chain) > 0)
@@ -334,4 +344,4 @@ def test_focus_chain_values():
 def test_no_null_beyond_fraunhofer():
     # a focus past the far-field boundary leaves no deep on-axis minimum
     with pytest.raises(NullNotFoundError):
-        first_null_after_focus(2, 64, 0.68, 500.0, LAM)
+        first_null_after_focus(_mla(2, 64, 0.68), 500.0, LAM)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlabeam import (Carrier, InfeasibleArrayError, ModularArray, derived_metrics,
                      element_positions, spacing_for_aperture, subarray_centers)
@@ -57,8 +58,36 @@ def test_single_subarray_metrics():
 
 
 def test_half_pitch():
-    met = derived_metrics(ModularArray(2, 64, 0.01, 0.73), Carrier.from_wavelength(0.02))
-    assert met.half_pitch == pytest.approx((0.73 + 63 * 0.01) / 2)
+    mla = ModularArray(2, 64, 0.01, 0.73)
+    assert mla.half_pitch == pytest.approx((0.73 + 63 * 0.01) / 2)
+    assert derived_metrics(mla, Carrier.from_wavelength(0.02)).half_pitch == mla.half_pitch
+    # one sub-array: the unused gap does not enter, delta takes its place
+    assert ModularArray(1, 64, 0.01, 5.0).half_pitch == pytest.approx(64 * 0.01 / 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=st.integers(1, 16), N=st.integers(1, 64), d=st.floats(0.001, 0.05),
+       extra=st.floats(0.0, 2.0))
+def test_layout_follows_one_pitch(L, N, d, extra):
+    """Positions, centers and metrics all follow from the one half_pitch:
+    sorted and symmetric positions, steps of delta inside a sub-array and of
+    the gap between sub-arrays, centers 2 * half_pitch apart, and a gap of
+    delta giving a uniform grid of L*N points."""
+    mla = ModularArray(L, N, d, d + extra)
+    met = derived_metrics(mla, Carrier.from_wavelength(0.02))
+    tol = 1e-12 * met.aperture
+    pos = element_positions(mla)
+    flat = pos.ravel()
+    assert np.all(np.diff(flat) > 0)
+    np.testing.assert_allclose(flat, -flat[::-1], rtol=0, atol=tol)
+    np.testing.assert_allclose(np.diff(pos, axis=1), d, rtol=0, atol=tol)
+    np.testing.assert_allclose(pos[1:, 0] - pos[:-1, -1], mla.gap, rtol=0, atol=tol)
+    np.testing.assert_allclose(np.diff(subarray_centers(mla)), 2 * mla.half_pitch,
+                               rtol=0, atol=tol)
+    assert met.half_pitch == mla.half_pitch
+    uniform = element_positions(ModularArray(L, N, d, d)).ravel()
+    np.testing.assert_allclose(uniform, (np.arange(L * N) - (L * N - 1) / 2) * d,
+                               rtol=0, atol=1e-12 * L * N * d)
 
 
 def test_spacing_for_aperture_roundtrip():
@@ -98,8 +127,7 @@ def test_fixed_aperture_half_pitch():
     D, d = 2.0, 0.01
     for L in (2, 4, 10):
         for N in (4, 16):
-            gap = spacing_for_aperture(D, L, N, d)
-            hp = (gap + (N - 1) * d) / 2
+            hp = ModularArray(L, N, d, spacing_for_aperture(D, L, N, d)).half_pitch
             assert hp == pytest.approx((D - N * d) / (2 * (L - 1)), abs=1e-12)
 
 

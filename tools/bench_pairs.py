@@ -8,7 +8,9 @@ For each workload and each pair i it runs ``perfbench/run.py --workload W
 --seed FIRST+i --seconds S --trace 0`` once in the parent's checkout and once
 in this checkout, the parent first in even pairs and the checkout first in
 odd ones, one run at a time; S is ``run_seconds`` in BENCHMARK.json, so both
-sides and every pair run as long as the benchmark does. The parent's
+sides and every pair run as long as the benchmark does. A run that exits
+non-zero or reports a failed check (``"correct": false`` or ``"failed"``
+above 0) stops the tool and is not recorded. The parent's
 checkout is --parent-dir: when it exists it must be a git checkout with
 HEAD at --parent and no changes to tracked files, otherwise the tool stops;
 when it does not, it is cloned there from this repository at --parent.
@@ -44,15 +46,20 @@ def _host() -> str:
             f"numpy {np.__version__}, OpenBLAS default threads")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced perfbench run in root; its last-line JSON result."""
+def run_once(side: str, root: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced perfbench run in root; its last-line JSON result. A run
+    that exits non-zero or reports a failed check is no sample: it raises."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    run = f"{side} run of {workload} seed {seed} ({' '.join(cmd)} in {root})"
     if out.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {out.returncode}:\n"
-                           f"{out.stderr[-2000:]}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+        raise RuntimeError(f"{run} exited {out.returncode}:\n{out.stderr[-2000:]}")
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    if result["correct"] is not True or result["failed"] != 0:
+        raise RuntimeError(f"{run} failed its checks: correct {result['correct']}, "
+                           f"failed {result['failed']}")
+    return result
 
 
 def summarize(runs: list, better: dict) -> dict:
@@ -129,7 +136,7 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(sides[side], name, first + pair, seconds)
+                result = run_once(side, sides[side], name, first + pair, seconds)
                 doc["runs"].append({"side": side, "workload": name, "seed": first + pair,
                                     "pair": pair, "result": result})
                 doc["summary"] = summarize(doc["runs"], better)
