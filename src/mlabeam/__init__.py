@@ -7,7 +7,7 @@ design, subspace localization with triangulation, and Monte Carlo harnesses.
 
 from .channel import dbm_to_watts, estimate_channel, friis_beta, spectral_efficiency
 from .design import (DesignInput, DesignResult, PEAK_PROMINENCE, count_peaks,
-                     design_num_arrays, design_sweep)
+                     design_num_arrays)
 from .gain import (GainRangeError, NullNotFoundError, RippleMetrics, TxPoint,
                    crossrange_gain, exact_field, first_null_after_focus, focus_chain,
                    gain_exact_sweep, gain_mla_fresnel, gain_ula_fresnel,
@@ -18,7 +18,7 @@ from .geometry import (ArrayMetrics, Carrier, InfeasibleArrayError, ModularArray
 from .localization import (DegenerateSubspaceError, IllConditionedTriangulationError,
                            NearFieldGrid, PositionEstimate, Scenario, SnapshotSet,
                            estimate_angles, far_steering, locate, music_1d, music_2d,
-                           near_steering, nmse, noise_subspace, principal_eigenvectors,
+                           near_steering, noise_subspace, principal_eigenvectors,
                            sample_covariance, synthesize_snapshots, triangulate)
 from .numerics import QuadratureRule, fresnel_cs, gauss_legendre_rule
 from .experiments import (ExperimentRecord, ExperimentResult, TrialConfig,

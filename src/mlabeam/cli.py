@@ -47,7 +47,6 @@ _CARRIER_KEYS = {
     "frequency_ghz": _Key("float", 15.0, positive=True),
     "spacing_m": _Key("float", None, positive=True),
 }
-_SEED = _Key("int", 1)
 _APERTURE = _Key("float", 2.0, positive=True)
 _FOCUS = _Key("float", required=True, positive=True)
 
@@ -57,7 +56,6 @@ _GEOMETRY_KEYS = {
     "antennas_per_subarray": _Key("int", 64, positive=True),
     "aperture_m": _APERTURE,
     "gap_m": _Key("float", None, positive=True),
-    "seed": _SEED,
     "focus_m": _FOCUS,
 }
 
@@ -74,8 +72,7 @@ _MONTE_CARLO_KEYS = {
     "distance_min_m": _Key("float", 4.0, positive=True),
     "distance_max_m": _Key("float", 40.0, positive=True),
     "angle_step_rad": _Key("float", 0.002, positive=True),
-    "ridge": _Key("float", 0.0),
-    "seed": _SEED,
+    "seed": _Key("int", 1),
 }
 
 SCHEMAS = {
@@ -109,7 +106,6 @@ SCHEMAS = {
         "focus_m": _FOCUS,
         "antenna_counts": _Key("int_list", (1, 2, 4, 8, 16, 32, 64), positive=True),
         "grid_points": _Key("int", 300, positive=True),
-        "seed": _SEED,
     },
     "localize": {
         **_MONTE_CARLO_KEYS,
@@ -345,7 +341,6 @@ def _trial_config(cfg: dict, sweep_variable: str, sweep_values: tuple) -> TrialC
             base_seed=cfg["seed"],
             angle_step=cfg["angle_step_rad"],
             distance_step=cfg.get("distance_step_m", 0.02),
-            ridge=cfg["ridge"],
             spacing=cfg["spacing_m"],
         )
 

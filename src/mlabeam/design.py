@@ -181,10 +181,3 @@ def design_num_arrays(inp: DesignInput) -> DesignResult:
                         aperture_filled=filled or mla.num_elements * d >= inp.aperture,
                         peak_trace=trace)
 
-
-def design_sweep(aperture: float, focus: float, element_counts, carrier: Carrier,
-                 spacing: float | None = None, grid_points: int = 300) -> list:
-    """design_num_arrays over several per-sub-array element counts."""
-    return [design_num_arrays(DesignInput(aperture, focus, int(n), carrier,
-                                          spacing, grid_points))
-            for n in element_counts]

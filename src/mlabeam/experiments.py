@@ -66,7 +66,6 @@ class TrialConfig:
     base_seed: int = 1
     angle_step: float = 0.002
     distance_step: float = 0.02
-    ridge: float = 0.0
     spacing: float | None = None  # defaults to half a wavelength
 
     def __post_init__(self):
@@ -87,8 +86,6 @@ class TrialConfig:
             raise ValueError("users must be in front of the array")
         if self.num_snapshots < 2:
             raise ValueError("covariance estimation needs at least two snapshots")
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
         if not (self.angle_step > 0 and self.distance_step > 0):
             raise ValueError("grid steps must be positive")
         if not self.angle_step < math.pi:  # else the (0, pi) angle grid is empty
@@ -288,7 +285,7 @@ def _run_trials(config: TrialConfig, out_path, summarize, evaluate=None,
             snaps = synthesize_snapshots(scenario, seed)
             tx, tz = scenario.user_xz
             try:
-                est = locate(snaps, grid, ridge=config.ridge)
+                est = locate(snaps, grid)
             except DegenerateSubspaceError:  # raised before the angle search
                 est = None
             except IllConditionedTriangulationError:  # raised after it

@@ -131,10 +131,11 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
     sources at the paired coordinates (x, 0, z).
 
     Matched-filter combination of the per-cell field integrals, normalized by
-    the single-cell reference at the origin. The same quadrature rule is used
-    in numerator and reference so the cell discretization bias cancels. One
-    weight vector serves every point, and the points are evaluated in blocks
-    of a fixed number of field samples.
+    d^2 times the field energy all cells receive, sum_i of the integral of
+    |E|^2 over cell i, taken on the same quadrature nodes. By Cauchy-Schwarz
+    (unit-energy weights, positive quadrature weights) the gain then lies in
+    [0, 1] for a source at any depth. One weight vector serves every point,
+    and the points are evaluated in blocks of a fixed number of field samples.
     """
     rule = rule or _DEFAULT_RULE
     X, Z = np.broadcast_arrays(np.asarray(xs, float), np.asarray(zs, float))
@@ -143,18 +144,16 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
     w = matched_filter_weights(mla, focus, carrier, rule).ravel()
     xs, zs, lam = X.ravel(), Z.ravel(), carrier.wavelength
     d = mla.spacing
-    P = mla.num_elements
-    # the last cell is the single-cell reference at the origin
-    nodes = _CellNodes(np.append(element_positions(mla).ravel(), 0.0), d, rule)
+    nodes = _CellNodes(element_positions(mla).ravel(), d, rule)
     step = max(1, _SWEEP_BLOCK_SAMPLES // nodes.x.size // nodes.dy2.size)
     out = np.empty(xs.size)
 
     def run(first, stop):
         for s in range(first * step, min(stop * step, xs.size), step):
             E = nodes.field(xs[s:s + step], zs[s:s + step], lam)
-            cells = (E[:, :P] * nodes.weights).sum(-1) * (0.25 * d * d)
-            ref = (np.abs(E[:, P]) ** 2 * nodes.weights).sum(-1) * 0.25 * d * d
-            out[s:s + step] = np.abs((w * cells).sum(-1)) ** 2 / (P * d * d * ref)
+            cells = (E * nodes.weights).sum(-1) * (0.25 * d * d)
+            energy = ((E.real**2 + E.imag**2) * nodes.weights).sum((1, 2)) * (0.25 * d * d)
+            out[s:s + step] = np.abs((w * cells).sum(-1)) ** 2 / (d * d * energy)
 
     _run_blocks(run, -(-xs.size // step))
     return out.reshape(X.shape)

@@ -29,7 +29,7 @@ class DegenerateSubspaceError(RuntimeError):
 
 
 class IllConditionedTriangulationError(RuntimeError):
-    """Bearing lines are (near-)parallel and no regularizer was requested."""
+    """Bearing lines are (near-)parallel."""
 
 
 @dataclass(frozen=True)
@@ -236,37 +236,38 @@ def estimate_angles(snapshots: SnapshotSet, grid: np.ndarray | None = None) -> t
     return music_1d(principal.T, offsets, grid, snapshots.scenario.carrier.wavelength)[1]
 
 
-def triangulate(angles, centers, ridge: float = 0.0) -> PositionEstimate:
+def triangulate(angles, centers) -> PositionEstimate:
     """Intersect the per-sub-array bearing lines in the least-squares sense.
 
-    Each sub-array at x-coordinate c seeing the user at bearing phi
-    contributes the line tan(phi) * (x - c) = z, stacked and solved through
-    the 2x2 normal equations (+ ridge * I when a regularizer is requested).
-    Raises IllConditionedTriangulationError for (near-)parallel lines with no
-    ridge.
+    A sub-array at x-coordinate c seeing the user at bearing phi contributes
+    the line sin(phi) * (x - c) - cos(phi) * z = 0, whose residual is the
+    perpendicular distance of (x, z) from the line (the classic bearing-only
+    fix). The 2x2 normal equations are solved by Cramer's rule. Raises
+    IllConditionedTriangulationError when their condition number exceeds
+    1e12, i.e. for (near-)parallel lines.
     """
     ang = np.asarray(angles, dtype=float)
     c = np.asarray(centers, dtype=float)
     if ang.size < 2 or ang.shape != c.shape:
         raise ValueError("need one bearing per sub-array, at least two")
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
-    t = np.tan(ang)
-    A = np.stack([t, -np.ones_like(t)], axis=1)
-    rhs = c * t
-    M = A.T @ A + ridge * np.eye(2)
-    if ridge == 0 and np.linalg.cond(M) > 1e12:
+    s, k = np.sin(ang), np.cos(ang)
+    ss, kk, sk = s @ s, k @ k, s @ k
+    ssc, skc = (s * s) @ c, (s * k) @ c
+    det = ss * kk - sk * sk
+    # larger eigenvalue of [[ss, -sk], [-sk, kk]]; the smaller one is det / big
+    big = (ss + kk) / 2 + math.hypot((ss - kk) / 2, sk)
+    if not det * 1e12 >= big * big:
         raise IllConditionedTriangulationError("bearing lines are nearly parallel")
-    x, z = np.linalg.solve(M, A.T @ rhs)
-    return PositionEstimate(float(x), float(z), math.hypot(x, z), math.atan2(z, x),
+    x = float((ssc * kk - sk * skc) / det)
+    z = float((sk * ssc - ss * skc) / det)
+    return PositionEstimate(x, z, math.hypot(x, z), math.atan2(z, x),
                             subarray_angles=tuple(ang))
 
 
-def locate(snapshots: SnapshotSet, grid: np.ndarray | None = None,
-           ridge: float = 0.0) -> PositionEstimate:
+def locate(snapshots: SnapshotSet, grid: np.ndarray | None = None) -> PositionEstimate:
     """Full pipeline: per-sub-array angles, then bearing-line intersection."""
     angles = estimate_angles(snapshots, grid)
-    return triangulate(angles, subarray_centers(snapshots.scenario.mla), ridge)
+    return triangulate(angles, subarray_centers(snapshots.scenario.mla))
 
 
 class NearFieldGrid:
@@ -403,11 +404,3 @@ def music_2d(principal: np.ndarray, grid: NearFieldGrid):
     """
     return grid.argmax_rank1(principal)
 
-
-def nmse(estimates, truths) -> float:
-    """Total squared position error over total squared truth norm."""
-    e = np.asarray(estimates, dtype=float)
-    t = np.asarray(truths, dtype=float)
-    if e.shape != t.shape or e.size == 0:
-        raise ValueError("need matching non-empty estimate/truth lists")
-    return float(((e - t) ** 2).sum() / (t**2).sum())

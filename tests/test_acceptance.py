@@ -66,7 +66,8 @@ def test_criterion_03_ripple_regime():
 
 def test_criterion_04_design_endpoints():
     counts = (1, 2, 4, 8, 16, 32, 64)
-    results = m.design_sweep(2.0, 30.0, counts, CAR, spacing=0.01)
+    results = [m.design_num_arrays(m.DesignInput(2.0, 30.0, n, CAR, spacing=0.01))
+               for n in counts]
     by_n = dict(zip(counts, results))
     Ls = [r.num_subarrays for r in results]
     ok_64 = by_n[64].num_subarrays == 2

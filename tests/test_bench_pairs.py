@@ -43,8 +43,8 @@ def repo(tmp_path, monkeypatch):
     root = tmp_path / "change"
     (root / "perfbench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7, "end_to_end": [
-        {"name": "units_per_s", "better": "higher"},
-        {"name": "peak_rss_mb", "better": "lower"}]}))
+        {"name": "units_per_s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
     _git(root, "init", "-q")
     parent = _commit_run(root, 0)
     _commit_run(root, 5)
@@ -69,7 +69,36 @@ def test_pairs_alternate_and_summarize(repo, tmp_path):
     assert rate["pairs"] == 3 and rate["change_won"] == 3
     assert rate["parent"] == {"median": 11, "q1": 10.5, "q3": 11.5}
     assert rate["change"]["median"] == 16
-    assert doc["summary"]["se_2d"]["peak_rss_mb"]["change_won"] == 0  # ties win nothing
+    assert rate["relative_change"] == pytest.approx(5 / 11)
+    assert rate["parent_spread"] == pytest.approx(1 / 11)
+    assert rate["verdict"] == "better"
+    rss = doc["summary"]["se_2d"]["peak_rss_mb"]
+    assert rss["change_won"] == 0  # ties win nothing
+    assert (rss["relative_change"], rss["parent_spread"], rss["verdict"]) == (0, 0, "no worse")
+
+
+@pytest.mark.parametrize("better, parent, change, verdict", [
+    ("higher", [100, 101, 102], [96, 97, 98], "no worse"),
+    ("higher", [100, 101, 102], [60, 61, 62], "worse"),
+    ("higher", [100, 101, 102], [140, 141, 142], "better"),
+    ("lower", [100, 101, 102], [140, 141, 142], "worse"),
+    ("lower", [100, 101, 102], [60, 61, 62], "better"),
+    # the parent's quartiles span half its median, twice the bound
+    ("higher", [50, 100, 150], [60, 100, 140], "unresolved"),
+    ("higher", [50, 100, 150], [10, 20, 30], "unresolved"),
+    # as wide, but every run of the change beats every run of the parent
+    ("higher", [50, 100, 150], [160, 170, 180], "better"),
+    ("lower", [50, 100, 150], [40, 45, 48], "better"),
+], ids=["no_worse", "worse", "better", "lower_worse", "lower_better", "unresolved",
+        "unresolved_worse", "wide_but_beats_all", "lower_wide_but_beats_all"])
+def test_verdict_against_the_bound(better, parent, change, verdict):
+    """Stand-in pairs for each verdict, with a 25 % bound."""
+    runs = [{"workload": "w", "pair": i, "side": side,
+             "result": {"metrics": {"m": {"value": value}}}}
+            for i, values in enumerate(zip(parent, change))
+            for side, value in zip(("parent", "change"), values)]
+    metrics = [{"name": "m", "better": better, "bound": 0.25}]
+    assert bench_pairs.summarize(runs, metrics)["w"]["m"]["verdict"] == verdict
 
 
 @pytest.mark.parametrize("stand_in", ["wrong_commit", "not_git", "edited"])

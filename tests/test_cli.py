@@ -159,14 +159,19 @@ def test_gain_above_one_is_rejected(tmp_path, monkeypatch, command, name, fake):
 
 
 def test_beampattern_command(tmp_path):
-    out = tmp_path / "bp.csv"
-    code = main(["beampattern", "--focus_m", "30", "--x_points", "15",
-                 "--z_points", "7", "--out", str(out)])
-    assert code == 0
-    _, header, rows = _read_table(out)
-    assert header == ["z_m", "x_m", "gain"]
-    assert rows.shape == (7 * 15, 3)
-    assert rows[:, 2].max() <= 1.0
+    # the default window, then sources beside the sub-arrays of a sparse 2 x 8
+    # layout, far nearer than its 2 m aperture
+    for window in ([], ["--num_subarrays", "2", "--antennas_per_subarray", "8",
+                        "--x_min_m", "-1", "--x_max_m", "1", "--z_min_m", "0.05",
+                        "--z_max_m", "1"]):
+        out = tmp_path / "bp.csv"
+        code = main(["beampattern", "--focus_m", "30", "--x_points", "15",
+                     "--z_points", "7", *window, "--out", str(out)])
+        assert code == 0
+        _, header, rows = _read_table(out)
+        assert header == ["z_m", "x_m", "gain"]
+        assert rows.shape == (7 * 15, 3)
+        assert rows[:, 2].max() <= 1.0
 
 
 def test_localize_command(tmp_path, capsys):

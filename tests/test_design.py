@@ -11,7 +11,7 @@ from scipy.interpolate import PchipInterpolator
 
 from mlabeam import design
 from mlabeam import (Carrier, DesignInput, InfeasibleArrayError, count_peaks,
-                     design_num_arrays, design_sweep, spacing_for_aperture)
+                     design_num_arrays, spacing_for_aperture)
 
 LAM = Carrier.from_wavelength(0.02)
 
@@ -142,7 +142,7 @@ def test_design_returned_layout_feasible():
 
 def test_design_sweep_monotone():
     counts = (1, 2, 4, 8, 16, 32, 64)
-    results = design_sweep(2.0, 30.0, counts, LAM, spacing=0.01)
+    results = [design_num_arrays(DesignInput(2.0, 30.0, n, LAM, spacing=0.01)) for n in counts]
     Ls = [r.num_subarrays for r in results]
     assert Ls == [200, 100, 50, 24, 12, 6, 2]
     assert all(a >= b for a, b in zip(Ls, Ls[1:]))

@@ -28,21 +28,21 @@ x_points = 81
 z_min_m = 10
 z_max_m = 100
 z_points = 61
-""", "38f00ed2bf08a0151950608aa1e3d0847f98480f7012bf0bdd08f17f15a0f2ea"),
+""", "b1a6e414a1c409685f6f5c8731306528caa6fd72d3df82f8360990ff3ae0be90"),
     "cutline": ("""focus_m = 30
 x_points = 401
-""", "5c6e713082efb111012cd4b7c8bcd289d342dcfbcd1e416458aec2ffc2b0d8c5"),
+""", "b471a1aa0e24640e9bf15178238523f3d47c51b07382961b6fa9e4e8e3e4244b"),
     "depth": ("""num_subarrays = 4
 antennas_per_subarray = 16
 aperture_m = 1.0
 focus_m = 2
 chain = 4
 include_exact = false
-""", "3ad7bdcc12e57a9c32a83f80451ddaf63690845beb086f9947becb176e933c7e"),
+""", "738c0f44e5245df8d88073a751264e9b35856a4a257ef3ae4ed5f637e0c7a115"),
     "design": ("""aperture_m = 2.0
 focus_m = 30
 antenna_counts = 1, 2, 4, 8, 16, 32, 64
-""", "7c45fdf9ad8111e4af747bf814bf40ed40a7e2d07ab7ff20aae0cf4653c335db"),
+""", "8627c5c286165fe24af86bdf7dce52edd58d644aa654ff3af76218815bf788bb"),
     "localize": ("""aperture_m = 2.0
 num_subarrays = 2
 antennas_per_subarray = 16
@@ -52,7 +52,7 @@ trials = 500
 power_dbm = 20
 noise_dbm = -78
 snapshots = 100
-""", "0e9400e567248aaf7e97d622317e8b9a6bf16ab2695e9008e198e62c7981f33f"),
+""", "92ff38ed99881d393c77c9e335ca8c0b4f22f66165a2021e2f8aa99bc42254a2"),
     "se": ("""aperture_m = 2.0
 num_subarrays = 4
 antennas_per_subarray = 16
@@ -61,7 +61,7 @@ trials = 20
 include_2d = true
 angle_step_rad = 0.01
 distance_step_m = 0.1
-""", "d87d35950160d8f3cbb87b51d56c2dcf6c3cbb4245ef6ae41d9433c69a24d4f9"),
+""", "06e136f2be2999dcc4ffb91c79ba94528785d1ca2e61fe67558e53b2e67d2168"),
 }
 
 

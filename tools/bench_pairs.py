@@ -16,8 +16,16 @@ HEAD at --parent and no changes to tracked files, otherwise the tool stops;
 when it does not, it is cloned there from this repository at --parent.
 Each run's last-line JSON goes into ``BENCH_<label>.json`` in the checkout
 root, rewritten after every run, with a summary per workload and end-to-end
-metric: the median and quartiles of each side and the number of pairs the
-checkout won, by the metric's direction in BENCHMARK.json.
+metric: the median and quartiles of each side, the number of pairs the
+checkout won, by the metric's direction in BENCHMARK.json, the signed
+relative change of the median, the parent's spread (q3 - q1) / median, and
+a verdict against the metric's bound in BENCHMARK.json:
+
+- ``unresolved`` when the spread exceeds the bound, unless every run of the
+  checkout beats every run of the parent;
+- otherwise ``worse`` when the median is worse by more than the bound;
+- otherwise ``better`` when the median is better by more than the bound;
+- otherwise ``no worse``.
 """
 
 from __future__ import annotations
@@ -62,9 +70,10 @@ def run_once(side: str, root: Path, workload: str, seed: int, seconds: int) -> d
     return result
 
 
-def summarize(runs: list, better: dict) -> dict:
-    """{workload: {metric: per-side median, q1, q3 and pairs won}} over the
-    pairs that have both sides."""
+def summarize(runs: list, metrics: list) -> dict:
+    """{workload: {metric: per-side median, q1, q3, pairs won, relative
+    change, parent spread and verdict}} over the pairs that have both sides;
+    metrics are BENCHMARK.json's end_to_end entries."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -75,16 +84,31 @@ def summarize(runs: list, better: dict) -> dict:
         if not pairs:
             continue
         summary[workload] = {}
-        for metric, direction in better.items():
+        for spec in metrics:
+            metric, bound = spec["name"], spec["bound"]
             values = {side: [p[side][metric]["value"] for p in pairs]
                       for side in ("parent", "change")}
-            sign = 1 if direction == "higher" else -1
+            sign = 1 if spec["better"] == "higher" else -1
             won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
             entry = {"pairs": len(pairs), "change_won": won}
             for side, vals in values.items():
                 q1, median, q3 = (statistics.quantiles(vals, n=4, method="inclusive")
                                   if len(vals) > 1 else vals * 3)
                 entry[side] = {"median": median, "q1": q1, "q3": q3}
+            parent = entry["parent"]
+            relative = (entry["change"]["median"] - parent["median"]) / parent["median"]
+            spread = (parent["q3"] - parent["q1"]) / parent["median"]
+            beats_all = (min(sign * v for v in values["change"])
+                         > max(sign * v for v in values["parent"]))
+            if spread > bound and not beats_all:
+                verdict = "unresolved"
+            elif sign * relative < -bound:
+                verdict = "worse"
+            elif sign * relative > bound:
+                verdict = "better"
+            else:
+                verdict = "no worse"
+            entry.update(relative_change=relative, parent_spread=spread, verdict=verdict)
             summary[workload][metric] = entry
     return summary
 
@@ -118,7 +142,6 @@ def main(argv=None) -> int:
     if _git("status", "--porcelain", "--untracked-files=no", cwd=args.parent_dir):
         raise SystemExit(f"{args.parent_dir} has changes to tracked files")
     bench = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     doc = {
         "description": (f"Paired untraced runs of perfbench/run.py (--seconds {seconds} "
@@ -139,7 +162,7 @@ def main(argv=None) -> int:
                 result = run_once(side, sides[side], name, first + pair, seconds)
                 doc["runs"].append({"side": side, "workload": name, "seed": first + pair,
                                     "pair": pair, "result": result})
-                doc["summary"] = summarize(doc["runs"], better)
+                doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
                 out.write_text(json.dumps(doc, indent=1) + "\n")
                 print(f"{name} pair {pair} {side}: "
                       f"{json.dumps(result['metrics'])}", flush=True)
