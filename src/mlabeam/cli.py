@@ -209,14 +209,11 @@ def _carrier(cfg: dict) -> Carrier:
         return Carrier.from_frequency(cfg["frequency_ghz"] * 1e9)
 
 
-def _resolve_array(cfg: dict, closed_form: bool = False):
-    """Array and carrier from the geometry keys; closed_form also requires the
-    even sub-array count the closed-form gains assume."""
+def _resolve_array(cfg: dict):
+    """Array and carrier from the geometry keys."""
     carrier = _carrier(cfg)
     spacing = cfg["spacing_m"] if cfg["spacing_m"] is not None else carrier.wavelength / 2
     L, N = cfg["num_subarrays"], cfg["antennas_per_subarray"]
-    if closed_form and L > 1 and L % 2:
-        raise ConfigError(f"'num_subarrays' must be even for the closed-form gain, got {L}")
     with _input_boundary():
         if cfg.get("gap_m") is not None:
             gap = cfg["gap_m"]
@@ -258,7 +255,7 @@ def _cmd_beampattern(cfg: dict, out: str) -> int:
 
 
 def _cmd_cutline(cfg: dict, out: str) -> int:
-    mla, carrier = _resolve_array(cfg, closed_form=True)
+    mla, carrier = _resolve_array(cfg)
     focus = cfg["focus_m"]
     bw = half_power_beamwidth(mla, focus, carrier)
     halfwidth = cfg["x_halfwidth_m"] if cfg["x_halfwidth_m"] is not None else bw
@@ -273,7 +270,7 @@ def _cmd_cutline(cfg: dict, out: str) -> int:
 
 
 def _cmd_depth(cfg: dict, out: str) -> int:
-    mla, carrier = _resolve_array(cfg, closed_form=True)
+    mla, carrier = _resolve_array(cfg)
     foci = [float(f) for f in focus_chain(mla, cfg["focus_m"], carrier, cfg["chain"],
                                           cfg["depth_threshold"])]
     z_lo = cfg["z_min_m"] if cfg["z_min_m"] is not None else foci[0] / 2
@@ -362,6 +359,9 @@ def _cmd_localize(cfg: dict, out: str) -> int:
 def _cmd_se(cfg: dict, out: str) -> int:
     powers = tuple(_watts("power_dbm_values", p) for p in cfg["power_dbm_values"])
     config = _trial_config(cfg, "power", powers)
+    if cfg["include_2d"]:
+        with _input_boundary():
+            config.check_grid_span()
     result = run_se_sweep(config, out_path=out, include_2d=cfg["include_2d"])
     for agg in result.aggregates:
         parts = [f"power_w={agg['sweep_value']:.6g}",

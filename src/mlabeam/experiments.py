@@ -21,11 +21,11 @@ import numpy as np
 
 from .channel import estimate_channel, friis_beta, spectral_efficiency
 from .geometry import Carrier, ModularArray, spacing_for_aperture, subarray_centers
-from .localization import (DegenerateSubspaceError, IllConditionedTriangulationError,
-                           NearFieldGrid, Scenario, centered_angle_grid,
-                           default_angle_grid, default_distance_grid, locate, music_2d,
-                           near_steering, principal_eigenvectors, synthesize_snapshots,
-                           triangulate)
+from .localization import (_GRID_FAR, _GRID_HALFWIDTH, _GRID_NEAR, DegenerateSubspaceError,
+                           IllConditionedTriangulationError, NearFieldGrid, Scenario,
+                           centered_angle_grid, default_angle_grid, default_distance_grid,
+                           locate, music_2d, near_steering, principal_eigenvectors,
+                           synthesize_snapshots, triangulate)
 
 _USER_STREAM = 0
 _SNAPSHOT_STREAM = 1
@@ -109,6 +109,17 @@ class TrialConfig:
                                    self.element_spacing)
         return ModularArray(num_subarrays, elements_per_subarray,
                             self.element_spacing, gap)
+
+    def check_grid_span(self) -> None:
+        """Raise ValueError if users may be drawn outside the span of the
+        default whole-array 2D grid, where its search cannot place them."""
+        lo, hi = map(math.radians, self.angle_bounds_deg)
+        near, far = self.distance_bounds
+        if not (-_GRID_HALFWIDTH <= lo and hi <= _GRID_HALFWIDTH
+                and _GRID_NEAR <= near and far <= _GRID_FAR):
+            raise ValueError(f"user bounds reach outside the 2D grid's span, +-"
+                             f"{math.degrees(_GRID_HALFWIDTH):.4g} deg about broadside and "
+                             f"{_GRID_NEAR!r} to {_GRID_FAR!r} m")
 
     def _sweep_point(self, value):
         """(array, transmit power) for one sweep value."""
@@ -335,7 +346,8 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
     shares one precomputed steering grid, built for the sweep's array and
     carrier, across all trials: each kept trial is reduced to its whole-array
     principal eigenvector as it runs, and after the last trial one pass over
-    the grid searches every kept trial at every power.
+    the grid searches every kept trial at every power. A grid the sweep builds
+    has the default span, which must hold every user (check_grid_span).
     """
     if config.sweep_variable != "power":
         raise ValueError("run_se_sweep expects a power sweep")
@@ -344,6 +356,7 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
     mla = config.array_for(config.num_subarrays, config.elements_per_subarray)
     carrier, noise = config.carrier, config.noise_power
     if include_2d and grid_2d is None:
+        config.check_grid_span()
         grid_2d = NearFieldGrid(mla, carrier, centered_angle_grid(step=config.angle_step),
                                 default_distance_grid(step=config.distance_step))
     if include_2d and (grid_2d.mla != mla or grid_2d.carrier != carrier):

@@ -4,9 +4,9 @@ The exact route integrates a spherical-wave field over every element cell
 with Gauss-Legendre quadrature and combines with matched-filter weights.
 The closed forms use Fresnel integrals of the quadratic-phase approximation
 and agree with the exact route to a few percent beyond twice the aperture.
-They take the array as a ModularArray and read its element spacing and
-half_pitch; only gain_ula_fresnel (the L = 1 form) and ripple_metrics (the
-two-sub-array formula on a given half-pitch) take plain numbers.
+They take a ModularArray of any number of sub-arrays and read its spacing and
+half_pitch; gain_ula_fresnel is gain_mla_fresnel on ModularArray.ula, and only
+ripple_metrics (the two-sub-array formula on a half-pitch) takes plain numbers.
 """
 
 from __future__ import annotations
@@ -112,15 +112,12 @@ def matched_filter_weights(mla: ModularArray, focus: float, carrier: Carrier,
         raise ValueError("focal distance must be positive")
     pos = element_positions(mla)
     d, lam = mla.spacing, carrier.wavelength
-    if math.isinf(focus):
-        w = np.ones(mla.num_elements, dtype=complex)
-    else:
-        # quadratic-phase response separates into x and y factors
-        X = pos.ravel()[:, None] + 0.5 * d * rule.nodes[None, :]
-        y = 0.5 * d * rule.nodes
-        ix = (np.exp(-1j * np.pi / (lam * focus) * X**2) * rule.weights).sum(1) * 0.5 * d
-        iy = (np.exp(-1j * np.pi / (lam * focus) * y**2) * rule.weights).sum() * 0.5 * d
-        w = np.conj(ix * iy)
+    # quadratic-phase response separates into x and y factors (constant at focus=inf)
+    X = pos.ravel()[:, None] + 0.5 * d * rule.nodes[None, :]
+    y = 0.5 * d * rule.nodes
+    ix = (np.exp(-1j * np.pi / (lam * focus) * X**2) * rule.weights).sum(1) * 0.5 * d
+    iy = (np.exp(-1j * np.pi / (lam * focus) * y**2) * rule.weights).sum() * 0.5 * d
+    w = np.conj(ix * iy)
     w = w / np.linalg.norm(w)
     return w.reshape(pos.shape)
 
@@ -171,38 +168,30 @@ def _on_axis(focus: float, z, gain_at) -> float | np.ndarray:
     return float(g[0]) if zs.ndim == 0 else g.reshape(zs.shape)
 
 
+def _mirror_pairs(L: int):
+    # sub-array centers at or right of the array center, in half-pitch units:
+    # k = 1, 3, ..., L-1 for even L and 0, 2, ..., L-1 for odd L. Each term of
+    # a closed form stands for itself and its mirror image, so the center at
+    # 0, its own mirror, is weighted by one half.
+    k = np.arange((L + 1) % 2, L, 2, dtype=float)
+    return k, np.where(k == 0, 0.5, 1.0)
+
+
 def gain_ula_fresnel(num_elements: int, spacing: float, focus: float, z,
                      carrier: Carrier) -> float | np.ndarray:
-    """Closed-form on-axis gain of a uniform array focused at depth `focus`,
-    observed at depth z (quadratic-phase field approximation).
-
-    z may be an array of depths; a scalar z gives a float."""
-    lam = carrier.wavelength
-
-    def gain_at(z_eff):
-        scale = 1.0 / np.sqrt(2 * lam * z_eff)
-        cy, sy = fresnel_cs(spacing * scale)
-        cx, sx = fresnel_cs(num_elements * spacing * scale)
-        pref = 2 * lam * z_eff / (num_elements * spacing**2)
-        return pref**2 * (cy**2 + sy**2) * (cx**2 + sx**2)
-
-    return _on_axis(focus, z, gain_at)
+    """Closed-form on-axis gain of a uniform array: gain_mla_fresnel on
+    ModularArray.ula(num_elements, spacing)."""
+    return gain_mla_fresnel(ModularArray.ula(num_elements, spacing), focus, z, carrier)
 
 
 def gain_mla_fresnel(mla: ModularArray, focus: float, z,
                      carrier: Carrier) -> float | np.ndarray:
-    """Closed-form on-axis gain of a modular array focused at depth `focus`.
-
-    Requires an even number of sub-arrays; a single sub-array falls back to
-    the uniform form. z may be an array of depths; a scalar z gives a float.
-    """
+    """Closed-form on-axis gain of a modular array focused at depth `focus`,
+    observed at depth z: one quadratic-phase Fresnel aperture integral per
+    sub-array. z may be an array of depths; a scalar z gives a float."""
     L, N, d = mla.num_subarrays, mla.elements_per_subarray, mla.spacing
-    if L == 1:
-        return gain_ula_fresnel(N, d, focus, z, carrier)
-    if L % 2:
-        raise ValueError("closed form requires an even number of sub-arrays")
     lam, half_pitch = carrier.wavelength, mla.half_pitch
-    k = np.arange(1, L, 2, dtype=float)
+    k, half = _mirror_pairs(L)
 
     def gain_at(z_eff):
         scale = 1.0 / np.sqrt(2 * lam * z_eff)
@@ -211,7 +200,7 @@ def gain_mla_fresnel(mla: ModularArray, focus: float, z,
         cy, sy = fresnel_cs(d * scale)
         pref = 2 * lam * z_eff / (L * N * d**2)
         return (pref**2 * (cy**2 + sy**2)
-                * ((c1 + c2).sum(-1) ** 2 + (s1 + s2).sum(-1) ** 2))
+                * (((c1 + c2) * half).sum(-1) ** 2 + ((s1 + s2) * half).sum(-1) ** 2))
 
     return _on_axis(focus, z, gain_at)
 
@@ -226,16 +215,11 @@ def crossrange_gain(mla: ModularArray, focus: float, x, carrier: Carrier):
     """
     L, N = mla.num_subarrays, mla.elements_per_subarray
     lam = carrier.wavelength
+    k, half = _mirror_pairs(L)
     xs = np.asarray(x, dtype=float)
     env = np.sinc(N * xs * (2 * mla.spacing / lam) / (2 * focus)) ** 2
-    if L == 1:
-        g = env.copy()
-    else:
-        if L % 2:
-            raise ValueError("even number of sub-arrays required")
-        k = np.arange(1, L, 2, dtype=float)
-        arg = (2 * np.pi / (lam * focus)) * xs[..., None] * k * mla.half_pitch
-        g = env * ((2.0 / L) * np.cos(arg).sum(-1)) ** 2
+    arg = (2 * np.pi / (lam * focus)) * xs[..., None] * k * mla.half_pitch
+    g = env * ((2.0 / L) * (np.cos(arg) * half).sum(-1)) ** 2
     if xs.ndim == 0:
         return float(g), float(env)
     return g, env

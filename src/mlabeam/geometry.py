@@ -48,8 +48,8 @@ class ModularArray:
     Delta is measured center-to-center between the innermost elements of
     adjacent sub-arrays. Delta = delta degenerates into one contiguous
     uniform array of L*N elements. L=1 represents a plain uniform array
-    (Delta is then unused). Odd L > 1 is geometrically valid here; design
-    routines restrict themselves to even L.
+    (Delta is then unused). The closed-form gains take any L; the design
+    loop steps through even L only.
     """
 
     num_subarrays: int

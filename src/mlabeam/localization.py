@@ -22,6 +22,8 @@ _SPECTRUM_FLOOR = 1e-30
 # Size of one block's float32 GEMM product in NearFieldGrid.argmax_rank1: small
 # enough to stay in a core's L2 cache while it is squared and screened.
 _BLOCK_PRODUCT_BYTES = 1 << 21
+# Default span of the whole-array 2D grid: pi/2 +- half-width (rad), near to far (m).
+_GRID_HALFWIDTH, _GRID_NEAR, _GRID_FAR = 1.1, 3.8, 40.2
 
 
 class DegenerateSubspaceError(RuntimeError):
@@ -129,12 +131,11 @@ def synthesize_snapshots(scenario: Scenario, seed: int) -> SnapshotSet:
     amp = math.sqrt(scenario.power * friis_beta(carrier, scenario.distance))
     nscale = math.sqrt(scenario.noise_power / 2)
     u = (rng.standard_normal(T) + 1j * rng.standard_normal(T)) / math.sqrt(2)
-    data = np.empty((L, T, N), dtype=complex)
-    for ell in range(L):
-        phi_ell = math.atan2(uz, ux - centers[ell])
-        a = far_steering(pos[ell], phi_ell, carrier.wavelength)
-        noise = nscale * (rng.standard_normal((T, N)) + 1j * rng.standard_normal((T, N)))
-        data[ell] = amp * u[:, None] * a[None, :] + noise
+    # per sub-array, a (T, N) real then a (T, N) imaginary noise draw
+    noise = rng.standard_normal((L, 2, T, N))
+    cos_phi = np.array([math.cos(math.atan2(uz, ux - c)) for c in centers])
+    a = np.exp(2j * np.pi / carrier.wavelength * pos * cos_phi[:, None])
+    data = amp * u[None, :, None] * a[:, None, :] + nscale * (noise[:, 0] + 1j * noise[:, 1])
     return SnapshotSet(data, int(seed), scenario)
 
 
@@ -172,12 +173,13 @@ def default_angle_grid(step: float = 0.002) -> np.ndarray:
     return np.arange(step, math.pi, step)
 
 
-def centered_angle_grid(halfwidth: float = 1.1, step: float = 0.002) -> np.ndarray:
+def centered_angle_grid(halfwidth: float = _GRID_HALFWIDTH, step: float = 0.002) -> np.ndarray:
     """Angle grid about broadside, pi/2 +- halfwidth."""
     return np.arange(math.pi / 2 - halfwidth, math.pi / 2 + halfwidth, step)
 
 
-def default_distance_grid(lo: float = 3.8, hi: float = 40.2, step: float = 0.02) -> np.ndarray:
+def default_distance_grid(lo: float = _GRID_NEAR, hi: float = _GRID_FAR,
+                          step: float = 0.02) -> np.ndarray:
     return np.arange(lo, hi + step / 2, step)
 
 

@@ -220,9 +220,13 @@ def test_exit_code_infeasible_geometry():
                  "--out", "/dev/null"]) == 3
 
 
+# an se run on a coarse 2D grid, whose span the user bounds must stay inside
+_SE_SMALL_GRID = ["se", "--trials", "12", "--power_dbm_values", "20",
+                  "--angle_step_rad", "0.02", "--distance_step_m", "0.5"]
+
+
 @pytest.mark.parametrize("argv", [
     ["beampattern", "--focus_m", "30", "--x_min_m", "2", "--x_max_m", "-2"],
-    ["depth", "--focus_m", "2", "--num_subarrays", "3"],
     ["design", "--aperture_m", "2", "--focus_m", "30", "--grid_points", "8"],
     ["localize", "--trials", "1", "--angle_max_deg", "100"],
     ["localize", "--trials", "1", "--sweep_variable", "num_subarrays", "--sweep_values", "1,2"],
@@ -242,16 +246,26 @@ def test_exit_code_infeasible_geometry():
     ["localize", "--trials", "1", "--noise_dbm", "4000"],
     ["localize", "--trials", "1", "--power_dbm", "4000"],
     ["se", "--trials", "1", "--include_2d", "false", "--power_dbm_values", "4000"],
-], ids=["reversed_range", "odd_depth", "design_grid", "angle_bounds", "one_subarray",
+    [*_SE_SMALL_GRID, "--distance_max_m", "90"],
+    [*_SE_SMALL_GRID, "--distance_min_m", "1", "--distance_max_m", "3.5"],
+    [*_SE_SMALL_GRID, "--angle_min_deg", "-85", "--angle_max_deg", "85"],
+], ids=["reversed_range", "design_grid", "angle_bounds", "one_subarray",
         "one_snapshot", "repeated_sweep_value", "nan_focus", "nan_design_focus", "inf_depth",
         "nan_noise", "minus_inf_noise", "nan_threshold", "inf_in_float_list",
         "localize_angle_step_pi", "se_angle_step_pi", "localize_noise_underflow",
         "se_noise_underflow", "localize_noise_overflow", "localize_power_overflow",
-        "se_power_overflow"])
+        "se_power_overflow", "se_users_beyond_grid", "se_users_inside_grid",
+        "se_users_beside_grid"])
 def test_bad_inputs_are_config_errors(argv, capsys):
     """Inputs the library rejects are reported as config errors before any work."""
     assert main([*argv, "--out", "/dev/null"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_users_beyond_grid_run_without_2d(tmp_path):
+    """Without the 2D baseline no grid bounds the users."""
+    assert main([*_SE_SMALL_GRID, "--distance_max_m", "90", "--include_2d", "false",
+                 "--out", str(tmp_path / "se.csv")]) == 0
 
 
 def test_internal_error_is_not_a_config_error(monkeypatch):
@@ -263,6 +277,11 @@ def test_internal_error_is_not_a_config_error(monkeypatch):
         main(["se", "--trials", "1", "--out", "/dev/null"])
 
 
-def test_odd_subarray_count_is_config_error(capsys):
-    assert main(["cutline", "--focus_m", "30", "--num_subarrays", "3",
-                 "--out", "/dev/null"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["cutline", "--focus_m", "30", "--num_subarrays", "3"],
+    ["cutline", "--focus_m", "30", "--num_subarrays", "1"],
+    ["depth", "--focus_m", "2", "--num_subarrays", "3", "--antennas_per_subarray", "16",
+     "--aperture_m", "1", "--chain", "3"],
+], ids=["cutline_3", "cutline_1", "depth_3"])
+def test_closed_forms_take_any_subarray_count(argv, tmp_path):
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0

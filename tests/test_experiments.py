@@ -299,6 +299,36 @@ def test_se_sweep_rejects_grid_of_another_array(monkeypatch):
                                                               ag, dg))
 
 
+@pytest.mark.parametrize("bounds", [
+    dict(distance_bounds=(4.0, 90.0)),
+    dict(distance_bounds=(1.0, 3.5)),
+    dict(angle_bounds_deg=(-85.0, 85.0)),
+], ids=["beyond_far_edge", "inside_near_edge", "beyond_angle_span"])
+def test_se_sweep_rejects_users_outside_its_own_grid(monkeypatch, bounds):
+    """A sweep that builds its own 2D grid refuses, before the grid and any
+    trial, users the grid cannot contain; a caller's grid, or no 2D search,
+    is not checked."""
+    calls = []
+    monkeypatch.setattr(experiments, "synthesize_snapshots", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiments, "NearFieldGrid", lambda *args: calls.append(args))
+    cfg = _config(sweep_variable="power", sweep_values=(0.1,), trials=2, **bounds)
+    with pytest.raises(ValueError, match="2D grid's span"):
+        run_se_sweep(cfg)
+    assert calls == []
+    monkeypatch.undo()
+    grid = NearFieldGrid(cfg.array_for(4, 16), CAR, COARSE_ANGLES[:3], COARSE_DISTANCES[:3])
+    for kwargs in (dict(grid_2d=grid), dict(include_2d=False)):
+        assert len(run_se_sweep(cfg, **kwargs).records) == 2
+
+
+def test_grid_span_edges_are_inside():
+    """Bounds on the span's edges pass; the default bounds lie inside."""
+    edge = math.degrees(localization._GRID_HALFWIDTH)
+    _config(angle_bounds_deg=(-edge, edge),
+            distance_bounds=(localization._GRID_NEAR, localization._GRID_FAR)).check_grid_span()
+    _config().check_grid_span()
+
+
 def test_records_do_not_depend_on_blas_threads(tmp_path):
     """The same SE sweep with its 2D baseline gives the same bytes on one and
     on two BLAS threads; the thread count is set for the child process only."""

@@ -109,12 +109,11 @@ def test_zeff_pairs_equal_gain():
     assert g1 == pytest.approx(g2, rel=1e-12)
 
 
-# an array of an even number of sub-arrays, N elements each at spacing d
-# (m), with a gap of d plus up to 1 m, so sub-arrays never overlap; and a
-# focus (m)
+# an array of 1 to 16 sub-arrays, N elements each at spacing d (m), with a
+# gap of d plus up to 1 m, so sub-arrays never overlap; and a focus (m)
 _geometries = st.tuples(
     st.builds(lambda L, N, d, extra: ModularArray(L, N, d, d + extra),
-              st.sampled_from([2, 4, 6, 8, 16]), st.integers(1, 64),
+              st.integers(1, 16), st.integers(1, 64),
               st.floats(0.002, 0.05), st.floats(0.0, 1.0)),
     st.floats(0.5, 200.0))
 _depth_factors = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20)
@@ -169,17 +168,15 @@ def test_single_subarray_delegates():
     assert a == b
 
 
-def test_odd_subarray_count_rejected():
-    with pytest.raises(ValueError):
-        gain_mla_fresnel(_mla(3, 16, 0.2), 30.0, 20.0, LAM)
-
-
 def test_exact_matches_closed_form_near_focus():
-    mla = ModularArray(2, 64, 0.01, 0.73)
+    """Even and odd sub-array counts alike; at L = 3 the middle sub-array
+    sits on the axis."""
     zs = np.array([15.0, 30.0, 70.0])
-    ge = gain_exact_sweep(mla, np.zeros(3), zs, 30.0, LAM)
-    gf = gain_mla_fresnel(mla, 30.0, zs, LAM)
-    assert np.all(np.abs(ge - gf) < 0.01)
+    for L in (2, 3):
+        mla = ModularArray(L, 64, 0.01, 0.73)
+        ge = gain_exact_sweep(mla, np.zeros(3), zs, 30.0, LAM)
+        gf = gain_mla_fresnel(mla, 30.0, zs, LAM)
+        assert np.all(np.abs(ge - gf) < 0.01)
 
 
 def _unfolded_gain(mla, tx, focus, rule):
@@ -284,14 +281,15 @@ def test_half_power_beamwidth_value():
 @pytest.mark.parametrize("wavelengths", [0.25, 0.5])
 def test_crossrange_cut_follows_spacing(wavelengths):
     """The closed-form cut and its half-power window track the exact gain at
-    any element spacing."""
+    any element spacing, for an even and an odd sub-array count."""
     d, F = wavelengths * LAM.wavelength, 10.0
-    mla = ModularArray(2, 64, d, spacing_for_aperture(2.0, 2, 64, d))
-    bw = half_power_beamwidth(mla, F, LAM)
-    xs = np.linspace(-bw, bw, 201)
-    g, env = crossrange_gain(mla, F, xs, LAM)
-    exact = gain_exact_sweep(mla, xs, np.full_like(xs, F), F, LAM)
-    np.testing.assert_allclose(g, exact, atol=0.03)
+    for L in (2, 3):
+        mla = ModularArray(L, 64, d, spacing_for_aperture(2.0, L, 64, d))
+        bw = half_power_beamwidth(mla, F, LAM)
+        xs = np.linspace(-bw, bw, 201)
+        g, env = crossrange_gain(mla, F, xs, LAM)
+        exact = gain_exact_sweep(mla, xs, np.full_like(xs, F), F, LAM)
+        np.testing.assert_allclose(g, exact, atol=0.03)
     assert crossrange_gain(ModularArray.ula(64, d), F, bw / 2, LAM)[1] == pytest.approx(
         0.5, abs=0.01)
 
