@@ -35,123 +35,120 @@ class ConfigError(ValueError):
     pass
 
 
+_TRUE = {"true", "1", "yes", "on"}
+_FALSE = {"false", "0", "no", "off"}
+
+
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in _TRUE:
+        return True
+    if low in _FALSE:
+        return False
+    raise ValueError("expected a boolean")
+
+
+def _ints(raw: str) -> tuple:
+    return tuple(int(v.strip()) for v in raw.split(","))
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(v.strip()) for v in raw.split(","))
+
+
 @dataclass(frozen=True)
 class _Key:
-    kind: str  # int | float | bool | str | int_list | float_list
+    parse: object  # str -> value: int, float, str, _bool, _ints or _floats
     default: object = None
     required: bool = False
     positive: bool = False
 
 
 _CARRIER_KEYS = {
-    "frequency_ghz": _Key("float", 15.0, positive=True),
-    "spacing_m": _Key("float", None, positive=True),
+    "frequency_ghz": _Key(float, 15.0, positive=True),
+    "spacing_m": _Key(float, None, positive=True),
 }
-_APERTURE = _Key("float", 2.0, positive=True)
-_FOCUS = _Key("float", required=True, positive=True)
+_APERTURE = _Key(float, 2.0, positive=True)
+_FOCUS = _Key(float, required=True, positive=True)
 
 _GEOMETRY_KEYS = {
     **_CARRIER_KEYS,
-    "num_subarrays": _Key("int", 2, positive=True),
-    "antennas_per_subarray": _Key("int", 64, positive=True),
+    "num_subarrays": _Key(int, 2, positive=True),
+    "antennas_per_subarray": _Key(int, 64, positive=True),
     "aperture_m": _APERTURE,
-    "gap_m": _Key("float", None, positive=True),
+    "gap_m": _Key(float, None, positive=True),
     "focus_m": _FOCUS,
 }
 
 _MONTE_CARLO_KEYS = {
     **_CARRIER_KEYS,
     "aperture_m": _APERTURE,
-    "num_subarrays": _Key("int", 4, positive=True),
-    "antennas_per_subarray": _Key("int", 16, positive=True),
-    "trials": _Key("int", 500, positive=True),
-    "noise_dbm": _Key("float", -78.0),
-    "snapshots": _Key("int", 100, positive=True),
-    "angle_min_deg": _Key("float", -60.0),
-    "angle_max_deg": _Key("float", 60.0),
-    "distance_min_m": _Key("float", 4.0, positive=True),
-    "distance_max_m": _Key("float", 40.0, positive=True),
-    "angle_step_rad": _Key("float", 0.002, positive=True),
-    "seed": _Key("int", 1),
+    "num_subarrays": _Key(int, 4, positive=True),
+    "antennas_per_subarray": _Key(int, 16, positive=True),
+    "trials": _Key(int, 500, positive=True),
+    "noise_dbm": _Key(float, -78.0),
+    "snapshots": _Key(int, 100, positive=True),
+    "angle_min_deg": _Key(float, -60.0),
+    "angle_max_deg": _Key(float, 60.0),
+    "distance_min_m": _Key(float, 4.0, positive=True),
+    "distance_max_m": _Key(float, 40.0, positive=True),
+    "angle_step_rad": _Key(float, 0.002, positive=True),
+    "seed": _Key(int, 1),
 }
 
 SCHEMAS = {
     "beampattern": {
         **_GEOMETRY_KEYS,
-        "x_min_m": _Key("float", -2.0),
-        "x_max_m": _Key("float", 2.0),
-        "x_points": _Key("int", 81, positive=True),
-        "z_min_m": _Key("float", 10.0, positive=True),
-        "z_max_m": _Key("float", 100.0, positive=True),
-        "z_points": _Key("int", 61, positive=True),
-        "log_z": _Key("bool", False),
+        "x_min_m": _Key(float, -2.0),
+        "x_max_m": _Key(float, 2.0),
+        "x_points": _Key(int, 81, positive=True),
+        "z_min_m": _Key(float, 10.0, positive=True),
+        "z_max_m": _Key(float, 100.0, positive=True),
+        "z_points": _Key(int, 61, positive=True),
+        "log_z": _Key(_bool, False),
     },
     "cutline": {
         **_GEOMETRY_KEYS,
-        "x_points": _Key("int", 401, positive=True),
-        "x_halfwidth_m": _Key("float", None, positive=True),
+        "x_points": _Key(int, 401, positive=True),
+        "x_halfwidth_m": _Key(float, None, positive=True),
     },
     "depth": {
         **_GEOMETRY_KEYS,
-        "z_min_m": _Key("float", None, positive=True),
-        "z_max_m": _Key("float", None, positive=True),
-        "z_points": _Key("int", 400, positive=True),
-        "chain": _Key("int", 1, positive=True),
-        "include_exact": _Key("bool", False),
-        "depth_threshold": _Key("float", 0.05, positive=True),
+        "z_min_m": _Key(float, None, positive=True),
+        "z_max_m": _Key(float, None, positive=True),
+        "z_points": _Key(int, 400, positive=True),
+        "chain": _Key(int, 1, positive=True),
+        "include_exact": _Key(_bool, False),
+        "depth_threshold": _Key(float, 0.05, positive=True),
     },
     "design": {
         **_CARRIER_KEYS,
-        "aperture_m": _Key("float", required=True, positive=True),
+        "aperture_m": _Key(float, required=True, positive=True),
         "focus_m": _FOCUS,
-        "antenna_counts": _Key("int_list", (1, 2, 4, 8, 16, 32, 64), positive=True),
-        "grid_points": _Key("int", 300, positive=True),
+        "antenna_counts": _Key(_ints, (1, 2, 4, 8, 16, 32, 64), positive=True),
+        "grid_points": _Key(int, 300, positive=True),
     },
     "localize": {
         **_MONTE_CARLO_KEYS,
-        "power_dbm": _Key("float", 20.0),
-        "sweep_variable": _Key("str", "antennas_per_subarray"),
-        "sweep_values": _Key("int_list", (4, 8, 16, 32), positive=True),
+        "power_dbm": _Key(float, 20.0),
+        "sweep_variable": _Key(str, "antennas_per_subarray"),
+        "sweep_values": _Key(_ints, (4, 8, 16, 32), positive=True),
     },
     "se": {
         **_MONTE_CARLO_KEYS,
-        "power_dbm_values": _Key("float_list", (10.0, 15.0, 20.0)),
-        "include_2d": _Key("bool", True),
-        "distance_step_m": _Key("float", 0.02, positive=True),
+        "power_dbm_values": _Key(_floats, (10.0, 15.0, 20.0)),
+        "include_2d": _Key(_bool, True),
+        "distance_step_m": _Key(float, 0.02, positive=True),
     },
 }
 
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
-
-
 def _parse_value(key: str, spec: _Key, raw: str, where: str):
-    raw = raw.strip()
     try:
-        if spec.kind == "int":
-            value = int(raw)
-        elif spec.kind == "float":
-            value = float(raw)
-        elif spec.kind == "str":
-            value = raw
-        elif spec.kind == "bool":
-            low = raw.lower()
-            if low in _TRUE:
-                value = True
-            elif low in _FALSE:
-                value = False
-            else:
-                raise ValueError("expected a boolean")
-        elif spec.kind == "int_list":
-            value = tuple(int(v.strip()) for v in raw.split(","))
-        elif spec.kind == "float_list":
-            value = tuple(float(v.strip()) for v in raw.split(","))
-        else:  # pragma: no cover - schema bug
-            raise ValueError(f"unhandled kind {spec.kind}")
+        value = spec.parse(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"invalid value for '{key}' ({where}): {exc}") from None
     vals = value if isinstance(value, tuple) else (value,)
-    if spec.kind.startswith("float") and not all(math.isfinite(v) for v in vals):
+    if not all(math.isfinite(v) for v in vals if isinstance(v, float)):
         raise ConfigError(f"'{key}' must be finite ({where})")
     if spec.positive and any(v <= 0 for v in vals):
         raise ConfigError(f"'{key}' must be positive ({where})")
@@ -215,12 +212,9 @@ def _resolve_array(cfg: dict):
     spacing = cfg["spacing_m"] if cfg["spacing_m"] is not None else carrier.wavelength / 2
     L, N = cfg["num_subarrays"], cfg["antennas_per_subarray"]
     with _input_boundary():
-        if cfg.get("gap_m") is not None:
-            gap = cfg["gap_m"]
-        elif cfg.get("aperture_m") is not None:
+        gap = cfg["gap_m"]
+        if gap is None:
             gap = spacing_for_aperture(cfg["aperture_m"], L, N, spacing) if L > 1 else spacing
-        else:
-            raise ConfigError("either 'aperture_m' or 'gap_m' must be set")
         return ModularArray(L, N, spacing, gap), carrier
 
 

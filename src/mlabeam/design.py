@@ -2,12 +2,13 @@
 
 The search raises the sub-array count two at a time, spreads the sub-arrays
 over the fixed total aperture, and samples the cross-range gain inside the
-half-power window until only one genuine peak remains or the aperture is
-completely filled with elements.
+half-power window until only one genuine peak remains or no larger count
+fits the aperture.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,15 +118,15 @@ class DesignInput:
 class DesignResult:
     """Outcome of the sub-array count search.
 
-    peak_trace records (L, peak count) per iteration. aperture_filled marks
-    the exit where L*N*delta reached the aperture; a result with
-    aperture_filled and final_peak_count > 1 never achieved a single peak
-    (the search was guard-limited).
+    peak_trace records (L, peak count) per iteration. aperture_filled means
+    no larger even L fits: the elements fill the aperture, or (with more than
+    one peak left) the next even count would overlap its sub-arrays. A result
+    with aperture_filled and final_peak_count > 1 never achieved a single
+    peak (the search was guard-limited).
     """
 
     num_subarrays: int
     gap: float
-    half_pitch: float
     final_peak_count: int
     aperture_filled: bool
     peak_trace: list = field(default_factory=list)
@@ -150,34 +151,28 @@ def design_num_arrays(inp: DesignInput) -> DesignResult:
     """Smallest even sub-array count focusing a single peak in the half-power
     window, with the sub-arrays spread over the full aperture.
 
-    L steps by 2 from 2 and stops when one peak remains or when the
-    elements fill the aperture (L*N*delta >= aperture); in the latter case
-    the last feasible layout is returned with its remaining peak count. Raises
-    InfeasibleArrayError when not even the first candidate layout fits.
+    L steps by 2 from 2 and stops at the first of three exits: one peak
+    remains, the elements fill the aperture (L*N*delta >= aperture), or the
+    next even count no longer fits. The last two return the last feasible
+    layout with its remaining peak count. Raises InfeasibleArrayError when
+    not even the first candidate layout fits.
     """
     d = inp.element_spacing
     N = inp.elements_per_subarray
-    L = 0
-    peaks = mla = None
     trace = []
-    filled = False
-    while peaks is None or peaks > 1:
-        if L * N * d >= inp.aperture:
-            filled = True
-            break
-        L += 2
+    for L in itertools.count(2, 2):
         try:
             gap = spacing_for_aperture(inp.aperture, L, N, d)
         except InfeasibleArrayError:
-            if mla is None:
+            if not trace:
                 raise
-            filled = True  # the next even count no longer fits; keep the last layout
             break
         mla = ModularArray(L, N, d, gap)
         peaks = _window_peak_count(inp, mla)
         trace.append((L, peaks))
-    return DesignResult(num_subarrays=mla.num_subarrays, gap=mla.gap,
-                        half_pitch=mla.half_pitch, final_peak_count=peaks,
-                        aperture_filled=filled or mla.num_elements * d >= inp.aperture,
-                        peak_trace=trace)
-
+        filled = mla.num_elements * d >= inp.aperture
+        if peaks == 1 or filled:
+            break
+    # every exit with more than one peak is a fill exit
+    return DesignResult(num_subarrays=mla.num_subarrays, gap=mla.gap, final_peak_count=peaks,
+                        aperture_filled=filled or peaks > 1, peak_trace=trace)

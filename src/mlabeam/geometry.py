@@ -87,10 +87,10 @@ class ArrayMetrics:
     """Derived aperture quantities for one array/carrier pair.
 
     aperture follows the convention that includes one element width,
-    aperture = Delta*(L-1) + (L*(N-1)+1)*delta; span = max-min element
-    coordinate = aperture - delta is also exposed since both conventions
-    appear in the literature. half_pitch is half the center-to-center
-    distance between adjacent sub-arrays.
+    aperture = Delta*(L-1) + (L*(N-1)+1)*delta = 2*(L-1)*half_pitch + N*delta;
+    span = max-min element coordinate = aperture - delta is also exposed
+    since both conventions appear in the literature. half_pitch is half the
+    center-to-center distance between adjacent sub-arrays.
     """
 
     aperture: float
@@ -128,8 +128,7 @@ def subarray_centers(mla: ModularArray) -> np.ndarray:
 def derived_metrics(mla: ModularArray, carrier: Carrier) -> ArrayMetrics:
     L, N = mla.num_subarrays, mla.elements_per_subarray
     d = mla.spacing
-    D = mla.gap if L > 1 else d  # gap is meaningless for a single sub-array
-    aperture = D * (L - 1) + (L * (N - 1) + 1) * d
+    aperture = 2 * (L - 1) * mla.half_pitch + N * d
     lam = carrier.wavelength
     sub_aperture = N * d
     return ArrayMetrics(

@@ -208,10 +208,25 @@ def test_exit_codes_config_and_io(tmp_path, capsys):
     bad.write_text("aperture_m = -1\nfocus_m = 30\n", encoding="utf-8")
     assert main(["cutline", "--config", str(bad)]) == 2
     assert "aperture_m" in capsys.readouterr().err
+    bad.write_text("focus_m 30\n", encoding="utf-8")
+    assert main(["cutline", "--config", str(bad)]) == 2
+    assert "line 1: expected 'key = value'" in capsys.readouterr().err
 
     assert main(["cutline", "--config", str(tmp_path / "missing.txt")]) == 5
     assert main(["cutline", "--focus_m", "30",
                  "--out", str(tmp_path / "no_dir" / "x.csv")]) == 5
+
+
+def test_gap_overrides_aperture(tmp_path):
+    """A set gap_m fixes the layout whatever aperture_m says."""
+    tables = []
+    for aperture in ("2", "9"):
+        out = tmp_path / f"cut_{aperture}.csv"
+        assert main(["cutline", "--focus_m", "30", "--gap_m", "0.5", "--aperture_m", aperture,
+                     "--out", str(out)]) == 0
+        comments, header, rows = _read_table(out)
+        tables.append((comments[1:], header, rows.tolist()))
+    assert tables[0] == tables[1]
 
 
 def test_exit_code_infeasible_geometry():
@@ -249,13 +264,14 @@ _SE_SMALL_GRID = ["se", "--trials", "12", "--power_dbm_values", "20",
     [*_SE_SMALL_GRID, "--distance_max_m", "90"],
     [*_SE_SMALL_GRID, "--distance_min_m", "1", "--distance_max_m", "3.5"],
     [*_SE_SMALL_GRID, "--angle_min_deg", "-85", "--angle_max_deg", "85"],
+    ["localize", "--trials", "1", "--sweep_variable", "bandwidth"],
 ], ids=["reversed_range", "design_grid", "angle_bounds", "one_subarray",
         "one_snapshot", "repeated_sweep_value", "nan_focus", "nan_design_focus", "inf_depth",
         "nan_noise", "minus_inf_noise", "nan_threshold", "inf_in_float_list",
         "localize_angle_step_pi", "se_angle_step_pi", "localize_noise_underflow",
         "se_noise_underflow", "localize_noise_overflow", "localize_power_overflow",
         "se_power_overflow", "se_users_beyond_grid", "se_users_inside_grid",
-        "se_users_beside_grid"])
+        "se_users_beside_grid", "unknown_sweep_variable"])
 def test_bad_inputs_are_config_errors(argv, capsys):
     """Inputs the library rejects are reported as config errors before any work."""
     assert main([*argv, "--out", "/dev/null"]) == 2

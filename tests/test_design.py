@@ -177,6 +177,9 @@ def test_design_infeasible_from_start():
 
 
 def test_design_input_validation():
+    for aperture, focus, n in ((0.0, 30.0, 16), (2.0, -30.0, 16), (2.0, 30.0, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            DesignInput(aperture, focus, n, LAM, spacing=0.01)
     with pytest.raises(ValueError):
         DesignInput(2.0, 30.0, 300, LAM, spacing=0.01)  # single sub-array overfills
     with pytest.raises(ValueError):

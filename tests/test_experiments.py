@@ -391,8 +391,13 @@ def test_config_validation(monkeypatch):
         _config(trials=0)
     with pytest.raises(ValueError, match="distinct"):
         _config(sweep_values=(4, 4))
+    for bounds in ({"angle_bounds_deg": (30.0, -30.0)}, {"distance_bounds": (20.0, 5.0)}):
+        with pytest.raises(ValueError, match="ordered"):
+            _config(**bounds)
     with pytest.raises(ValueError):
         run_se_sweep(_config())  # geometry sweep fed to the power harness
+    with pytest.raises(ValueError, match="run_se_sweep"):
+        run_localization_experiment(_config(sweep_variable="power", sweep_values=(0.1,)))
     for steps in ({"angle_step": 0.0}, {"angle_step": -0.002}, {"distance_step": 0.0},
                   {"distance_step": -0.02}):
         with pytest.raises(ValueError):

@@ -162,12 +162,6 @@ def test_degeneration_to_contiguous(geometry, factors):
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
 
-def test_single_subarray_delegates():
-    a = gain_mla_fresnel(ModularArray.ula(64, 0.01), 30.0, 50.0, LAM)
-    b = gain_ula_fresnel(64, 0.01, 30.0, 50.0, LAM)
-    assert a == b
-
-
 def test_exact_matches_closed_form_near_focus():
     """Even and odd sub-array counts alike; at L = 3 the middle sub-array
     sits on the axis."""
