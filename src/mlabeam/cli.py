@@ -312,9 +312,11 @@ def _watts(key: str, dbm: float) -> float:
     raise ConfigError(f"'{key}' = {dbm!r} dBm is not a finite positive power in watts")
 
 
-def _trial_config(cfg: dict, sweep_variable: str, sweep_values: tuple) -> TrialConfig:
-    """Validated Monte Carlo config; TrialConfig resolves every sweep point's
-    array, so a geometry a sweep cannot use is a config error before any trial."""
+def _trial_config(cfg: dict, sweep_variable: str, sweep_values: tuple,
+                  **extra) -> TrialConfig:
+    """Validated Monte Carlo config, with the command-specific TrialConfig
+    fields in extra; TrialConfig resolves every sweep point's array, so a
+    geometry a sweep cannot use is a config error before any trial."""
     with _input_boundary():
         return TrialConfig(
             aperture=cfg["aperture_m"],
@@ -331,8 +333,8 @@ def _trial_config(cfg: dict, sweep_variable: str, sweep_values: tuple) -> TrialC
             trials=cfg["trials"],
             base_seed=cfg["seed"],
             angle_step=cfg["angle_step_rad"],
-            distance_step=cfg.get("distance_step_m", 0.02),
             spacing=cfg["spacing_m"],
+            **extra,
         )
 
 
@@ -352,7 +354,7 @@ def _cmd_localize(cfg: dict, out: str) -> int:
 
 def _cmd_se(cfg: dict, out: str) -> int:
     powers = tuple(_watts("power_dbm_values", p) for p in cfg["power_dbm_values"])
-    config = _trial_config(cfg, "power", powers)
+    config = _trial_config(cfg, "power", powers, distance_step=cfg["distance_step_m"])
     if cfg["include_2d"]:
         with _input_boundary():
             config.check_grid_span()

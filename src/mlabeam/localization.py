@@ -24,6 +24,8 @@ _SPECTRUM_FLOOR = 1e-30
 _BLOCK_PRODUCT_BYTES = 1 << 21
 # Default span of the whole-array 2D grid: pi/2 +- half-width (rad), near to far (m).
 _GRID_HALFWIDTH, _GRID_NEAR, _GRID_FAR = 1.1, 3.8, 40.2
+# float32 unit roundoff, the unit of the 2D screen's error bound
+_U32 = 2.0**-24
 
 
 class DegenerateSubspaceError(RuntimeError):
@@ -272,13 +274,55 @@ def locate(snapshots: SnapshotSet, grid: np.ndarray | None = None) -> PositionEs
     return triangulate(angles, subarray_centers(snapshots.scenario.mla))
 
 
-class NearFieldGrid:
-    """Precomputed whole-array steering vectors on an (angle, distance) grid.
+def _phase(x, k, cos_angle, d):
+    """Phase -k r of spherical-wave steering entries in float64, r the
+    distance from elements at x to sources at distance d along an angle of
+    cosine cos_angle, all broadcast together. The grid build and the
+    rescoring of its candidates both take their phases from here."""
+    r = np.sqrt(d * d + x * x - 2 * cos_angle * d * x)
+    return np.multiply(r, -k, out=r)
 
-    The matrix is held in single precision (about a gigabyte at the default
-    resolutions) and built once, then shared across trials. Rows are ordered
-    angle-major: row = angle_index * len(distance_grid) + distance_index.
-    mla and carrier are the array and carrier the grid was built for.
+
+def _mirror_partners(angles, cos_angles, x, k):
+    """partner[i] = j when angle j's steering vectors are angle i's with the
+    element order reversed, to within float32 rounding, else -1. Symmetric;
+    each angle has at most one partner, never itself.
+
+    For elements at antisymmetric positions (x == -x[::-1], bit for bit),
+    entry m of b(a_i) reversed is element m's entry at cosine -cos a_i. As
+    r^2 = (x - c d)^2 + d^2 (1 - c^2), |dr/dc| = |x d| / r <= |x| / sqrt(1 - c^2),
+    so its phase is within k |x| |cos a_i + cos a_j| / min(|sin a_i|, |sin a_j|)
+    of b(a_j)'s. Angles pair when that is at most u = 2**-24 for every element.
+    """
+    partner = np.full(angles.size, -1)
+    if x.size < 2 or not np.array_equal(x, -x[::-1]):
+        return partner
+    sin = np.abs(np.sin(angles))
+    reach = _U32 / (k * np.abs(x).max())
+    order = np.argsort(cos_angles, kind="stable")
+    lo = np.searchsorted(cos_angles[order], -cos_angles - reach * sin, "left")
+    hi = np.searchsorted(cos_angles[order], -cos_angles + reach * sin, "right")
+    for i in range(angles.size):
+        for j in sorted(order[lo[i]:hi[i]]):
+            if (j > i and partner[i] < 0 and partner[j] < 0
+                    and abs(cos_angles[i] + cos_angles[j]) <= reach * min(sin[i], sin[j])):
+                partner[i], partner[j] = j, i
+    return partner
+
+
+class NearFieldGrid:
+    """Whole-array steering vectors on an (angle, distance) grid, stored in
+    single precision for the screen of argmax_rank1.
+
+    Grid points are numbered angle-major: index = angle_index *
+    len(distance_grid) + distance_index. When two grid angles mirror each
+    other about broadside (a_i + a_j = pi, as on centered_angle_grid) and the
+    element positions are antisymmetric, angle j's steering vectors are
+    angle i's with the element order reversed (see _mirror_partners), so
+    only the lower-indexed angle of each pair is stored. matrix holds the
+    stored angles' rows, angle-major in grid order: about half a gigabyte at
+    the default resolutions, built once and shared across trials. mla and
+    carrier are the array and carrier the grid was built for.
     """
 
     def __init__(self, mla: ModularArray, carrier: Carrier,
@@ -292,29 +336,37 @@ class NearFieldGrid:
         if not np.all((self.distance_grid > 0) & np.isfinite(self.distance_grid)):
             raise ValueError("grid distances must be finite and positive")
         self.mla, self.carrier = mla, carrier
-        x = element_positions(mla).ravel()
-        k = 2 * np.pi / carrier.wavelength
+        self._x = element_positions(mla).ravel()
+        self._k = 2 * np.pi / carrier.wavelength
+        self._cos = np.cos(self.angle_grid)
+        self._partner = _mirror_partners(self.angle_grid, self._cos, self._x, self._k)
+        angles = np.arange(self.angle_grid.size)
+        self._stored = angles[(self._partner < 0) | (self._partner > angles)]
         gd = self.distance_grid
-        self.matrix = np.empty((self.angle_grid.size * gd.size, x.size),
+        self.matrix = np.empty((self._stored.size * gd.size, self._x.size),
                                dtype=np.complex64)
-        d2 = (gd * gd)[:, None]
 
         def build_rows(first, stop):
             # exp(-1j*k*r) as cos and sin of the float64 phase -k*r, written
-            # into the float32 parts of each angle's rows: the same bits
-            # without a complex128 temporary
-            for i in range(first, stop):
-                r = np.sqrt(d2 + x * x - 2 * np.cos(self.angle_grid[i]) * gd[:, None] * x)
-                theta = np.multiply(r, -k, out=r)
-                rows = self.matrix[i * gd.size:(i + 1) * gd.size]
+            # into the float32 parts of each stored angle's rows: the same
+            # bits without a complex128 temporary
+            for s in range(first, stop):
+                theta = _phase(self._x, self._k, self._cos[self._stored[s]], gd[:, None])
+                rows = self.matrix[s * gd.size:(s + 1) * gd.size]
                 np.cos(theta, out=rows.real)
                 np.sin(theta, out=rows.imag)
 
-        _run_blocks(build_rows, self.angle_grid.size)
+        _run_blocks(build_rows, self._stored.size)
+        # the stored rows as runs of angles that all have a partner or all
+        # lack one: (first row, stop row, paired)
+        paired = self._partner[self._stored] >= 0
+        cuts = np.r_[0, np.flatnonzero(paired[1:] != paired[:-1]) + 1, paired.size].tolist()
+        self._runs = [(lo * gd.size, hi * gd.size, bool(paired[lo]))
+                      for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     @property
     def num_points(self) -> int:
-        return self.matrix.shape[0]
+        return self.angle_grid.size * self.distance_grid.size
 
     def argmax_rank1(self, principal: np.ndarray):
         """Grid point minimizing ||b||^2 - |u1^H b|^2, i.e. maximizing
@@ -322,74 +374,105 @@ class NearFieldGrid:
 
         principal is one eigenvector of length L*N, giving one (angle,
         distance) pair, or an (L*N, B) stack of B eigenvectors, giving a list
-        of B pairs. The grid is read once per call, in row blocks, with one
-        single-precision GEMM per block against the whole stack; the blocks
-        are split into contiguous ranges over the worker threads (see
-        numerics._run_blas_blocks). That pass only screens: the points whose
-        float32 |u1^H b|^2 lies within twice its worst-case rounding error of
-        the column's float32 best are rescored in float64 from the same rows,
-        and the best float64 score wins, the lowest grid index breaking ties.
-        So the pick does not depend on B, on the BLAS kernel, on its thread
-        count or on the number of workers.
+        of B pairs. The stored rows are read once per call, in row blocks,
+        with one single-precision GEMM per block against the whole stack:
+        against w = conj(stack) for angles without a partner, and against
+        [w, Jw] for paired ones, J reversing the element order: (Jw)^T b =
+        w^T (Jb) scores the partner too. The blocks are split into contiguous
+        ranges over the worker threads (see numerics._run_blas_blocks). That
+        pass only screens: the points whose float32 |u1^H b|^2 lies within
+        twice its worst-case error of the column's float32 best are rescored
+        in float64 on their steering rows recomputed in float64, and the best
+        float64 score wins, the lowest grid index breaking ties. So the pick
+        depends only on the grid points: not on how their rows are stored, on
+        B, on the BLAS kernel, on its thread count or on the number of
+        workers.
         """
         stack = np.asarray(principal, dtype=np.complex128)
         w = np.conj(stack.reshape(stack.shape[0], -1))
         n, batch = w.shape
-        # For unit-modulus rows, float32 |p|^2 errs by at most about
-        # 6 n^2 u ||w||^2 (u = 2**-24: 2n-term real dot products, |p| <= sqrt(n) ||w||).
-        margin = 12 * n * n * 2.0**-24 * (w.real**2 + w.imag**2).sum(axis=0)
-        # The complex product as a real one on the interleaved float32 view of
-        # the rows: columns [Re p_0, Im p_0, Re p_1, ...] of row block @ wr, so
-        # |p|^2 is one pairwise add over the squared product.
-        w32 = w.astype(np.complex64)
-        wr = np.empty((2 * n, 2 * batch), dtype=np.float32)
-        wr[0::2, 0::2], wr[0::2, 1::2] = w32.real, w32.imag
-        wr[1::2, 0::2], wr[1::2, 1::2] = -w32.imag, w32.real
-        rows = max(1, _BLOCK_PRODUCT_BYTES // (wr.itemsize * wr.shape[1]) // 64) * 64
+        # The best float64 score s keeps a float32 score of at least the
+        # float32 best minus 2e, if |float32 - float64| <= e at every point.
+        # For unit-modulus rows |p| <= sqrt(n) ||w||, so |d(|p|^2)| is about
+        # 2 sqrt(n) ||w|| |dp|, and e (u = 2**-24) adds up:
+        # - arithmetic: 2n-term real float32 dot products, and the rounding
+        #   of w and of |p|^2: 6 n^2 u ||w||^2;
+        # - storage: a stored entry is within sqrt(2) u of its float64 value,
+        #   so |dp| <= sqrt(2) u ||w||_1 <= sqrt(2 n) u ||w||: 2 sqrt(2) n u ||w||^2;
+        # - mirror: a paired angle's reversed row is within u in phase of its
+        #   partner's float64 row (_mirror_partners): 2 n u ||w||^2.
+        # Twice their sum, with 9.66 n rounded up to 10 n for second-order terms
+        # and the float64 rounding of the phases, is the margin.
+        margin = (12 * n * n + 10 * n) * _U32 * (w.real**2 + w.imag**2).sum(axis=0)
+
+        def real_form(v):
+            # the complex product as a real one on the interleaved float32 view
+            # of the rows: columns [Re p_0, Im p_0, Re p_1, ...] of row block @
+            # wr, so |p|^2 is one pairwise add over the squared product
+            v32 = v.astype(np.complex64)
+            wr = np.empty((2 * n, 2 * v.shape[1]), dtype=np.float32)
+            wr[0::2, 0::2], wr[0::2, 1::2] = v32.real, v32.imag
+            wr[1::2, 0::2], wr[1::2, 1::2] = -v32.imag, v32.real
+            return wr
+
+        weights = {False: real_form(w), True: real_form(np.hstack([w, w[::-1]]))}
+        height = {paired: max(1, _BLOCK_PRODUCT_BYTES // (wr.itemsize * wr.shape[1]) // 64) * 64
+                  for paired, wr in weights.items()}
+        blocks = [(start, min(start + height[paired], stop), paired)
+                  for first, stop, paired in self._runs
+                  for start in range(first, stop, height[paired])]
+        size = max((stop - start) * weights[paired].shape[1] for start, stop, paired in blocks)
         bests, found = [], []  # each worker's final best; every worker's candidates
 
         def screen(first, stop):
             # one worker's contiguous range of row blocks, with its own buffers
-            # and running best
-            product = np.empty((rows, 2 * batch), dtype=np.float32)
-            power = np.empty((rows, batch), dtype=np.float32)
+            # and running best; a block's power columns are [w scores, Jw scores]
+            product = np.empty(size, dtype=np.float32)
+            power = np.empty(size // 2, dtype=np.float32)
             best = np.full(batch, -np.inf)
-            for start in range(first * rows, min(stop * rows, self.num_points), rows):
-                block = self.matrix[start:start + rows].view(np.float32)
-                h = block.shape[0]
-                q = np.square(np.matmul(block, wr, out=product[:h]), out=product[:h])
-                flat, pw = q.ravel(), power[:h]
+            for start, end, paired in blocks[first:stop]:
+                wr = weights[paired]
+                h, width = end - start, wr.shape[1] // 2
+                block = self.matrix[start:end].view(np.float32)
+                q = product[:2 * h * width].reshape(h, 2 * width)
+                np.square(np.matmul(block, wr, out=q), out=q)
+                flat, pw = q.ravel(), power[:h * width].reshape(h, width)
                 np.add(flat[0::2], flat[1::2], out=pw.ravel())
-                # a column max over 64 * batch wide rows runs far faster than
-                # over batch wide ones
-                wide = pw.reshape(-1, 64 * batch) if h % 64 == 0 else pw
-                block_best = wide.max(axis=0).reshape(-1, batch).max(axis=0)
-                best = np.maximum(best, block_best)
+                # a column max over 64 * width wide rows runs far faster than
+                # over width wide ones
+                wide = pw.reshape(-1, 64 * width) if h % 64 == 0 else pw
+                col_best = wide.max(axis=0).reshape(-1, width).max(axis=0)
+                best = np.maximum(best, col_best.reshape(-1, batch).max(axis=0))
                 floor = best - margin
-                hot = np.flatnonzero(block_best >= floor)
+                hot = np.flatnonzero(col_best.reshape(-1, batch) >= floor)
                 if hot.size:
                     sub = pw[:, hot]
-                    r, c = np.nonzero(sub >= floor[hot])
+                    r, c = np.nonzero(sub >= floor[hot % batch])
                     found.append((start + r, hot[c], sub[r, c]))
             bests.append(best)
 
-        _run_blas_blocks(screen, -(-self.num_points // rows))
+        _run_blas_blocks(screen, len(blocks))
         best = np.max(bests, axis=0)
-        idx, col, val = (np.concatenate(parts) for parts in zip(*found))
-        keep = val >= (best - margin)[col]
-        idx, col = idx[keep], col[keep]
-        # float64 rescoring with elementwise products and a per-row sum, so a
-        # row's score does not depend on which other rows are scored with it
-        m = self.matrix[idx]
-        mr, mi = m.real.astype(np.float64), m.imag.astype(np.float64)
+        row, col, val = (np.concatenate(parts) for parts in zip(*found))
+        keep = val >= (best - margin)[col % batch]
+        row, col = row[keep], col[keep]
+        slot, dist = np.divmod(row, self.distance_grid.size)
+        angle = np.where(col < batch, self._stored[slot], self._partner[self._stored[slot]])
+        col %= batch
+        # float64 rescoring on rows recomputed in float64, with elementwise
+        # products and a per-row sum, so a row's score does not depend on
+        # which other rows are scored with it
+        theta = _phase(self._x, self._k, self._cos[angle][:, None],
+                       self.distance_grid[dist][:, None])
+        mr, mi = np.cos(theta), np.sin(theta)
         wr64, wi64 = w.real.T[col], w.imag.T[col]
         re = (mr * wr64 - mi * wi64).sum(axis=1)
         im = (mr * wi64 + mi * wr64).sum(axis=1)
+        idx = angle * self.distance_grid.size + dist
         order = np.lexsort((idx, -(re * re + im * im), col))
         first = np.r_[True, col[order][1:] != col[order][:-1]]
-        ia, idist = np.divmod(idx[order][first], self.distance_grid.size)
         picks = [(float(self.angle_grid[a]), float(self.distance_grid[d]))
-                 for a, d in zip(ia, idist)]
+                 for a, d in zip(angle[order][first], dist[order][first])]
         return picks if stack.ndim == 2 else picks[0]
 
 

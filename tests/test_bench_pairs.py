@@ -16,7 +16,7 @@ FAKE_RUN = '''import sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 assert args["--seconds"] == "7", "run length must come from BENCHMARK.json"
 seed = int(args["--seed"])
-print("report line")
+print('{{"report": {{"count_guard": {{"grid_bytes": [%d, 100]}}}}}}' % (seed + {bonus}))
 print('{{"correct": true, "attempted": 1, "failed": 0, "metrics": {{'
       '"units_per_s": {{"value": %d, "unit": "1/s"}}, '
       '"peak_rss_mb": {{"value": 100, "unit": "MB"}}}}}}' % (seed + {bonus}))
@@ -65,6 +65,9 @@ def test_pairs_alternate_and_summarize(repo, tmp_path):
     assert [(r["pair"], r["side"], r["seed"]) for r in doc["runs"]] == [
         (0, "parent", 10), (0, "change", 10), (1, "change", 11), (1, "parent", 11),
         (2, "parent", 12), (2, "change", 12)]
+    # each run keeps the count_guard of its report line
+    assert [r["count_guard"] for r in doc["runs"]] == [
+        {"grid_bytes": [b, 100]} for b in (10, 15, 16, 11, 12, 17)]
     rate = doc["summary"]["se_2d"]["units_per_s"]
     assert rate["pairs"] == 3 and rate["change_won"] == 3
     assert rate["parent"] == {"median": 11, "q1": 10.5, "q3": 11.5}
@@ -139,3 +142,19 @@ def test_run_that_fails_its_checks_stops_the_tool(repo, tmp_path, fault):
     doc = json.loads((change / "BENCH_t.json").read_text())
     assert [(r["side"], r["seed"], r["result"]["correct"]) for r in doc["runs"]] == [
         ("parent", 10, True)]
+
+
+def test_report_line_that_is_not_json_records_no_count_guard(repo, tmp_path):
+    """A plain-text report line is no error: that run's entry has no
+    count_guard."""
+    change, parent = repo
+    lines = FAKE_RUN.format(bonus=5).splitlines()
+    (change / "perfbench" / "run.py").write_text("\n".join(
+        'print("report line")' if "count_guard" in line else line for line in lines) + "\n")
+    _git(change, "commit", "-qam", "plain report line")
+    assert bench_pairs.main(["--label", "t", "--parent", parent,
+                             "--parent-dir", str(tmp_path / "parent"), "--pairs", "1",
+                             "--workload", "se_2d:10"]) == 0
+    doc = json.loads((change / "BENCH_t.json").read_text())
+    assert [(r["side"], "count_guard" in r) for r in doc["runs"]] == [
+        ("parent", True), ("change", False)]

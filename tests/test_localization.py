@@ -378,14 +378,17 @@ def _exp_reference_grid(mla, ag, dg):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_grid_does_not_depend_on_worker_count(workers, monkeypatch):
-    """Each worker builds a contiguous range of angle rows from cos and sin of
-    the phase; at 1, 2 and 3 workers (an uneven split of 7 angles) the matrix
-    has the bits of the exp formula."""
+    """Each worker builds a contiguous range of stored angle rows from cos and
+    sin of the phase; at 1, 2 and 3 workers (an uneven split of 7 stored
+    angles, each paired with one of the 7 mirrored ones) the matrix has the
+    bits of the exp formula for the stored angles."""
     mla = _array(L=2, N=8, D=1.0)
-    ag, dg = np.linspace(1.2, 1.26, 7), np.arange(10.0, 14.0, 0.1)
+    ag, dg = np.pi / 2 + 0.01 * np.arange(-6.5, 7), np.arange(10.0, 14.0, 0.1)
     monkeypatch.setattr(numerics, "_WORKERS", workers)
     grid = NearFieldGrid(mla, CAR, ag, dg)
-    ref = _exp_reference_grid(mla, ag, dg)
+    assert list(grid._stored) == list(range(7))
+    assert list(grid._partner) == list(range(13, -1, -1))
+    ref = _exp_reference_grid(mla, ag[:7], dg)
     assert np.array_equal(grid.matrix.view(np.uint64), ref.view(np.uint64))
 
 
@@ -408,9 +411,21 @@ SMALL_GRID = NearFieldGrid(_array(L=2, N=8, D=1.0), CAR, np.arange(1.2, 1.4, 0.0
                            np.arange(10.0, 14.0, 0.1))
 
 
+def _exact_rows(grid):
+    """Every grid point's steering row recomputed in float64, in grid order,
+    with the operations of the grid's build."""
+    x = element_positions(grid.mla).ravel()
+    k = 2 * np.pi / grid.carrier.wavelength
+    c = np.repeat(np.cos(grid.angle_grid), grid.distance_grid.size)[:, None]
+    d = np.tile(grid.distance_grid, grid.angle_grid.size)[:, None]
+    theta = np.sqrt(d * d + x * x - 2 * c * d * x) * -k
+    return np.cos(theta) + 1j * np.sin(theta)
+
+
 def _brute_force_argmax(grid, u):
-    """float64 |b^H u|^2 over every grid row, first maximum wins."""
-    m = grid.matrix.astype(np.complex128)
+    """float64 |b^H u|^2 over every grid point's recomputed row, first maximum
+    wins."""
+    m = _exact_rows(grid)
     w = np.conj(u)
     re = (m.real * w.real - m.imag * w.imag).sum(axis=1)
     im = (m.real * w.imag + m.imag * w.real).sum(axis=1)
@@ -418,28 +433,67 @@ def _brute_force_argmax(grid, u):
     return float(grid.angle_grid[ia]), float(grid.distance_grid[idist])
 
 
-# SMALL_GRID with rows 256 and 384 replaced by copies of rows 255 and 383, so
-# that each pair ties exactly across the boundary between the first two
-# screen workers' ranges of 64-row blocks (13 blocks; 3 and 2 workers).
-TIE_GRID = copy.copy(SMALL_GRID)
-TIE_GRID.matrix = SMALL_GRID.matrix.copy()
-TIE_GRID.matrix[[256, 384]] = SMALL_GRID.matrix[[255, 383]]
+def _repeat_distances(*indices):
+    """SMALL_GRID's distances with each listed one replaced by the one
+    before it, so the two grid points at those distances tie exactly."""
+    dg = np.arange(10.0, 14.0, 0.1)
+    dg[list(indices)] = dg[[i - 1 for i in indices]]
+    return dg
 
 
-def _planted_column(rng, kind, grid, boundary):
-    """A unit eigenvector-like column: random, a tie (in exact arithmetic)
-    between two grid points one angle or one distance step apart, or grid
-    row boundary - 1 itself, which TIE_GRID ties exactly with row boundary."""
-    n = grid.matrix.shape[1]
-    rows = grid.matrix.astype(np.complex128)
+# SMALL_GRID with distances 16 and 24 repeating 15 and 23, so that grid rows
+# 255 and 256, and 383 and 384, tie exactly across the boundary between the
+# first two screen workers' ranges of 64-row blocks (13 blocks; 3 and 2
+# workers). No angle has a mirror partner, so every row is stored.
+TIE_GRID = NearFieldGrid(_array(L=2, N=8, D=1.0), CAR, np.arange(1.2, 1.4, 0.01),
+                         _repeat_distances(16, 24))
+
+# Laid out like centered_angle_grid(): angle 0 has no partner, angle 10 (pi/2)
+# is its own mirror and is stored alone, and angles 1..9 are stored for
+# themselves and their mirrors 19..11. Distances 16 and 32 repeat 15 and 31,
+# so that grid points 13 * 40 + 15 and + 16 (angle 13, mirrored from stored
+# slot 7: stored rows 295 and 296) tie exactly across the boundary between
+# the second and third of 3 screen workers at 64-row blocks, and points
+# 15 * 40 + 31 and + 32 (stored rows 231 and 232) across that of 2 workers.
+# ODD_GRID is the same grid for L = 3 sub-arrays of N = 5 elements, whose
+# middle element sits at x = 0 and is its own mirror.
+MIRROR_ANGLES = np.pi / 2 + 0.01 * np.arange(-10, 10)
+MIRROR_GRID = NearFieldGrid(_array(L=2, N=8, D=1.0), CAR, MIRROR_ANGLES,
+                            _repeat_distances(16, 32))
+ODD_GRID = NearFieldGrid(_array(L=3, N=5, D=1.0), CAR, MIRROR_ANGLES,
+                         _repeat_distances(16, 32))
+
+
+def _mirror_tie_row(workers):
+    """The higher grid point of MIRROR_GRID's exact tie that straddles the
+    first boundary between screen workers' ranges."""
+    return 13 * 40 + 16 if workers == 3 else 15 * 40 + 32
+
+
+def _planted_column(rng, kind, grid, tie_row):
+    """A unit eigenvector-like column: random; a tie (in exact arithmetic)
+    between two grid points one angle or one distance step apart, or between
+    a point and its mirror image; grid point tie_row - 1 itself, which the
+    grid ties exactly with tie_row; or a point at angle 0 or at the
+    self-mirror angle pi/2 of MIRROR_GRID."""
+    rows = _exact_rows(grid)
+    n, D = rows.shape[1], grid.distance_grid.size
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
     if kind == "random":
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     elif kind == "boundary_tie":
-        u = rows[boundary - 1] * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        u = rows[tie_row - 1] * phase
+    elif kind in ("first_angle", "self_mirror"):
+        angle = 0 if kind == "first_angle" else MIRROR_ANGLES.size // 2
+        u = rows[angle * D + int(rng.integers(D))] * phase
+    elif kind == "mirror_tie":
+        angle = int(rng.choice(np.flatnonzero(grid._partner >= 0)))
+        j = int(rng.integers(D))
+        u = rows[angle * D + j] + phase * rows[grid._partner[angle] * D + j]
     else:
-        step = 1 if kind == "distance_tie" else grid.distance_grid.size
+        step = 1 if kind == "distance_tie" else D
         j = int(rng.integers(0, grid.num_points - step))
-        u = rows[j] + np.exp(1j * rng.uniform(0, 2 * np.pi)) * rows[j + step]
+        u = rows[j] + phase * rows[j + step]
     return u / np.linalg.norm(u)
 
 
@@ -462,7 +516,8 @@ def test_grid_argmax_batch_matches_columns_and_brute_force(seed, kinds, phase_co
     block height (1 gives 64-row blocks and a short last block), at 1, 2 and 3
     screen workers, and with the BLAS thread controls missing (one range on
     the caller). A boundary tie straddles the first two workers' ranges at
-    64-row blocks, and the lower row must win."""
+    64-row blocks; its two points share their (angle, distance) values, so
+    test_exact_tie_goes_to_the_lower_index checks which of them wins."""
     rng = np.random.default_rng(seed)
     grid = TIE_GRID
     boundary = 13 // max(workers, 2) * 64
@@ -477,6 +532,161 @@ def test_grid_argmax_batch_matches_columns_and_brute_force(seed, kinds, phase_co
         picks = grid.argmax_rank1(stack)
         singles = [grid.argmax_rank1(u) for u in cols]
     assert picks == singles == [_brute_force_argmax(grid, u) for u in cols]
+
+
+# SMALL_GRID's angles followed by their negatives: cos is even, so the rows of
+# angles i and 20 + i are equal bit for bit and tie exactly, at distinct angle
+# values, 800 rows apart (in different workers' ranges at 64-row blocks).
+SIGN_GRID = NearFieldGrid(_array(L=2, N=8, D=1.0), CAR,
+                          np.r_[np.arange(1.2, 1.4, 0.01), -np.arange(1.2, 1.4, 0.01)],
+                          np.arange(10.0, 14.0, 0.1))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block_bytes", [1, 1 << 12, 1 << 21])
+def test_exact_tie_goes_to_the_lower_index(workers, block_bytes, monkeypatch):
+    monkeypatch.setattr(numerics, "_WORKERS", workers)
+    monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", block_bytes)
+    rows = _exact_rows(SIGN_GRID)
+    points = [(0, 0), (6, 15), (19, 39)]
+    cols = [rows[a * 40 + d] / 4 for a, d in points]
+    want = [(float(SIGN_GRID.angle_grid[a]), float(SIGN_GRID.distance_grid[d]))
+            for a, d in points]
+    assert SIGN_GRID.argmax_rank1(np.stack(cols, axis=1)) == want
+    assert [_brute_force_argmax(SIGN_GRID, u) for u in cols] == want
+
+
+def test_mirror_layout():
+    """Only one angle of each mirror pair is stored; angles without a partner
+    keep their rows. Positions that are not antisymmetric pair nothing."""
+    D = MIRROR_GRID.distance_grid.size
+    partner = [-1] + list(range(19, 10, -1)) + [-1] + list(range(9, 0, -1))
+    assert list(MIRROR_GRID._partner) == partner
+    assert list(MIRROR_GRID._stored) == list(range(11))
+    assert MIRROR_GRID.matrix.shape == (11 * D, 16)
+    assert MIRROR_GRID.num_points == 20 * D
+    assert MIRROR_GRID._runs == [(0, D, False), (D, 10 * D, True), (10 * D, 11 * D, False)]
+    assert np.all(SMALL_GRID._partner == -1)
+    assert SMALL_GRID.matrix.shape[0] == SMALL_GRID.num_points
+    x = element_positions(_array(L=2, N=8, D=1.0)).ravel()
+    c = np.cos(MIRROR_ANGLES)
+    assert np.all(localization._mirror_partners(MIRROR_ANGLES, c, x + 1e-3, 100.0) == -1)
+    # a partner's cosine a hair past the float32 phase tolerance does not pair
+    k = 2 * np.pi / CAR.wavelength
+    near = -c[1] + 2 * 2.0**-24 * math.sin(MIRROR_ANGLES[1]) / (k * np.abs(x).max())
+    cos = np.array([c[1], near])
+    assert np.all(localization._mirror_partners(np.arccos(cos), cos, x, k) == -1)
+    assert list(localization._mirror_partners(np.arccos(cos), np.array([c[1], -c[1]]),
+                                              x, k)) == [1, 0]
+
+
+MIRROR_KINDS = ["random", "distance_tie", "angle_tie", "mirror_tie", "boundary_tie",
+                "first_angle", "self_mirror"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(MIRROR_KINDS), min_size=1, max_size=6),
+       block_bytes=st.sampled_from([1, 1 << 12, 1 << 21]),
+       workers=st.sampled_from([1, 2, 3]),
+       odd=st.booleans())
+@example(seed=2, kinds=MIRROR_KINDS, block_bytes=1, workers=3, odd=False)
+@example(seed=3, kinds=MIRROR_KINDS, block_bytes=1, workers=2, odd=True)
+def test_mirror_grid_matches_brute_force(seed, kinds, block_bytes, workers, odd):
+    """On a centered grid that stores one angle of each mirror pair, batched
+    and one-column picks equal the float64 brute force over all points: ties
+    across a mirror pair, exact ties between two mirrored points across a
+    worker boundary (the lower index wins), the unpaired angle 0 and the
+    self-mirror angle, at 1, 2 and 3 workers and several block heights, for
+    an even and an odd element count."""
+    rng = np.random.default_rng(seed)
+    grid = ODD_GRID if odd else MIRROR_GRID
+    cols = [_planted_column(rng, kind, grid, _mirror_tie_row(workers)) for kind in kinds]
+    with mock.patch.object(localization, "_BLOCK_PRODUCT_BYTES", block_bytes), \
+            mock.patch.object(numerics, "_WORKERS", workers):
+        picks = grid.argmax_rank1(np.stack(cols, axis=1))
+        singles = [grid.argmax_rank1(u) for u in cols]
+    assert picks == singles == [_brute_force_argmax(grid, u) for u in cols]
+
+
+def test_odd_element_count_pairs():
+    x = element_positions(ODD_GRID.mla).ravel()
+    assert x.size == 15 and x[7] == 0 and np.array_equal(x, -x[::-1])
+    assert np.array_equal(ODD_GRID._partner, MIRROR_GRID._partner)
+    assert ODD_GRID.matrix.shape == (11 * ODD_GRID.distance_grid.size, 15)
+
+
+def _perturbed(grid, pick):
+    """A copy of grid whose stored row for the point pick (or for its mirror
+    partner) is one float32 ulp nearer zero in every part, and every other
+    stored row one ulp farther."""
+    ia = int(np.flatnonzero(grid.angle_grid == pick[0])[0])
+    idist = int(np.flatnonzero(grid.distance_grid == pick[1])[0])
+    stored = ia if ia in grid._stored else grid._partner[ia]
+    row = int(np.flatnonzero(grid._stored == stored)[0]) * grid.distance_grid.size + idist
+    m = grid.matrix.view(np.float32)
+    out = np.nextafter(m, np.copysign(np.inf, m))
+    out[row] = np.nextafter(m[row], 0)
+    perturbed = copy.copy(grid)
+    perturbed.matrix = out.view(np.complex64)
+    return perturbed
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("grid_name, kind", [
+    ("TIE_GRID", "boundary_tie"), ("TIE_GRID", "distance_tie"), ("TIE_GRID", "random"),
+    ("MIRROR_GRID", "boundary_tie"), ("MIRROR_GRID", "mirror_tie"),
+    ("MIRROR_GRID", "first_angle"), ("MIRROR_GRID", "self_mirror")])
+def test_pick_ignores_one_ulp_in_the_stored_rows(grid_name, kind, workers, monkeypatch):
+    """Stored rows only screen: with the picked point's stored row one float32
+    ulp smaller and every other row one ulp larger, each pick is unchanged.
+    Picks rescored from the stored rows follow that perturbation at the
+    near-ties of distance_tie and mirror_tie columns."""
+    monkeypatch.setattr(numerics, "_WORKERS", workers)
+    monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1)
+    grid = globals()[grid_name]
+    tie_row = 384 if grid is TIE_GRID else _mirror_tie_row(workers)
+    rng = np.random.default_rng(workers)
+    for _ in range(4):
+        u = _planted_column(rng, kind, grid, tie_row)
+        pick = grid.argmax_rank1(u)
+        assert pick == _brute_force_argmax(grid, u)
+        assert _perturbed(grid, pick).argmax_rank1(u) == pick
+
+
+def test_screen_gemm_width(monkeypatch):
+    """Blocks of angles without a partner are screened against the B weight
+    columns alone (2B real columns), paired blocks against [w, Jw] (4B): on a
+    grid with no pairs every GEMM has 2B columns."""
+    shapes = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        shapes.append(b.shape)
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    SMALL_GRID.argmax_rank1(u)
+    assert len(shapes) == 13 and set(shapes) == {(32, 6)}
+    shapes.clear()
+    MIRROR_GRID.argmax_rank1(u)
+    # angle 0, angles 1..9 in 64-row blocks, angle 10
+    assert shapes == [(32, 6)] + [(32, 12)] * 6 + [(32, 6)]
+
+
+def test_default_grid_stores_half(monkeypatch):
+    """The default centered grid stores angles 0..550 of its 1,100: 513.7 MB
+    in place of 1,025.6 MB, for the same 2,003,100 grid points. The build is
+    skipped here: only the layout is checked."""
+    monkeypatch.setattr(localization, "_run_blocks", lambda task, num_blocks: None)
+    grid = NearFieldGrid(_array(), CAR, localization.centered_angle_grid(),
+                         localization.default_distance_grid())
+    assert list(grid._stored) == list(range(551))
+    assert grid.matrix.nbytes == 513_725_952
+    assert grid.num_points == 2_003_100
 
 
 def test_screen_workers_lose_no_candidates_under_switching(monkeypatch):

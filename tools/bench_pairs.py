@@ -14,9 +14,10 @@ above 0) stops the tool and is not recorded. The parent's
 checkout is --parent-dir: when it exists it must be a git checkout with
 HEAD at --parent and no changes to tracked files, otherwise the tool stops;
 when it does not, it is cloned there from this repository at --parent.
-Each run's last-line JSON goes into ``BENCH_<label>.json`` in the checkout
-root, rewritten after every run, with a summary per workload and end-to-end
-metric: the median and quartiles of each side, the number of pairs the
+Each run's last-line JSON, and the ``count_guard`` of its report line (the
+line before the last, when that is JSON), go into ``BENCH_<label>.json`` in
+the checkout root, rewritten after every run, with a summary per workload
+and end-to-end metric: the median and quartiles of each side, the number of pairs the
 checkout won, by the metric's direction in BENCHMARK.json, the signed
 relative change of the median, the parent's spread (q3 - q1) / median, and
 a verdict against the metric's bound in BENCHMARK.json:
@@ -55,19 +56,26 @@ def _host() -> str:
 
 
 def run_once(side: str, root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced perfbench run in root; its last-line JSON result. A run
-    that exits non-zero or reports a failed check is no sample: it raises."""
+    """One untraced perfbench run in root: {"result": its last-line JSON}, plus
+    "count_guard" from its report line when that is JSON. A run that exits
+    non-zero or reports a failed check is no sample: it raises."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     run = f"{side} run of {workload} seed {seed} ({' '.join(cmd)} in {root})"
     if out.returncode != 0:
         raise RuntimeError(f"{run} exited {out.returncode}:\n{out.stderr[-2000:]}")
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    *lines, last = out.stdout.strip().splitlines()
+    result = json.loads(last)
     if result["correct"] is not True or result["failed"] != 0:
         raise RuntimeError(f"{run} failed its checks: correct {result['correct']}, "
                            f"failed {result['failed']}")
-    return result
+    entry = {"result": result}
+    try:
+        entry["count_guard"] = json.loads(lines[-1])["report"]["count_guard"]
+    except (IndexError, ValueError, TypeError, KeyError):
+        pass
+    return entry
 
 
 def summarize(runs: list, metrics: list) -> dict:
@@ -159,13 +167,13 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(side, sides[side], name, first + pair, seconds)
+                entry = run_once(side, sides[side], name, first + pair, seconds)
                 doc["runs"].append({"side": side, "workload": name, "seed": first + pair,
-                                    "pair": pair, "result": result})
+                                    "pair": pair, **entry})
                 doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
                 out.write_text(json.dumps(doc, indent=1) + "\n")
                 print(f"{name} pair {pair} {side}: "
-                      f"{json.dumps(result['metrics'])}", flush=True)
+                      f"{json.dumps(entry['result']['metrics'])}", flush=True)
     return 0
 
 
