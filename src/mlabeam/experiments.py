@@ -327,7 +327,7 @@ def run_localization_experiment(config: TrialConfig, out_path=None) -> Experimen
     """Position-error sweep over a geometry variable.
 
     Per sweep value, runs config.trials independent trials of the full
-    pipeline (synthesize, per-sub-array angle spectra, bearing intersection)
+    pipeline (synthesize, per-sub-array MUSIC bearings, bearing intersection)
     and aggregates the error into one NMSE per sweep point. Ill-conditioned
     trials are flagged, kept in the records, and excluded from the NMSE with
     their count reported.

@@ -136,24 +136,18 @@ def test_music_exact_on_grid():
     rng = np.random.default_rng(4)
     s = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     u1 = principal_eigenvectors(np.outer(s, a))
-    spectrum, est = music_1d(u1, pos, grid, 0.02)
-    assert est == phi
-    assert np.all(spectrum > 0)
+    assert music_1d(u1, pos, grid, 0.02) == phi
 
     # an (N, L) stack: one pick per column from one steering matrix
     other = far_steering(pos, float(grid[3]), 0.02)
     stack = np.stack([u1, principal_eigenvectors(np.outer(s, other)), u1], axis=1)
-    spectra, picks = music_1d(stack, pos, grid, 0.02)
-    assert picks == (phi, float(grid[3]), phi)
-    assert spectra.shape == (grid.size, 3)
-    # the denominators N - |a^H u1|^2 agree to rounding
-    np.testing.assert_allclose(1 / spectra[:, 0], 1 / spectrum, rtol=0, atol=1e-12)
+    assert music_1d(stack, pos, grid, 0.02) == (phi, float(grid[3]), phi)
 
 
 def test_music_1d_cached_steering_is_bitwise_fresh():
     """music_1d builds its steering matrix once per (offsets, grid,
-    wavelength) and reuses it; the spectrum and picks equal a fresh
-    computation bit for bit, whether the matrix was built or reused."""
+    wavelength) and reuses it; its picks are the lowest-index argmax of a
+    fresh |a^H u1|^2, whether the matrix was built or reused."""
     mla = _array(L=2, N=16, D=1.0)
     pos = element_positions(mla)[0] - subarray_centers(mla)[0]
     grid = default_angle_grid()
@@ -161,16 +155,13 @@ def test_music_1d_cached_steering_is_bitwise_fresh():
     u = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
     u /= np.linalg.norm(u, axis=0)
     proj = np.exp(-2j * np.pi / 0.02 * np.outer(np.cos(grid), pos)) @ u
-    power = proj.real**2 + proj.imag**2
-    fresh = 1.0 / np.maximum(16 - power, 1e-30)
+    fresh = tuple(grid[np.argmax(proj.real**2 + proj.imag**2, axis=0)].tolist())
     cached = localization._conj_steering_rows
     cached.cache_clear()
     built = music_1d(u, pos, grid, 0.02)
     reused = music_1d(u, pos.copy(), grid.copy(), 0.02)  # equal values, new arrays
     assert (cached.cache_info().misses, cached.cache_info().hits) == (1, 1)
-    for spectrum, picks in (built, reused):
-        assert spectrum.tobytes() == fresh.tobytes()
-        assert picks == tuple(grid[np.argmax(power, axis=0)].tolist())
+    assert built == reused == fresh
     music_1d(u, pos, grid, 0.01)  # another wavelength is another matrix
     assert cached.cache_info().misses == 2
     assert not cached(pos.tobytes(), grid.tobytes(), 0.02).flags.writeable
@@ -186,7 +177,7 @@ def test_music_high_snr_within_two_steps():
     noise = 1e-5 * (rng.standard_normal((200, 16)) + 1j * rng.standard_normal((200, 16)))
     u1 = principal_eigenvectors(np.outer(s, a) + noise)
     grid = default_angle_grid()
-    _, est = music_1d(u1, pos, grid, 0.02)
+    est = music_1d(u1, pos, grid, 0.02)
     assert abs(est - phi) <= 2 * 0.002
 
 
@@ -250,7 +241,7 @@ def test_degenerate_member_of_a_stack_raises():
     data = snaps.data.copy()
     data[2] = 0
     with pytest.raises(DegenerateSubspaceError):
-        estimate_angles(SnapshotSet(data, snaps.seed, sc))
+        estimate_angles(SnapshotSet(data, sc))
 
     sc = Scenario(_array(L=2, N=8, D=1.0), CAR, 12.0, 1.3, 0.1, 1e-10, 8)
     one = synthesize_snapshots(sc, seed=11).data.transpose(1, 0, 2).reshape(8, -1)
@@ -326,11 +317,14 @@ def test_locate_noiseless_within_floor(L, N, angle, distance):
     noiseless estimate lies within that floor."""
     mla = _array(L, N)
     sc = Scenario(mla, CAR, distance, math.pi / 2 + angle, 0.1, 0.0, 4)
-    est = locate(synthesize_snapshots(sc, seed=7))
+    snaps = synthesize_snapshots(sc, seed=7)
+    est = locate(snaps)
     err = math.hypot(est.x - sc.user_xz[0], est.z - sc.user_xz[1])
     floor = bracketing_floor(mla, sc.user_xz, default_angle_grid())
     assert err <= floor + 1e-12
-    assert len(est.subarray_angles) == L
+    angles = estimate_angles(snaps)
+    assert len(angles) == L
+    assert est == triangulate(angles, subarray_centers(mla))
 
 
 def test_music_2d_exact_on_grid():

@@ -7,14 +7,20 @@ same array and powers with 20 trials on a 0.01 rad x 0.1 m grid, which pins
 its 1D and 2D picks and its rates in under a second. A change that moves any
 written value, even by one ulp, fails here; such a change re-pins the hash
 and lists the moved values in CHANGES.md. The hashes depend on the platform's
-libm and scipy builds as well as on mlabeam.
+libm and scipy builds as well as on mlabeam. The configs are README's sample
+blocks, key for key, with se's three reduced keys on top.
 """
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
 from mlabeam.cli import main
+
+# the keys se's pinned config sets on top of its README sample
+SE_REDUCED = {"trials": "20", "angle_step_rad": "0.01", "distance_step_m": "0.1"}
 
 SAMPLES = {
     "beampattern": ("""frequency_ghz = 15
@@ -63,6 +69,24 @@ angle_step_rad = 0.01
 distance_step_m = 0.1
 """, "06e136f2be2999dcc4ffb91c79ba94528785d1ca2e61fe67558e53b2e67d2168"),
 }
+
+
+def _keys(text):
+    """key = value pairs of a config's text, comment lines skipped."""
+    pairs = (line.split("=", 1) for line in text.splitlines()
+             if line.strip() and not line.lstrip().startswith("#"))
+    return {key.strip(): value.strip() for key, value in pairs}
+
+
+def test_samples_are_readme_configs():
+    """Every sample ini block of README ("# <command>.cfg" on its first line)
+    sets exactly the keys and values of SAMPLES, se's reduced keys aside, so
+    the pinned hashes cover the configs README shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = {match[1]: _keys(match[2])
+              for match in re.finditer(r"```ini\n# (\w+)\.cfg[^\n]*\n(.*?)```", readme, re.S)}
+    blocks["se"] |= SE_REDUCED
+    assert blocks == {command: _keys(text) for command, (text, _) in SAMPLES.items()}
 
 
 @pytest.mark.parametrize("command", sorted(SAMPLES))
