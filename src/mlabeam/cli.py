@@ -85,15 +85,15 @@ _MONTE_CARLO_KEYS = {
     "aperture_m": _APERTURE,
     "num_subarrays": _Key(int, 4, positive=True),
     "antennas_per_subarray": _Key(int, 16, positive=True),
-    "trials": _Key(int, 500, positive=True),
+    "trials": _Key(int, TrialConfig.trials, positive=True),
     "noise_dbm": _Key(float, -78.0),
-    "snapshots": _Key(int, 100, positive=True),
-    "angle_min_deg": _Key(float, -60.0),
-    "angle_max_deg": _Key(float, 60.0),
-    "distance_min_m": _Key(float, 4.0, positive=True),
-    "distance_max_m": _Key(float, 40.0, positive=True),
-    "angle_step_rad": _Key(float, 0.002, positive=True),
-    "seed": _Key(int, 1),
+    "snapshots": _Key(int, TrialConfig.num_snapshots, positive=True),
+    "angle_min_deg": _Key(float, TrialConfig.angle_bounds_deg[0]),
+    "angle_max_deg": _Key(float, TrialConfig.angle_bounds_deg[1]),
+    "distance_min_m": _Key(float, TrialConfig.distance_bounds[0], positive=True),
+    "distance_max_m": _Key(float, TrialConfig.distance_bounds[1], positive=True),
+    "angle_step_rad": _Key(float, TrialConfig.angle_step, positive=True),
+    "seed": _Key(int, TrialConfig.base_seed),
 }
 
 SCHEMAS = {
@@ -126,7 +126,7 @@ SCHEMAS = {
         "aperture_m": _Key(float, required=True, positive=True),
         "focus_m": _FOCUS,
         "antenna_counts": _Key(_ints, (1, 2, 4, 8, 16, 32, 64), positive=True),
-        "grid_points": _Key(int, 300, positive=True),
+        "grid_points": _Key(int, DesignInput.grid_points, positive=True),
     },
     "localize": {
         **_MONTE_CARLO_KEYS,
@@ -138,7 +138,7 @@ SCHEMAS = {
         **_MONTE_CARLO_KEYS,
         "power_dbm_values": _Key(_floats, (10.0, 15.0, 20.0)),
         "include_2d": _Key(_bool, True),
-        "distance_step_m": _Key(float, 0.02, positive=True),
+        "distance_step_m": _Key(float, TrialConfig.distance_step, positive=True),
     },
 }
 

@@ -3,10 +3,10 @@
 Per-trial randomness is derived from a base seed so runs are reproducible
 bit-for-bit; the user draw and the snapshot noise use disjoint derived
 streams, and the user draw depends only on the trial index so every sweep
-point sees the same users. An unwritable CSV path fails before the first
-trial; the file is written after the last one, once the SE sweep's single
-pass over its 2D grid has searched every kept trial, with an aggregate
-footer written last.
+point sees the same users. Both drivers loop over one trial generator. An
+unwritable CSV path fails before the first trial; the file is written after
+the last one, once the SE sweep's single pass over its 2D grid has searched
+every kept trial, with an aggregate footer written last.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ class TrialConfig:
         return self.carrier.wavelength / 2 if self.spacing is None else self.spacing
 
     def array_for(self, num_subarrays: int, elements_per_subarray: int) -> ModularArray:
+        if num_subarrays < 2:
+            raise ValueError("bearing triangulation needs at least two sub-arrays")
         if elements_per_subarray < 2:
             raise ValueError("angle estimation needs at least two elements per sub-array")
         gap = spacing_for_aperture(self.aperture, num_subarrays, elements_per_subarray,
@@ -268,24 +270,20 @@ def _se_summary(kept):
     return summary
 
 
-def _run_trials(config: TrialConfig, out_path, summarize, evaluate=None,
-                finish=None) -> ExperimentResult:
+def _trials(config: TrialConfig, out_path):
     """The Monte Carlo protocol both drivers share: per sweep value and trial,
-    draw the user, synthesize snapshots and locate; once every trial has run,
-    make the records and write them in that order.
-
-    Trials whose triangulation is ill-conditioned or whose subspace is
-    degenerate keep NaN estimates and excluded=1. evaluate(fields, scenario,
-    snaps, est), if given, runs as each trial does, est None for an excluded
-    trial, and adds the sweep's own record fields to that trial's fields
-    dict; it may keep the dict and a few values per trial for later, never
-    the snapshots. finish(), if given, runs once after the last trial and
-    completes the dicts evaluate kept.
+    draw the user, synthesize snapshots and locate. Yields, trial by trial,
+    (fields, scenario, snaps, est, visited): the trial's record fields, NaN
+    where this loop does not produce them; its scenario and snapshots; its
+    estimate, None for an excluded trial (degenerate subspace or
+    ill-conditioned triangulation); and the angle grid points its searches
+    visited, none for a degenerate trial, which stops before the search.
+    out_path, if given, is truncated before the first trial, so an
+    unwritable path fails before any work.
     """
     grid = default_angle_grid(config.angle_step)
-    if out_path:  # fail on an unwritable path now, not after the last trial
+    if out_path:
         open(out_path, "w").close()
-    rows, searches = [], 0  # searches: sub-array angle searches run
     for v in config.sweep_values:
         mla, power = config._sweep_point(v)
         for trial in range(config.trials):
@@ -295,29 +293,30 @@ def _run_trials(config: TrialConfig, out_path, summarize, evaluate=None,
                                 power, config.noise_power, config.num_snapshots)
             snaps = synthesize_snapshots(scenario, seed)
             tx, tz = scenario.user_xz
+            visited = mla.num_subarrays * grid.size
             try:
                 est = locate(snaps, grid)
-            except DegenerateSubspaceError:  # raised before the angle search
+            except DegenerateSubspaceError:
+                est, visited = None, 0
+            except IllConditionedTriangulationError:
                 est = None
-            except IllConditionedTriangulationError:  # raised after it
-                est, searches = None, searches + mla.num_subarrays
-            else:
-                searches += mla.num_subarrays
             fields = dict.fromkeys(RECORD_FIELDS, float("nan"))
             fields.update(sweep_value=float(v), trial=trial, seed=seed, true_x=tx,
                           true_z=tz, excluded=int(est is None))
             if est is not None:
                 fields.update(est_x=est.x, est_z=est.z,
                               sq_error=(est.x - tx) ** 2 + (est.z - tz) ** 2)
-            if evaluate:
-                evaluate(fields, scenario, snaps, est)
-            rows.append(fields)
-    if finish:
-        finish()
+            yield fields, scenario, snaps, est, visited
+
+
+def _result(config, out_path, rows, summarize, search_cost_proposed,
+            search_cost_2d=0) -> ExperimentResult:
+    """The run's records and aggregates from its trials' record fields, in
+    trial order; written to out_path, if given."""
     records = [ExperimentRecord(**fields) for fields in rows]
     result = ExperimentResult(config, records, _aggregate(records, summarize),
-                              excluded_total=sum(r.excluded for r in records),
-                              search_cost_proposed=searches * grid.size)
+                              sum(r.excluded for r in records),
+                              search_cost_proposed, search_cost_2d)
     if out_path:
         write_records_csv(out_path, result)
     return result
@@ -334,7 +333,11 @@ def run_localization_experiment(config: TrialConfig, out_path=None) -> Experimen
     """
     if config.sweep_variable == "power":
         raise ValueError("use run_se_sweep for power sweeps")
-    return _run_trials(config, out_path, _nmse_summary)
+    rows, cost = [], 0
+    for fields, _, _, _, visited in _trials(config, out_path):
+        rows.append(fields)
+        cost += visited
+    return _result(config, out_path, rows, _nmse_summary, cost)
 
 
 def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
@@ -357,42 +360,37 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
     carrier, noise = config.carrier, config.noise_power
     if include_2d and grid_2d is None:
         config.check_grid_span()
-        grid_2d = NearFieldGrid(mla, carrier, centered_angle_grid(step=config.angle_step),
-                                default_distance_grid(step=config.distance_step))
+        grid_2d = NearFieldGrid(mla, carrier, centered_angle_grid(config.angle_step),
+                                default_distance_grid(config.distance_step))
     if include_2d and (grid_2d.mla != mla or grid_2d.carrier != carrier):
         raise ValueError("grid_2d was built for another array or carrier than the sweep's")
-    kept = []  # (fields, scenario, u1, h_true, beta) per kept trial, for the 2D pass
-
-    def evaluate(fields, scenario, snaps, est):
+    rows, cost, kept = [], 0, []  # kept: (fields, scenario, u1, h_true, beta), for the 2D pass
+    for fields, scenario, snaps, est, visited in _trials(config, out_path):
+        rows.append(fields)
+        cost += visited
         power = scenario.power
         beta = friis_beta(carrier, scenario.distance)
         fields["se_perfect"] = math.log2(1 + power * beta * mla.num_elements / noise)
-        if est is not None:
-            h_true = near_steering(mla, carrier, scenario.angle, scenario.distance)
-            ch = estimate_channel(mla, carrier, est.angle, est.distance)
-            fields["se_proposed"] = spectral_efficiency(h_true, ch, power, beta, noise)
-            if include_2d:
-                whole = snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
-                # a copy, not a column view that would keep all L*N eigenvectors alive
-                u1 = principal_eigenvectors(whole).copy()
-                kept.append((fields, scenario, u1, h_true, beta))
+        if est is None:
+            continue
+        h_true = near_steering(mla, carrier, scenario.angle, scenario.distance)
+        ch = estimate_channel(mla, carrier, est.angle, est.distance)
+        fields["se_proposed"] = spectral_efficiency(h_true, ch, power, beta, noise)
+        if include_2d:
+            whole = snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
+            # a copy, not a column view that would keep all L*N eigenvectors alive
+            kept.append((fields, scenario, principal_eigenvectors(whole).copy(), h_true, beta))
 
-    def search_2d():
-        if not kept:
-            return
-        picks = music_2d(np.stack([u1 for _, _, u1, _, _ in kept], axis=1), grid_2d)
-        for (fields, scenario, _, h_true, beta), (phi2, d2) in zip(kept, picks, strict=True):
-            ch2 = estimate_channel(mla, carrier, phi2, d2)
-            ex2, ez2 = d2 * math.cos(phi2), d2 * math.sin(phi2)
-            tx, tz = scenario.user_xz
-            fields.update(est_x_2d=ex2, est_z_2d=ez2,
-                          sq_error_2d=(ex2 - tx) ** 2 + (ez2 - tz) ** 2,
-                          se_2d=spectral_efficiency(h_true, ch2, scenario.power,
-                                                    beta, noise))
-
-    result = _run_trials(config, out_path, _se_summary, evaluate, search_2d)
-    result.search_cost_2d = grid_2d.num_points * len(kept) if kept else 0
-    return result
+    picks = music_2d(np.stack([u1 for _, _, u1, _, _ in kept], axis=1), grid_2d) if kept else []
+    for (fields, scenario, _, h_true, beta), (phi2, d2) in zip(kept, picks, strict=True):
+        ch2 = estimate_channel(mla, carrier, phi2, d2)
+        ex2, ez2 = d2 * math.cos(phi2), d2 * math.sin(phi2)
+        tx, tz = scenario.user_xz
+        fields.update(est_x_2d=ex2, est_z_2d=ez2,
+                      sq_error_2d=(ex2 - tx) ** 2 + (ez2 - tz) ** 2,
+                      se_2d=spectral_efficiency(h_true, ch2, scenario.power, beta, noise))
+    search_cost_2d = grid_2d.num_points * len(kept) if kept else 0
+    return _result(config, out_path, rows, _se_summary, cost, search_cost_2d)
 
 
 def bracketing_floor(mla: ModularArray, truth_xz, grid) -> float:

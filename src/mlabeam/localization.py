@@ -167,17 +167,17 @@ def noise_subspace(R: np.ndarray) -> np.ndarray:
     return _split_eigh(R)[:, :-1]
 
 
-def default_angle_grid(step: float = 0.002) -> np.ndarray:
+def default_angle_grid(step: float) -> np.ndarray:
     """Angle grid over the open interval (0, pi)."""
     return np.arange(step, math.pi, step)
 
 
-def centered_angle_grid(step: float = 0.002) -> np.ndarray:
+def centered_angle_grid(step: float) -> np.ndarray:
     """Angle grid of the whole-array 2D search, pi/2 +- _GRID_HALFWIDTH."""
     return np.arange(math.pi / 2 - _GRID_HALFWIDTH, math.pi / 2 + _GRID_HALFWIDTH, step)
 
 
-def default_distance_grid(step: float = 0.02) -> np.ndarray:
+def default_distance_grid(step: float) -> np.ndarray:
     """Distance grid of the whole-array 2D search, _GRID_NEAR to _GRID_FAR."""
     return np.arange(_GRID_NEAR, _GRID_FAR + step / 2, step)
 
@@ -219,14 +219,12 @@ def music_1d(principal: np.ndarray, positions, grid: np.ndarray, wavelength: flo
     return float(picks) if u.ndim == 1 else tuple(picks.tolist())
 
 
-def estimate_angles(snapshots: SnapshotSet, grid: np.ndarray | None = None) -> tuple:
+def estimate_angles(snapshots: SnapshotSet, grid: np.ndarray) -> tuple:
     """Per-sub-array MUSIC bearings to the source, a tuple of radians from
     the positive x-axis, one music_1d pick per sub-array. One steering matrix
     serves every sub-array: it uses element offsets from the sub-array center
     (those of a lone sub-array), whose phase is common to a steering row and
     cancels in |a^H u1|."""
-    if grid is None:
-        grid = default_angle_grid()
     mla = snapshots.scenario.mla
     offsets = element_positions(ModularArray.ula(mla.elements_per_subarray, mla.spacing))
     principal = principal_eigenvectors(snapshots.data)
@@ -260,7 +258,7 @@ def triangulate(angles, centers) -> PositionEstimate:
     return PositionEstimate(x, z, math.hypot(x, z), math.atan2(z, x))
 
 
-def locate(snapshots: SnapshotSet, grid: np.ndarray | None = None) -> PositionEstimate:
+def locate(snapshots: SnapshotSet, grid: np.ndarray) -> PositionEstimate:
     """Full pipeline: per-sub-array angles, then bearing-line intersection."""
     angles = estimate_angles(snapshots, grid)
     return triangulate(angles, subarray_centers(snapshots.scenario.mla))

@@ -125,7 +125,7 @@ def test_criterion_07_localization_trends():
     inv_l = sum(1 for a, b in zip(nmse_l, nmse_l[1:]) if b > a)
 
     mla = m.ModularArray(4, 16, 0.01, m.spacing_for_aperture(2.0, 4, 16, 0.01))
-    grid = default_angle_grid()
+    grid = default_angle_grid(0.002)
     ok_floor = True
     worst_ratio = 0.0
     for k in range(25):
@@ -134,7 +134,7 @@ def test_criterion_07_localization_trends():
         dist = rng.uniform(4.0, 40.0)
         sc = m.Scenario(mla, MC_CAR, dist, phi, 0.1, 0.0, 4)
         snaps = m.synthesize_snapshots(sc, seed=500 + k)
-        est = m.locate(snaps)
+        est = m.locate(snaps, grid)
         err = math.hypot(est.x - sc.user_xz[0], est.z - sc.user_xz[1])
         floor = m.bracketing_floor(mla, sc.user_xz, grid)
         worst_ratio = max(worst_ratio, err / floor if floor > 0 else float(err > 0))

@@ -278,6 +278,17 @@ def test_bad_inputs_are_config_errors(argv, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["localize", "--sweep_variable", "num_subarrays", "--sweep_values", "1,2"],
+    ["se", "--num_subarrays", "1", "--include_2d", "false"],
+])
+def test_one_subarray_cannot_triangulate(argv, capsys):
+    """A Monte Carlo sweep refuses a single sub-array because the bearings
+    need a second line to intersect, whatever the gap rule would say."""
+    assert main([*argv, "--trials", "1", "--out", "/dev/null"]) == 2
+    assert "triangulation" in capsys.readouterr().err
+
+
 def test_users_beyond_grid_run_without_2d(tmp_path):
     """Without the 2D baseline no grid bounds the users."""
     assert main([*_SE_SMALL_GRID, "--distance_max_m", "90", "--include_2d", "false",

@@ -130,7 +130,7 @@ def test_music_exact_on_grid():
     """Noiseless data with the bearing on a grid node is recovered exactly."""
     mla = _array(L=2, N=16, D=1.0)
     pos = element_positions(mla)[0] - subarray_centers(mla)[0]
-    grid = default_angle_grid()
+    grid = default_angle_grid(0.002)
     phi = float(grid[700])
     a = far_steering(pos, phi, 0.02)
     rng = np.random.default_rng(4)
@@ -150,7 +150,7 @@ def test_music_1d_cached_steering_is_bitwise_fresh():
     fresh |a^H u1|^2, whether the matrix was built or reused."""
     mla = _array(L=2, N=16, D=1.0)
     pos = element_positions(mla)[0] - subarray_centers(mla)[0]
-    grid = default_angle_grid()
+    grid = default_angle_grid(0.002)
     rng = np.random.default_rng(9)
     u = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
     u /= np.linalg.norm(u, axis=0)
@@ -176,7 +176,7 @@ def test_music_high_snr_within_two_steps():
     s = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     noise = 1e-5 * (rng.standard_normal((200, 16)) + 1j * rng.standard_normal((200, 16)))
     u1 = principal_eigenvectors(np.outer(s, a) + noise)
-    grid = default_angle_grid()
+    grid = default_angle_grid(0.002)
     est = music_1d(u1, pos, grid, 0.02)
     assert abs(est - phi) <= 2 * 0.002
 
@@ -184,7 +184,7 @@ def test_music_high_snr_within_two_steps():
 def test_estimate_angles_per_subarray():
     sc = Scenario(_array(), CAR, 20.0, 1.4, 0.1, 0.0, 8)
     snaps = synthesize_snapshots(sc, seed=6)
-    est = estimate_angles(snaps)
+    est = estimate_angles(snaps, default_angle_grid(0.002))
     assert len(est) == 4
     centers = subarray_centers(sc.mla)
     truth = [math.atan2(sc.user_xz[1], sc.user_xz[0] - c) for c in centers]
@@ -217,7 +217,7 @@ def test_estimate_angles_matches_per_subarray_music(L, N, gap, angle, distance, 
     sc = Scenario(mla, CAR, distance, math.pi / 2 + angle, 10 ** (power_dbm / 10 - 3),
                   0.0 if noiseless else 10**-10.8, 20)
     snaps = synthesize_snapshots(sc, seed)
-    grid = default_angle_grid()
+    grid = default_angle_grid(0.002)
     assert estimate_angles(snaps, grid) == _per_subarray_music(snaps, grid)
 
 
@@ -241,7 +241,7 @@ def test_degenerate_member_of_a_stack_raises():
     data = snaps.data.copy()
     data[2] = 0
     with pytest.raises(DegenerateSubspaceError):
-        estimate_angles(SnapshotSet(data, sc))
+        estimate_angles(SnapshotSet(data, sc), default_angle_grid(0.002))
 
     sc = Scenario(_array(L=2, N=8, D=1.0), CAR, 12.0, 1.3, 0.1, 1e-10, 8)
     one = synthesize_snapshots(sc, seed=11).data.transpose(1, 0, 2).reshape(8, -1)
@@ -318,11 +318,12 @@ def test_locate_noiseless_within_floor(L, N, angle, distance):
     mla = _array(L, N)
     sc = Scenario(mla, CAR, distance, math.pi / 2 + angle, 0.1, 0.0, 4)
     snaps = synthesize_snapshots(sc, seed=7)
-    est = locate(snaps)
+    grid = default_angle_grid(0.002)
+    est = locate(snaps, grid)
     err = math.hypot(est.x - sc.user_xz[0], est.z - sc.user_xz[1])
-    floor = bracketing_floor(mla, sc.user_xz, default_angle_grid())
+    floor = bracketing_floor(mla, sc.user_xz, grid)
     assert err <= floor + 1e-12
-    angles = estimate_angles(snaps)
+    angles = estimate_angles(snaps, grid)
     assert len(angles) == L
     assert est == triangulate(angles, subarray_centers(mla))
 
@@ -676,8 +677,8 @@ def test_default_grid_stores_half(monkeypatch):
     in place of 1,025.6 MB, for the same 2,003,100 grid points. The build is
     skipped here: only the layout is checked."""
     monkeypatch.setattr(localization, "_run_blocks", lambda task, num_blocks: None)
-    grid = NearFieldGrid(_array(), CAR, localization.centered_angle_grid(),
-                         localization.default_distance_grid())
+    grid = NearFieldGrid(_array(), CAR, localization.centered_angle_grid(0.002),
+                         localization.default_distance_grid(0.02))
     assert list(grid._stored) == list(range(551))
     assert grid.matrix.nbytes == 513_725_952
     assert grid.num_points == 2_003_100
@@ -773,7 +774,7 @@ def test_nmse_consistency_in_snapshots():
             dist = rng.uniform(5.0, 35.0)
             sc = Scenario(mla, CAR, dist, phi, 0.1, 10**-10.8, T)
             snaps = synthesize_snapshots(sc, seed=2000 + trial)
-            est = locate(snaps)
+            est = locate(snaps, default_angle_grid(0.002))
             sq.append((est.x - sc.user_xz[0]) ** 2 + (est.z - sc.user_xz[1]) ** 2)
         errs.append(float(np.mean(sq)))
     inversions = sum(1 for a, b in zip(errs, errs[1:]) if b > a)
