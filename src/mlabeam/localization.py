@@ -115,26 +115,23 @@ def near_steering(mla: ModularArray, carrier: Carrier, phi: float, d: float) -> 
 def synthesize_snapshots(scenario: Scenario, seed: int) -> SnapshotSet:
     """Draw T snapshots per sub-array for one user.
 
-    Signal: sqrt(P * beta) * a(phi_l) * u[t], with the bearing phi_l taken
-    from each sub-array's center to the user, a common unit-variance circular
-    Gaussian symbol stream u, and one large-scale gain from the user's
-    distance to the array center. Noise is i.i.d. circular Gaussian with the
-    scenario's noise power. Identical seeds give identical bits.
+    Signal: sqrt(P * beta) * h * u[t], with h the whole array's spherical-
+    wave channel (near_steering, which the rates are scored against) split
+    into its L sub-arrays, a common unit-variance circular Gaussian symbol
+    stream u, and one large-scale gain from the user's distance to the array
+    center. Noise is i.i.d. circular Gaussian with the scenario's noise
+    power. Identical seeds give identical bits.
     """
     rng = np.random.default_rng(seed)
     mla, carrier = scenario.mla, scenario.carrier
     L, N, T = mla.num_subarrays, mla.elements_per_subarray, scenario.num_snapshots
-    pos = element_positions(mla)
-    centers = subarray_centers(mla)
-    ux, uz = scenario.user_xz
     amp = math.sqrt(scenario.power * friis_beta(carrier, scenario.distance))
     nscale = math.sqrt(scenario.noise_power / 2)
     u = (rng.standard_normal(T) + 1j * rng.standard_normal(T)) / math.sqrt(2)
     # per sub-array, a (T, N) real then a (T, N) imaginary noise draw
     noise = rng.standard_normal((L, 2, T, N))
-    cos_phi = np.array([math.cos(math.atan2(uz, ux - c)) for c in centers])
-    a = np.exp(2j * np.pi / carrier.wavelength * pos * cos_phi[:, None])
-    data = amp * u[None, :, None] * a[:, None, :] + nscale * (noise[:, 0] + 1j * noise[:, 1])
+    h = near_steering(mla, carrier, scenario.angle, scenario.distance).reshape(L, N)
+    data = amp * u[None, :, None] * h[:, None, :] + nscale * (noise[:, 0] + 1j * noise[:, 1])
     return SnapshotSet(data, scenario)
 
 

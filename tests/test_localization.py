@@ -348,6 +348,26 @@ def test_music_2d_exact_on_grid():
     assert picks == [(float(ag[i]), float(dg[j])) for i, j in truths]
 
 
+def test_synthesized_user_on_a_2d_grid_point_is_found_exactly():
+    """Noiseless snapshots carry the spherical-wave channel of the whole
+    array, so a user placed on a 2D grid point comes back as that point. A
+    per-sub-array plane-wave channel referenced to the array origin would
+    not: the whole-array search would find no coherent near-field vector."""
+    mla = _array()
+    grid = NearFieldGrid(mla, CAR, np.linspace(math.pi / 2 - 1.1, math.pi / 2 + 1.1, 81),
+                         np.linspace(4.0, 40.0, 144))
+    rng = np.random.default_rng(21)
+    truths = list(zip(rng.integers(0, 81, 20).tolist(), rng.integers(0, 144, 20).tolist()))
+    whole = []
+    for k, (i, j) in enumerate(truths):
+        sc = Scenario(mla, CAR, float(grid.distance_grid[j]), float(grid.angle_grid[i]),
+                      0.1, 0.0, 8)
+        whole.append(synthesize_snapshots(sc, seed=k).data.transpose(1, 0, 2).reshape(8, -1))
+    picks = music_2d(principal_eigenvectors(np.stack(whole)).T, grid)
+    assert picks == [(float(grid.angle_grid[i]), float(grid.distance_grid[j]))
+                     for i, j in truths]
+
+
 def test_grid_argmax_phase_invariance():
     mla = _array(L=2, N=8, D=1.0)
     ag = np.arange(1.2, 1.4, 0.01)

@@ -58,7 +58,7 @@ trials = 500
 power_dbm = 20
 noise_dbm = -78
 snapshots = 100
-""", "92ff38ed99881d393c77c9e335ca8c0b4f22f66165a2021e2f8aa99bc42254a2"),
+""", "9cefa2f0403c8f4acf1ccb7e7efbc4afa8b1ecb2fe6c66b86620316fec59385a"),
     "se": ("""aperture_m = 2.0
 num_subarrays = 4
 antennas_per_subarray = 16
@@ -67,7 +67,7 @@ trials = 20
 include_2d = true
 angle_step_rad = 0.01
 distance_step_m = 0.1
-""", "06e136f2be2999dcc4ffb91c79ba94528785d1ca2e61fe67558e53b2e67d2168"),
+""", "a8392eae12f51309ad5dec3e888d629a9d2391010b64e7efb1d01cf595b128df"),
 }
 
 
