@@ -44,7 +44,7 @@ def _pchip_upsample(y: np.ndarray, upsample: int) -> np.ndarray:
     d = np.empty_like(y)
     left, right = m[:-1], m[1:]
     smooth = (np.sign(left) == np.sign(right)) & (left != 0) & (right != 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d[1:-1] = np.where(smooth, 1.0 / ((3.0 / left + 3.0 / right) / 6.0), 0.0)
     d[0], d[-1] = _end_slope(m[0], m[1]), _end_slope(m[-1], m[-2])
     cubic = d[:-1] + d[1:] - 2 * m

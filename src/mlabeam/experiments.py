@@ -26,6 +26,7 @@ from .localization import (_GRID_FAR, _GRID_HALFWIDTH, _GRID_NEAR, DegenerateSub
                            centered_angle_grid, default_angle_grid, default_distance_grid,
                            locate, music_2d, near_steering, principal_eigenvectors,
                            synthesize_snapshots, triangulate)
+from .numerics import _blas_pinned
 
 _USER_STREAM = 0
 _SNAPSHOT_STREAM = 1
@@ -365,23 +366,28 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
     if include_2d and (grid_2d.mla != mla or grid_2d.carrier != carrier):
         raise ValueError("grid_2d was built for another array or carrier than the sweep's")
     rows, cost, kept = [], 0, []  # kept: (fields, scenario, u1, h_true, beta), for the 2D pass
-    for fields, scenario, snaps, est, visited in _trials(config, out_path):
-        rows.append(fields)
-        cost += visited
-        power = scenario.power
-        beta = friis_beta(carrier, scenario.distance)
-        fields["se_perfect"] = math.log2(1 + power * beta * mla.num_elements / noise)
-        if est is None:
-            continue
-        h_true = near_steering(mla, carrier, scenario.angle, scenario.distance)
-        ch = estimate_channel(mla, carrier, est.angle, est.distance)
-        fields["se_proposed"] = spectral_efficiency(h_true, ch, power, beta, noise)
-        if include_2d:
-            whole = snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
-            # a copy, not a column view that would keep all L*N eigenvectors alive
-            kept.append((fields, scenario, principal_eigenvectors(whole).copy(), h_true, beta))
+    # BLAS held at one thread through the trials and the 2D pass, so that no
+    # helper thread of a multi-threaded eigh is still spinning when the
+    # screen starts; the screen's own pin nests inside this one
+    with _blas_pinned():
+        for fields, scenario, snaps, est, visited in _trials(config, out_path):
+            rows.append(fields)
+            cost += visited
+            power = scenario.power
+            beta = friis_beta(carrier, scenario.distance)
+            fields["se_perfect"] = math.log2(1 + power * beta * mla.num_elements / noise)
+            if est is None:
+                continue
+            h_true = near_steering(mla, carrier, scenario.angle, scenario.distance)
+            ch = estimate_channel(mla, carrier, est.angle, est.distance)
+            fields["se_proposed"] = spectral_efficiency(h_true, ch, power, beta, noise)
+            if include_2d:
+                whole = snaps.data.transpose(1, 0, 2).reshape(config.num_snapshots, -1)
+                # a copy, not a column view that would keep all L*N eigenvectors alive
+                u1 = principal_eigenvectors(whole).copy()
+                kept.append((fields, scenario, u1, h_true, beta))
 
-    picks = music_2d(np.stack([u1 for _, _, u1, _, _ in kept], axis=1), grid_2d) if kept else []
+        picks = music_2d(np.stack([u1 for _, _, u1, _, _ in kept], axis=1), grid_2d) if kept else []
     for (fields, scenario, _, h_true, beta), (phi2, d2) in zip(kept, picks, strict=True):
         ch2 = estimate_channel(mla, carrier, phi2, d2)
         ex2, ez2 = d2 * math.cos(phi2), d2 * math.sin(phi2)

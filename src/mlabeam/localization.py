@@ -334,14 +334,19 @@ class NearFieldGrid:
                                dtype=np.complex64)
 
         def build_rows(first, stop):
-            # exp(-1j*k*r) as cos and sin of the float64 phase -k*r, written
-            # into the float32 parts of each stored angle's rows: the same
-            # bits without a complex128 temporary
+            # exp(-1j*k*r) as float32 cos and sin of the float64 phase -k*r,
+            # reduced in float64 to [-pi, pi] (to about 1e-12 rad) and then
+            # rounded to float32, written into the float32 parts of each
+            # stored angle's rows; argmax_rank1's margin covers their error
+            turns = np.empty((gd.size, self._x.size))
+            phase = np.empty(turns.shape, dtype=np.float32)
             for s in range(first, stop):
                 theta = _phase(self._x, self._k, self._cos[self._stored[s]], gd[:, None])
+                np.rint(np.divide(theta, 2 * np.pi, out=turns), out=turns)
+                np.subtract(theta, np.multiply(turns, 2 * np.pi, out=turns), out=phase)
                 rows = self.matrix[s * gd.size:(s + 1) * gd.size]
-                np.cos(theta, out=rows.real)
-                np.sin(theta, out=rows.imag)
+                np.cos(phase, out=rows.real)
+                np.sin(phase, out=rows.imag)
 
         _run_blocks(build_rows, self._stored.size)
         # the stored rows as runs of angles that all have a partner or all
@@ -384,13 +389,17 @@ class NearFieldGrid:
         # 2 sqrt(n) ||w|| |dp|, and e (u = 2**-24) adds up:
         # - arithmetic: 2n-term real float32 dot products, and the rounding
         #   of w and of |p|^2: 6 n^2 u ||w||^2;
-        # - storage: a stored entry is within sqrt(2) u of its float64 value,
-        #   so |dp| <= sqrt(2) u ||w||_1 <= sqrt(2 n) u ||w||: 2 sqrt(2) n u ||w||^2;
+        # - storage: a stored entry is within (2 + 2 sqrt(2)) u of its
+        #   float64 value exp(-ikr): rounding the reduced phase to float32
+        #   costs at most 2u on [-pi, pi], and numpy's float32 cos and sin are
+        #   validated to 2 ulp (2u on [-1, 1]) per part. So |dp| <= (2 +
+        #   2 sqrt(2)) u ||w||_1 <= (2 + 2 sqrt(2)) sqrt(n) u ||w||:
+        #   (4 + 4 sqrt(2)) n u ||w||^2, that is 9.66 n u ||w||^2;
         # - mirror: a paired angle's reversed row is within u in phase of its
         #   partner's float64 row (_mirror_partners): 2 n u ||w||^2.
-        # Twice their sum, with 9.66 n rounded up to 10 n for second-order terms
-        # and the float64 rounding of the phases, is the margin.
-        margin = (12 * n * n + 10 * n) * _U32 * (w.real**2 + w.imag**2).sum(axis=0)
+        # Twice their sum, with 23.3 n rounded up to 24 n for second-order terms
+        # and the float64 rounding and reduction of the phases, is the margin.
+        margin = (12 * n * n + 24 * n) * _U32 * (w.real**2 + w.imag**2).sum(axis=0)
 
         def real_form(v):
             # the complex product as a real one on the interleaved float32 view

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import threading
@@ -55,33 +56,47 @@ def _openblas_threads():
 
 
 _BLAS_THREADS = _openblas_threads()
-_BLAS_PIN = threading.Lock()
+_BLAS_PIN = threading.RLock()
 
 
-def _run_blas_blocks(task, num_blocks: int) -> None:
-    """_run_blocks for tasks that call BLAS.
+@contextlib.contextmanager
+def _blas_pinned():
+    """Hold numpy's OpenBLAS at one thread, process wide, inside the block,
+    and restore the old count after it, also when the block raises.
 
-    While the workers run, numpy's OpenBLAS is held at one thread, process
-    wide, so each worker's GEMM has a core to itself rather than contending
-    with BLAS's own threads; the calling thread sets the count and restores
-    the old one, also when a task raises. The count is process wide, so
-    BLAS calls on other threads also run on one thread meanwhile, and calls
-    from several threads take turns on a lock: two pins that overlapped
-    could restore in crossed order and leave BLAS at one thread. Without
-    the thread controls the task runs as one range on the caller and BLAS
-    is left alone.
+    The count is process wide, so BLAS calls on other threads also run on
+    one thread meanwhile, and pins from several threads take turns on a
+    lock: two pins that overlapped could restore in crossed order and leave
+    BLAS at one thread. Pins nest on one thread: an inner pin finds the
+    count at one and leaves it there. Without the thread controls BLAS is
+    left alone.
     """
-    if _BLAS_THREADS is None or min(_WORKERS, num_blocks) <= 1:
-        task(0, num_blocks)
+    if _BLAS_THREADS is None:
+        yield
         return
     get, put = _BLAS_THREADS
     with _BLAS_PIN:
         old = get()
         put(1)
         try:
-            _run_blocks(task, num_blocks)
+            yield
         finally:
             put(old)
+
+
+def _run_blas_blocks(task, num_blocks: int) -> None:
+    """_run_blocks for tasks that call BLAS.
+
+    While the workers run, BLAS is pinned to one thread (_blas_pinned), so
+    each worker's GEMM has a core to itself rather than contending with
+    BLAS's own threads; the calling thread sets the count and restores it.
+    Without the thread controls the task runs as one range on the caller.
+    """
+    if _BLAS_THREADS is None or min(_WORKERS, num_blocks) <= 1:
+        task(0, num_blocks)
+        return
+    with _blas_pinned():
+        _run_blocks(task, num_blocks)
 
 
 def fresnel_cs(u):

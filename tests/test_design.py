@@ -52,12 +52,18 @@ def test_prominence_threshold():
     assert count_peaks(main + 5e-2 * side) == 2
 
 
+def _scipy_pchip(y, upsample):
+    # scipy overflows 3 / secant at a subnormal secant, as the numpy PCHIP
+    # does, but lets the warning out
+    with np.errstate(over="ignore"):
+        return PchipInterpolator(np.arange(y.size, dtype=float), y)(
+            np.linspace(0.0, y.size - 1.0, upsample * y.size))
+
+
 def _count_peaks_loop(samples, prominence, upsample):
     # the per-run walk count_peaks replaced, kept as its reference, on
     # scipy's PCHIP
-    y = np.asarray(samples, dtype=float)
-    x = np.arange(y.size, dtype=float)
-    dense = PchipInterpolator(x, y)(np.linspace(0.0, y.size - 1.0, upsample * y.size))
+    dense = _scipy_pchip(np.asarray(samples, dtype=float), upsample)
     keep = np.empty(dense.size, dtype=bool)
     keep[0] = True
     keep[1:] = dense[1:] != dense[:-1]
@@ -102,12 +108,20 @@ def test_pchip_matches_scipy(samples, prominence, upsample, scale, wiggle):
     """The numpy PCHIP gives scipy's dense values and hence its peak counts;
     a small ramp breaks the generator's plateaus into near-plateaus."""
     y = scale * (np.asarray(samples) + wiggle * np.arange(len(samples)))
-    dense = PchipInterpolator(np.arange(y.size, dtype=float), y)(
-        np.linspace(0.0, y.size - 1.0, upsample * y.size))
-    np.testing.assert_allclose(design._pchip_upsample(y, upsample), dense, rtol=0,
-                               atol=1e-15 * scale)
+    np.testing.assert_allclose(design._pchip_upsample(y, upsample), _scipy_pchip(y, upsample),
+                               rtol=0, atol=1e-15 * scale)
     assert count_peaks(y, prominence * scale, upsample) == _count_peaks_loop(
         y, prominence * scale, upsample)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pchip_subnormal_secant_matches_scipy():
+    """A subnormal secant overflows 3 / secant to inf, which the harmonic mean
+    turns into a zero slope, as in scipy (which warns there); the numpy PCHIP
+    raises no warning and gives scipy's values."""
+    y = np.array([0.0, 1e-310, 2e-310, 1.0, 0.5])
+    np.testing.assert_allclose(design._pchip_upsample(y, 10), _scipy_pchip(y, 10), rtol=0,
+                               atol=1e-15)
 
 
 def test_design_imports_no_interpolation():

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from mlabeam import (Carrier, TrialConfig, derive_trial_seed, dbm_to_watts,
                      read_records_csv, run_localization_experiment, run_se_sweep,
                      write_records_csv)
-from mlabeam import experiments, localization
+from mlabeam import experiments, localization, numerics
 from mlabeam.experiments import RECORD_FIELDS, ExperimentRecord
 from mlabeam.geometry import InfeasibleArrayError
 from mlabeam.localization import (DegenerateSubspaceError, IllConditionedTriangulationError,
@@ -344,6 +344,43 @@ def test_records_do_not_depend_on_blas_threads(tmp_path):
                        env=env, check=True, capture_output=True, timeout=300)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_se_sweep_holds_blas_at_one_thread(monkeypatch):
+    """BLAS is held at one thread through the whole SE sweep, its trials and
+    its 2D pass, whose screen pins again inside that pin on two workers; the
+    old count is back after the sweep, also when a trial raises."""
+    count, puts, seen = {"threads": 2}, [], []
+
+    def put(n):
+        puts.append(n)
+        count["threads"] = n
+
+    def watch(fn):
+        def called(*args):
+            seen.append(count["threads"])
+            return fn(*args)
+        return called
+
+    monkeypatch.setattr(numerics, "_BLAS_THREADS", (lambda: count["threads"], put))
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+    monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1)
+    monkeypatch.setattr(experiments, "locate", watch(experiments.locate))
+    monkeypatch.setattr(experiments, "music_2d", watch(experiments.music_2d))
+    cfg = _config(sweep_variable="power", sweep_values=(0.1, 1.0), trials=3)
+    grid = NearFieldGrid(cfg.array_for(4, 16), CAR, COARSE_ANGLES[:10], COARSE_DISTANCES[:20])
+    run_se_sweep(cfg, grid_2d=grid)
+    assert seen == [1] * 7  # six trials, then the 2D pass
+    assert puts == [1, 1, 1, 2] and count["threads"] == 2
+
+    def fail(*args):
+        raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(experiments, "locate", fail)
+    count["threads"] = 3
+    with pytest.raises(RuntimeError, match="trial failed"):
+        run_se_sweep(cfg, grid_2d=grid)
+    assert count["threads"] == 3
 
 
 def test_localization_trend_smoke():

@@ -381,30 +381,51 @@ def test_grid_argmax_phase_invariance():
     assert grid.num_points == ag.size * dg.size
 
 
-def _exp_reference_grid(mla, ag, dg):
-    """The steering grid built angle row by angle row with exp(-1j*k*r)."""
-    x = element_positions(mla).ravel()
-    k = 2 * np.pi / CAR.wavelength
-    d2 = (dg * dg)[:, None]
-    rows = [np.exp(-1j * k * np.sqrt(d2 + x * x - 2 * np.cos(phi) * dg[:, None] * x))
-            for phi in ag]
-    return np.concatenate(rows).astype(np.complex64)
+# A stored entry is within this of its float64 value exp(-ikr): float32 cos
+# and sin (2 ulp each) of the phase reduced to [-pi, pi] and rounded to
+# float32 (2u); see the margin of NearFieldGrid.argmax_rank1.
+ENTRY_BOUND = (2 + 2 * math.sqrt(2)) * 2.0**-24
+
+
+def _storage_error(grid):
+    """Largest |stored entry - float64 cos and sin of its phase| over every
+    stored row of grid."""
+    x = element_positions(grid.mla).ravel()
+    k = 2 * np.pi / grid.carrier.wavelength
+    c = np.cos(grid.angle_grid[grid._stored])[:, None, None]
+    theta = localization._phase(x, k, c, grid.distance_grid[:, None]).reshape(-1, x.size)
+    return np.abs(grid.matrix - (np.cos(theta) + 1j * np.sin(theta))).max()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_grid_does_not_depend_on_worker_count(workers, monkeypatch):
-    """Each worker builds a contiguous range of stored angle rows from cos and
-    sin of the phase; at 1, 2 and 3 workers (an uneven split of 7 stored
-    angles, each paired with one of the 7 mirrored ones) the matrix has the
-    bits of the exp formula for the stored angles."""
+    """Each worker builds a contiguous range of stored angle rows; at 1, 2
+    and 3 workers (an uneven split of 7 stored angles, each paired with one
+    of the 7 mirrored ones) the matrix has the same bits as the build at the
+    next of those counts, and every entry is within ENTRY_BOUND of float64
+    cos and sin of its phase."""
     mla = _array(L=2, N=8, D=1.0)
     ag, dg = np.pi / 2 + 0.01 * np.arange(-6.5, 7), np.arange(10.0, 14.0, 0.1)
-    monkeypatch.setattr(numerics, "_WORKERS", workers)
-    grid = NearFieldGrid(mla, CAR, ag, dg)
+    builds = []
+    for count in (workers, workers % 3 + 1):
+        monkeypatch.setattr(numerics, "_WORKERS", count)
+        builds.append(NearFieldGrid(mla, CAR, ag, dg))
+    grid, other = builds
     assert list(grid._stored) == list(range(7))
     assert list(grid._partner) == list(range(13, -1, -1))
-    ref = _exp_reference_grid(mla, ag[:7], dg)
-    assert np.array_equal(grid.matrix.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(grid.matrix.view(np.uint64), other.matrix.view(np.uint64))
+    assert _storage_error(grid) <= ENTRY_BOUND
+
+
+def test_default_grid_entries_within_storage_bound():
+    """Every 25th stored angle of the default centered grid at every default
+    distance, phases from 9.3e2 to 1.3e4 rad: each stored entry is within
+    ENTRY_BOUND of its float64 value, as the screen's margin assumes. A
+    numpy whose float32 cos or sin breaks 2 ulp fails here."""
+    angles = localization.centered_angle_grid(0.002)[:551:25]
+    grid = NearFieldGrid(_array(), CAR, angles, localization.default_distance_grid(0.02))
+    assert grid.matrix.shape == (23 * 1821, 64)
+    assert _storage_error(grid) <= ENTRY_BOUND
 
 
 @pytest.mark.parametrize("angles, distances", [
@@ -631,32 +652,33 @@ def test_odd_element_count_pairs():
     assert ODD_GRID.matrix.shape == (11 * ODD_GRID.distance_grid.size, 15)
 
 
-def _perturbed(grid, pick):
+def _perturbed(grid, pick, by=None):
     """A copy of grid whose stored row for the point pick (or for its mirror
     partner) is one float32 ulp nearer zero in every part, and every other
-    stored row one ulp farther."""
+    stored row one ulp farther; by that much instead, if by is given."""
     ia = int(np.flatnonzero(grid.angle_grid == pick[0])[0])
     idist = int(np.flatnonzero(grid.distance_grid == pick[1])[0])
     stored = ia if ia in grid._stored else grid._partner[ia]
     row = int(np.flatnonzero(grid._stored == stored)[0]) * grid.distance_grid.size + idist
     m = grid.matrix.view(np.float32)
-    out = np.nextafter(m, np.copysign(np.inf, m))
-    out[row] = np.nextafter(m[row], 0)
+    if by is None:
+        out = np.nextafter(m, np.copysign(np.inf, m))
+        out[row] = np.nextafter(m[row], 0)
+    else:
+        out = m + np.copysign(np.float32(by), m)
+        out[row] = m[row] - np.copysign(np.float32(by), m[row])
     perturbed = copy.copy(grid)
     perturbed.matrix = out.view(np.complex64)
     return perturbed
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("grid_name, kind", [
+PERTURBED_CASES = [
     ("TIE_GRID", "boundary_tie"), ("TIE_GRID", "distance_tie"), ("TIE_GRID", "random"),
     ("MIRROR_GRID", "boundary_tie"), ("MIRROR_GRID", "mirror_tie"),
-    ("MIRROR_GRID", "first_angle"), ("MIRROR_GRID", "self_mirror")])
-def test_pick_ignores_one_ulp_in_the_stored_rows(grid_name, kind, workers, monkeypatch):
-    """Stored rows only screen: with the picked point's stored row one float32
-    ulp smaller and every other row one ulp larger, each pick is unchanged.
-    Picks rescored from the stored rows follow that perturbation at the
-    near-ties of distance_tie and mirror_tie columns."""
+    ("MIRROR_GRID", "first_angle"), ("MIRROR_GRID", "self_mirror")]
+
+
+def _check_perturbed_picks(grid_name, kind, workers, monkeypatch, by=None):
     monkeypatch.setattr(numerics, "_WORKERS", workers)
     monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1)
     grid = globals()[grid_name]
@@ -666,7 +688,27 @@ def test_pick_ignores_one_ulp_in_the_stored_rows(grid_name, kind, workers, monke
         u = _planted_column(rng, kind, grid, tie_row)
         pick = grid.argmax_rank1(u)
         assert pick == _brute_force_argmax(grid, u)
-        assert _perturbed(grid, pick).argmax_rank1(u) == pick
+        assert _perturbed(grid, pick, by).argmax_rank1(u) == pick
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("grid_name, kind", PERTURBED_CASES)
+def test_pick_ignores_one_ulp_in_the_stored_rows(grid_name, kind, workers, monkeypatch):
+    """Stored rows only screen: with the picked point's stored row one float32
+    ulp smaller and every other row one ulp larger, each pick is unchanged.
+    Picks rescored from the stored rows follow that perturbation at the
+    near-ties of distance_tie and mirror_tie columns."""
+    _check_perturbed_picks(grid_name, kind, workers, monkeypatch)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("grid_name, kind", PERTURBED_CASES)
+def test_pick_ignores_the_storage_bound_in_the_stored_rows(grid_name, kind, workers,
+                                                          monkeypatch):
+    """As above, with every stored part moved by the full ENTRY_BOUND (the
+    picked row toward zero, every other row away), not one ulp: the screen's
+    margin keeps every pick."""
+    _check_perturbed_picks(grid_name, kind, workers, monkeypatch, ENTRY_BOUND)
 
 
 def test_screen_gemm_width(monkeypatch):

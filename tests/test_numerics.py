@@ -65,9 +65,10 @@ def test_rule_construction():
 @given(k=st.floats(1.0, 500.0),
        r=st.lists(st.floats(1e-6, 40.0), min_size=1, max_size=300))
 def test_exp_of_phase_is_cos_and_sin(k, r):
-    """The steering grid writes cos and sin of the float64 phase -k*r in place
-    of exp(-1j*k*r); both parts must agree bit for bit, for k*r up to 2e4 rad
-    (40 m at 15 GHz is 1.26e4). Array lengths up to 300 cover SIMD tails."""
+    """The 2D search rescores its candidates on cos and sin of the float64
+    phase -k*r, where near_steering takes exp(-1j*k*r); both parts must agree
+    bit for bit, for k*r up to 2e4 rad (40 m at 15 GHz is 1.26e4). Array
+    lengths up to 300 cover SIMD tails."""
     r = np.array(r)
     e = np.exp(-1j * k * r)
     theta = np.multiply(r, -k)
