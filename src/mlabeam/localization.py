@@ -84,32 +84,44 @@ class SnapshotSet:
 
 @dataclass(frozen=True)
 class PositionEstimate:
+    """A position fix (x, z), with its polar form about the array center."""
+
     x: float
     z: float
-    distance: float
-    angle: float
 
-    def __post_init__(self):
-        if abs(self.distance - math.hypot(self.x, self.z)) > 1e-9 * max(1.0, self.distance):
-            raise ValueError("polar and cartesian coordinates disagree")
+    @property
+    def distance(self) -> float:
+        return math.hypot(self.x, self.z)
+
+    @property
+    def angle(self) -> float:
+        return math.atan2(self.z, self.x)
 
 
-def far_steering(positions, phi: float, wavelength: float) -> np.ndarray:
-    """Plane-wave response of elements at the given x-coordinates: unit-modulus
-    phases exp(i * 2 pi / wavelength * x * cos(phi))."""
+def _phase(x, k, cos_angle, d):
+    """Phase -k r of spherical-wave steering entries in float64, r the
+    distance from elements at x to sources at distance d along an angle of
+    cosine cos_angle, all broadcast together. near_steering, the 2D grid's
+    build and its float64 rescoring all take their phases from here."""
+    r = np.sqrt(d * d + x * x - 2 * x * d * cos_angle)
+    return np.multiply(r, -k, out=r)
+
+
+def far_steering(positions, phi, wavelength: float) -> np.ndarray:
+    """Plane-wave response exp(i * 2 pi / wavelength * x * cos(phi)) of elements
+    at x-coordinates x: shape (n,) for one angle phi, (M, n) for M angles."""
     x = np.asarray(positions, dtype=float)
-    return np.exp(2j * np.pi / wavelength * x * math.cos(phi))
+    return np.exp(2j * np.pi / wavelength * np.multiply.outer(np.cos(phi), x))
 
 
 def near_steering(mla: ModularArray, carrier: Carrier, phi: float, d: float) -> np.ndarray:
     """Spherical-wave response of the whole array to a source at polar
     (d, phi): exp(-i * 2 pi / wavelength * r_n) with r_n the exact
-    element-to-source distance. Length L*N, unit-modulus entries."""
+    element-to-source distance (see _phase). Length L*N, unit-modulus entries."""
     if d <= 0:
         raise ValueError("source distance must be positive")
     x = element_positions(mla).ravel()
-    r = np.sqrt(d * d + x * x - 2 * x * d * math.cos(phi))
-    return np.exp(-2j * np.pi / carrier.wavelength * r)
+    return np.exp(1j * _phase(x, 2 * np.pi / carrier.wavelength, math.cos(phi), d))
 
 
 def synthesize_snapshots(scenario: Scenario, seed: int) -> SnapshotSet:
@@ -192,28 +204,27 @@ def _conj_steering_rows(positions: bytes, grid: bytes, wavelength: float) -> np.
     and grid angles packed in positions and grid. A sweep asks for the same
     few matrices on every trial; the cached one is read-only, as every caller
     shares it."""
-    x, angles = np.frombuffer(positions), np.frombuffer(grid)
-    rows = np.exp(-2j * np.pi / wavelength * np.outer(np.cos(angles), x))
+    rows = np.conj(far_steering(np.frombuffer(positions), np.frombuffer(grid), wavelength))
     rows.flags.writeable = False
     return rows
 
 
 def music_1d(principal: np.ndarray, positions, grid: np.ndarray, wavelength: float):
-    """Single-source MUSIC angle pick for elements at the given x-coordinates:
-    the grid angle minimizing the pseudo-spectrum denominator
-    N - |a(phi)^H u1|^2, i.e. the lowest-index maximum of |a(phi)^H u1|^2.
-
-    principal is one unit principal eigenvector u1 of length N, giving one
-    angle, or an (N, L) stack of them, giving a tuple of L angles.
+    """Single-source MUSIC angle picks for elements at the given x-coordinates:
+    for each column u1 of an (N, B) stack of unit principal eigenvectors, the
+    grid angle minimizing the pseudo-spectrum denominator N - |a(phi)^H u1|^2,
+    i.e. the lowest-index maximum of |a(phi)^H u1|^2. Returns a tuple of B
+    angles.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or not np.all(np.diff(grid) > 0):
         raise ValueError("angle grid must be non-empty and strictly increasing")
     x = np.asarray(positions, dtype=float)
     u = np.asarray(principal)
+    if u.ndim != 2:
+        raise ValueError("principal must be an (N, B) stack of eigenvectors")
     proj = _conj_steering_rows(x.tobytes(), grid.tobytes(), float(wavelength)) @ u
-    picks = grid[np.argmax(proj.real**2 + proj.imag**2, axis=0)]
-    return float(picks) if u.ndim == 1 else tuple(picks.tolist())
+    return tuple(grid[np.argmax(proj.real**2 + proj.imag**2, axis=0)].tolist())
 
 
 def estimate_angles(snapshots: SnapshotSet, grid: np.ndarray) -> tuple:
@@ -252,22 +263,13 @@ def triangulate(angles, centers) -> PositionEstimate:
         raise IllConditionedTriangulationError("bearing lines are nearly parallel")
     x = float((ssc * kk - sk * skc) / det)
     z = float((sk * ssc - ss * skc) / det)
-    return PositionEstimate(x, z, math.hypot(x, z), math.atan2(z, x))
+    return PositionEstimate(x, z)
 
 
 def locate(snapshots: SnapshotSet, grid: np.ndarray) -> PositionEstimate:
     """Full pipeline: per-sub-array angles, then bearing-line intersection."""
     angles = estimate_angles(snapshots, grid)
     return triangulate(angles, subarray_centers(snapshots.scenario.mla))
-
-
-def _phase(x, k, cos_angle, d):
-    """Phase -k r of spherical-wave steering entries in float64, r the
-    distance from elements at x to sources at distance d along an angle of
-    cosine cos_angle, all broadcast together. The grid build and the
-    rescoring of its candidates both take their phases from here."""
-    r = np.sqrt(d * d + x * x - 2 * cos_angle * d * x)
-    return np.multiply(r, -k, out=r)
 
 
 def _mirror_partners(angles, cos_angles, x, k):
@@ -362,27 +364,27 @@ class NearFieldGrid:
 
     def argmax_rank1(self, principal: np.ndarray):
         """Grid point minimizing ||b||^2 - |u1^H b|^2, i.e. maximizing
-        |u1^H b|^2, for each principal eigenvector u1.
-
-        principal is one eigenvector of length L*N, giving one (angle,
-        distance) pair, or an (L*N, B) stack of B eigenvectors, giving a list
-        of B pairs. The stored rows are read once per call, in row blocks,
-        with one single-precision GEMM per block against the whole stack:
-        against w = conj(stack) for angles without a partner, and against
-        [w, Jw] for paired ones, J reversing the element order: (Jw)^T b =
-        w^T (Jb) scores the partner too. The blocks are split into contiguous
-        ranges over the worker threads (see numerics._run_blas_blocks). That
-        pass only screens: the points whose float32 |u1^H b|^2 lies within
-        twice its worst-case error of the column's float32 best are rescored
-        in float64 on their steering rows recomputed in float64, and the best
-        float64 score wins, the lowest grid index breaking ties. So the pick
-        depends only on the grid points: not on how their rows are stored, on
-        B, on the BLAS kernel, on its thread count or on the number of
-        workers.
+        |u1^H b|^2, for each column u1 of an (L*N, B) stack of principal
+        eigenvectors: a list of B (angle, distance) pairs. The stored rows are
+        read once per call, in row blocks, with one single-precision GEMM per
+        block against the whole stack: against w = conj(stack) for angles
+        without a partner, and against [w, Jw] for paired ones, J reversing
+        the element order: (Jw)^T b = w^T (Jb) scores the partner too. The
+        blocks are split into contiguous ranges over the worker threads (see
+        numerics._run_blas_blocks). That pass only screens: the points whose
+        float32 |u1^H b|^2 lies within twice its worst-case error of the
+        column's float32 best are rescored in float64 on their steering rows
+        recomputed in float64, and the best float64 score wins, the lowest
+        grid index breaking ties. So the pick depends only on the grid points:
+        not on how their rows are stored, on B, on the BLAS kernel, on its
+        thread count or on the number of workers.
         """
-        stack = np.asarray(principal, dtype=np.complex128)
-        w = np.conj(stack.reshape(stack.shape[0], -1))
+        w = np.conj(np.asarray(principal, dtype=np.complex128))
+        if w.ndim != 2:
+            raise ValueError("principal must be an (L*N, B) stack of eigenvectors")
         n, batch = w.shape
+        if batch == 0:
+            return []
         # The best float64 score s keeps a float32 score of at least the
         # float32 best minus 2e, if |float32 - float64| <= e at every point.
         # For unit-modulus rows |p| <= sqrt(n) ||w||, so |d(|p|^2)| is about
@@ -471,21 +473,17 @@ class NearFieldGrid:
         idx = angle * self.distance_grid.size + dist
         order = np.lexsort((idx, -(re * re + im * im), col))
         first = np.r_[True, col[order][1:] != col[order][:-1]]
-        picks = [(float(self.angle_grid[a]), float(self.distance_grid[d]))
-                 for a, d in zip(angle[order][first], dist[order][first])]
-        return picks if stack.ndim == 2 else picks[0]
+        return [(float(self.angle_grid[a]), float(self.distance_grid[d]))
+                for a, d in zip(angle[order][first], dist[order][first])]
 
 
 def music_2d(principal: np.ndarray, grid: NearFieldGrid):
-    """Single-source MUSIC (angle, distance) pick treating the modular array
-    as one aperture: the grid point minimizing the pseudo-spectrum
-    denominator ||b||^2 - |u1^H b|^2 over the precomputed grid (with one
-    source the noise projector is I - u1 u1^H).
-
-    principal is the principal eigenvector u1 of one trial's T x (L*N)
-    whole-array snapshots (see principal_eigenvectors), giving one (angle,
-    distance) pair, or an (L*N, B) stack of B trials' vectors, giving a list
-    of B pairs from one pass over the grid.
+    """Single-source MUSIC (angle, distance) picks treating the modular array
+    as one aperture, from one pass over the precomputed grid: for each column
+    u1 of an (L*N, B) stack of whole-array principal eigenvectors (see
+    principal_eigenvectors), the grid point minimizing the pseudo-spectrum
+    denominator ||b||^2 - |u1^H b|^2 (with one source the noise projector is
+    I - u1 u1^H). Returns a list of B (angle, distance) pairs.
     """
     return grid.argmax_rank1(principal)
 

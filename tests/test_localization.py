@@ -136,7 +136,7 @@ def test_music_exact_on_grid():
     rng = np.random.default_rng(4)
     s = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     u1 = principal_eigenvectors(np.outer(s, a))
-    assert music_1d(u1, pos, grid, 0.02) == phi
+    assert music_1d(u1[:, None], pos, grid, 0.02) == (phi,)
 
     # an (N, L) stack: one pick per column from one steering matrix
     other = far_steering(pos, float(grid[3]), 0.02)
@@ -154,7 +154,8 @@ def test_music_1d_cached_steering_is_bitwise_fresh():
     rng = np.random.default_rng(9)
     u = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
     u /= np.linalg.norm(u, axis=0)
-    proj = np.exp(-2j * np.pi / 0.02 * np.outer(np.cos(grid), pos)) @ u
+    rows = np.exp(-2j * np.pi / 0.02 * np.outer(np.cos(grid), pos))
+    proj = rows @ u
     fresh = tuple(grid[np.argmax(proj.real**2 + proj.imag**2, axis=0)].tolist())
     cached = localization._conj_steering_rows
     cached.cache_clear()
@@ -164,7 +165,59 @@ def test_music_1d_cached_steering_is_bitwise_fresh():
     assert built == reused == fresh
     music_1d(u, pos, grid, 0.01)  # another wavelength is another matrix
     assert cached.cache_info().misses == 2
-    assert not cached(pos.tobytes(), grid.tobytes(), 0.02).flags.writeable
+    matrix = cached(pos.tobytes(), grid.tobytes(), 0.02)
+    assert not matrix.flags.writeable
+    # conj of far_steering's rows, bit for bit the direct exp(-i k x cos(phi))
+    assert np.array_equal(matrix.view(np.uint64), rows.view(np.uint64))
+
+
+def test_search_contracts():
+    """Each search takes one shape, a stack of eigenvectors one per column,
+    and returns one type: music_1d a tuple, argmax_rank1 and music_2d a list.
+    A lone vector is refused, and an empty batch gives no picks."""
+    pos = element_positions(ModularArray.ula(16, 0.01)).ravel()
+    grid = default_angle_grid(0.002)
+    u = far_steering(pos, 1.0, 0.02) / 4
+    assert music_1d(u[:, None], pos, grid, 0.02) == (float(grid[499]),)
+    assert music_1d(np.empty((16, 0)), pos, grid, 0.02) == ()
+    with pytest.raises(ValueError):
+        music_1d(u, pos, grid, 0.02)
+    b = _exact_rows(SMALL_GRID)[123] / 4
+    pick = [(float(SMALL_GRID.angle_grid[3]), float(SMALL_GRID.distance_grid[3]))]
+    assert SMALL_GRID.argmax_rank1(b[:, None]) == music_2d(b[:, None], SMALL_GRID) == pick
+    for search in (SMALL_GRID.argmax_rank1, lambda v: music_2d(v, SMALL_GRID)):
+        assert search(np.empty((16, 0), dtype=complex)) == []
+        with pytest.raises(ValueError):
+            search(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=st.integers(1, 8), N=st.integers(1, 32), gap=st.floats(0.01, 1.0),
+       wavelength=st.sampled_from([0.02, 0.01, 0.0123]),
+       phi=st.floats(0.0, math.pi), d=st.floats(0.1, 100.0))
+def test_near_steering_keeps_its_formula(L, N, gap, wavelength, phi, d):
+    """near_steering, exp(i _phase), has the bits of the direct
+    exp(-i 2 pi / wavelength * sqrt(d^2 + x^2 - 2 x d cos(phi)))."""
+    mla = ModularArray(L, N, 0.01, gap)
+    x = element_positions(mla).ravel()
+    direct = np.exp(-2j * np.pi / wavelength
+                    * np.sqrt(d * d + x * x - 2 * x * d * math.cos(phi)))
+    got = near_steering(mla, Carrier.from_wavelength(wavelength), phi, d)
+    assert np.array_equal(got.view(np.uint64), direct.view(np.uint64))
+
+
+def test_2d_rows_are_near_steering():
+    """At every point of a small centered grid, float64 cos and sin of the
+    phase the build and the rescoring compute are near_steering's entries
+    bit for bit: the 2D baseline scores the channel the rates use."""
+    grid = NearFieldGrid(_array(), CAR, localization.centered_angle_grid(0.05),
+                         localization.default_distance_grid(1.0))
+    assert grid.num_points == 44 * 37
+    for i, a in enumerate(grid.angle_grid):
+        for d in grid.distance_grid:
+            theta = localization._phase(grid._x, grid._k, grid._cos[i], d)
+            b = near_steering(grid.mla, grid.carrier, float(a), float(d))
+            assert np.array_equal(b.real, np.cos(theta)) and np.array_equal(b.imag, np.sin(theta))
 
 
 def test_music_high_snr_within_two_steps():
@@ -177,7 +230,7 @@ def test_music_high_snr_within_two_steps():
     noise = 1e-5 * (rng.standard_normal((200, 16)) + 1j * rng.standard_normal((200, 16)))
     u1 = principal_eigenvectors(np.outer(s, a) + noise)
     grid = default_angle_grid(0.002)
-    est = music_1d(u1, pos, grid, 0.02)
+    (est,) = music_1d(u1[:, None], pos, grid, 0.02)
     assert abs(est - phi) <= 2 * 0.002
 
 
@@ -247,7 +300,7 @@ def test_degenerate_member_of_a_stack_raises():
     one = synthesize_snapshots(sc, seed=11).data.transpose(1, 0, 2).reshape(8, -1)
     trials = np.stack([one] * 3)
     assert (music_2d(principal_eigenvectors(trials).T, SMALL_GRID)
-            == [music_2d(principal_eigenvectors(one), SMALL_GRID)] * 3)
+            == music_2d(principal_eigenvectors(one)[:, None], SMALL_GRID) * 3)
     trials[1] = 0
     with pytest.raises(DegenerateSubspaceError):
         principal_eigenvectors(trials)
@@ -337,7 +390,7 @@ def test_music_2d_exact_on_grid():
     rng = np.random.default_rng(8)
     s = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     grid = NearFieldGrid(mla, CAR, ag, dg)
-    ang, d = music_2d(principal_eigenvectors(np.outer(s, b)), grid)
+    [(ang, d)] = music_2d(principal_eigenvectors(np.outer(s, b))[:, None], grid)
     assert ang == phi and d == dist
 
     # an (L*N, B) stack: one pick per trial
@@ -373,7 +426,7 @@ def test_grid_argmax_phase_invariance():
     ag = np.arange(1.2, 1.4, 0.01)
     dg = np.arange(10.0, 14.0, 0.1)
     grid = NearFieldGrid(mla, CAR, ag, dg)
-    u = near_steering(mla, CAR, 1.3, 12.0)
+    u = near_steering(mla, CAR, 1.3, 12.0)[:, None]
     u = u / np.linalg.norm(u)
     r1 = grid.argmax_rank1(u)
     r2 = grid.argmax_rank1(u * np.exp(1j * 0.7))
@@ -449,12 +502,12 @@ SMALL_GRID = NearFieldGrid(_array(L=2, N=8, D=1.0), CAR, np.arange(1.2, 1.4, 0.0
 
 def _exact_rows(grid):
     """Every grid point's steering row recomputed in float64, in grid order,
-    with the operations of the grid's build."""
+    with the operations of the grid's build (and of near_steering)."""
     x = element_positions(grid.mla).ravel()
     k = 2 * np.pi / grid.carrier.wavelength
     c = np.repeat(np.cos(grid.angle_grid), grid.distance_grid.size)[:, None]
     d = np.tile(grid.distance_grid, grid.angle_grid.size)[:, None]
-    theta = np.sqrt(d * d + x * x - 2 * c * d * x) * -k
+    theta = np.sqrt(d * d + x * x - 2 * x * d * c) * -k
     return np.cos(theta) + 1j * np.sin(theta)
 
 
@@ -566,7 +619,7 @@ def test_grid_argmax_batch_matches_columns_and_brute_force(seed, kinds, phase_co
             mock.patch.object(numerics, "_WORKERS", workers), \
             mock.patch.object(numerics, "_BLAS_THREADS", controls):
         picks = grid.argmax_rank1(stack)
-        singles = [grid.argmax_rank1(u) for u in cols]
+        singles = [pick for u in cols for pick in grid.argmax_rank1(u[:, None])]
     assert picks == singles == [_brute_force_argmax(grid, u) for u in cols]
 
 
@@ -641,7 +694,7 @@ def test_mirror_grid_matches_brute_force(seed, kinds, block_bytes, workers, odd)
     with mock.patch.object(localization, "_BLOCK_PRODUCT_BYTES", block_bytes), \
             mock.patch.object(numerics, "_WORKERS", workers):
         picks = grid.argmax_rank1(np.stack(cols, axis=1))
-        singles = [grid.argmax_rank1(u) for u in cols]
+        singles = [pick for u in cols for pick in grid.argmax_rank1(u[:, None])]
     assert picks == singles == [_brute_force_argmax(grid, u) for u in cols]
 
 
@@ -686,9 +739,9 @@ def _check_perturbed_picks(grid_name, kind, workers, monkeypatch, by=None):
     rng = np.random.default_rng(workers)
     for _ in range(4):
         u = _planted_column(rng, kind, grid, tie_row)
-        pick = grid.argmax_rank1(u)
+        [pick] = grid.argmax_rank1(u[:, None])
         assert pick == _brute_force_argmax(grid, u)
-        assert _perturbed(grid, pick, by).argmax_rank1(u) == pick
+        assert _perturbed(grid, pick, by).argmax_rank1(u[:, None]) == [pick]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -791,12 +844,12 @@ def test_screen_leaves_blas_threads_as_found(monkeypatch):
     monkeypatch.setattr(numerics, "_WORKERS", 2)
     monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1)
     monkeypatch.setattr(np, "matmul", worker_matmul)
-    u = _planted_column(np.random.default_rng(3), "random", SMALL_GRID, 0)
+    u = _planted_column(np.random.default_rng(3), "random", SMALL_GRID, 0)[:, None]
     before = get()
     put(2)  # a count other than the pin's, so that a restore shows
     try:
         fail = False
-        assert SMALL_GRID.argmax_rank1(u) == _brute_force_argmax(SMALL_GRID, u)
+        assert SMALL_GRID.argmax_rank1(u) == [_brute_force_argmax(SMALL_GRID, u[:, 0])]
         assert get() == 2
         assert in_workers and set(in_workers) == {1}
         fail = True
