@@ -98,13 +98,16 @@ class PositionEstimate:
         return math.atan2(self.z, self.x)
 
 
-def _phase(x, k, cos_angle, d):
+def _phase(x, k, cos_angle, d, out=None, scratch=None):
     """Phase -k r of spherical-wave steering entries in float64, r the
     distance from elements at x to sources at distance d along an angle of
     cosine cos_angle, all broadcast together. near_steering, the 2D grid's
-    build and its float64 rescoring all take their phases from here."""
-    r = np.sqrt(d * d + x * x - 2 * x * d * cos_angle)
-    return np.multiply(r, -k, out=r)
+    build and its float64 rescoring all take their phases from here. out and
+    scratch, float64 arrays of the broadcast shape, take the result and the
+    2 x d cos_angle term in place of new arrays; the bits are the same."""
+    cross = np.multiply(np.multiply(2 * x, d, out=scratch), cos_angle, out=scratch)
+    r = np.subtract(np.add(d * d, x * x, out=out), cross, out=out)
+    return np.multiply(np.sqrt(r, out=r), -k, out=r)
 
 
 def far_steering(positions, phi, wavelength: float) -> np.ndarray:
@@ -339,11 +342,14 @@ class NearFieldGrid:
             # exp(-1j*k*r) as float32 cos and sin of the float64 phase -k*r,
             # reduced in float64 to [-pi, pi] (to about 1e-12 rad) and then
             # rounded to float32, written into the float32 parts of each
-            # stored angle's rows; argmax_rank1's margin covers their error
-            turns = np.empty((gd.size, self._x.size))
-            phase = np.empty(turns.shape, dtype=np.float32)
+            # stored angle's rows; argmax_rank1's margin covers their error.
+            # turns is also _phase's scratch, free until theta is done
+            theta = np.empty((gd.size, self._x.size))
+            turns = np.empty(theta.shape)
+            phase = np.empty(theta.shape, dtype=np.float32)
             for s in range(first, stop):
-                theta = _phase(self._x, self._k, self._cos[self._stored[s]], gd[:, None])
+                _phase(self._x, self._k, self._cos[self._stored[s]], gd[:, None],
+                       out=theta, scratch=turns)
                 np.rint(np.divide(theta, 2 * np.pi, out=turns), out=turns)
                 np.subtract(theta, np.multiply(turns, 2 * np.pi, out=turns), out=phase)
                 rows = self.matrix[s * gd.size:(s + 1) * gd.size]
@@ -440,9 +446,10 @@ class NearFieldGrid:
                 np.add(flat[0::2], flat[1::2], out=pw.ravel())
                 # a column max over 64 * width wide rows, then over their 64
                 # slices: on a 2-core Xeon 3x faster than over width wide rows
-                # at B = 42 (3,072 x 84: 36 vs 125 us), 2x slower at B = 1,500
-                # (64 x 3,000: 52 vs 20 us)
-                wide = pw.reshape(-1, 64 * width) if h % 64 == 0 else pw
+                # at B = 42 (3,072 x 84: 36 vs 125 us); a 64-row block would
+                # make it a one-row copy, 2.6x slower at B = 1,500 (64 x 3,000:
+                # 55 vs 21 us), so such a block takes the plain column max
+                wide = pw.reshape(-1, 64 * width) if h % 64 == 0 and h > 64 else pw
                 col_best = wide.max(axis=0).reshape(-1, width).max(axis=0)
                 best = np.maximum(best, col_best.reshape(-1, batch).max(axis=0))
                 floor = best - margin

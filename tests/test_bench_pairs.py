@@ -12,11 +12,13 @@ spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-FAKE_RUN = '''import sys
+FAKE_RUN = '''import json
+import sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 assert args["--seconds"] == "7", "run length must come from BENCHMARK.json"
 seed = int(args["--seed"])
-print('{{"report": {{"count_guard": {{"grid_bytes": [%d, 100]}}}}}}' % (seed + {bonus}))
+times = {{"0:beampattern": [seed + 0.5, 1.5]}}
+print(json.dumps({{"report": {{"count_guard": {{"grid_bytes": [seed + {bonus}, 100]}}, "chunk_seconds": times}}}}))
 print('{{"correct": true, "attempted": 1, "failed": 0, "metrics": {{'
       '"units_per_s": {{"value": %d, "unit": "1/s"}}, '
       '"peak_rss_mb": {{"value": 100, "unit": "MB"}}}}}}' % (seed + {bonus}))
@@ -158,3 +160,22 @@ def test_report_line_that_is_not_json_records_no_count_guard(repo, tmp_path):
     doc = json.loads((change / "BENCH_t.json").read_text())
     assert [(r["side"], "count_guard" in r) for r in doc["runs"]] == [
         ("parent", True), ("change", False)]
+
+
+def test_runs_keep_their_chunk_seconds(repo, tmp_path):
+    """Each run keeps its report line's chunk_seconds beside its count_guard,
+    so a run's slot times can be compared across sides; a report line
+    without chunk_seconds keeps its count_guard alone."""
+    change, parent = repo
+    (change / "perfbench" / "run.py").write_text(
+        FAKE_RUN.format(bonus=5).replace('"chunk_seconds"', '"other_times"'))
+    _git(change, "commit", "-qam", "no chunk_seconds")
+    assert bench_pairs.main(["--label", "t", "--parent", parent,
+                             "--parent-dir", str(tmp_path / "parent"), "--pairs", "2",
+                             "--workload", "beam_figures:10"]) == 0
+    doc = json.loads((change / "BENCH_t.json").read_text())
+    assert [(r["side"], r["seed"], r.get("chunk_seconds"), r["count_guard"]) for r in doc["runs"]] == [
+        ("parent", 10, {"0:beampattern": [10.5, 1.5]}, {"grid_bytes": [10, 100]}),
+        ("change", 10, None, {"grid_bytes": [15, 100]}),
+        ("change", 11, None, {"grid_bytes": [16, 100]}),
+        ("parent", 11, {"0:beampattern": [11.5, 1.5]}, {"grid_bytes": [11, 100]})]

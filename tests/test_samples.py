@@ -7,8 +7,11 @@ same array and powers with 20 trials on a 0.01 rad x 0.1 m grid, which pins
 its 1D and 2D picks and its rates in under a second. A change that moves any
 written value, even by one ulp, fails here; such a change re-pins the hash
 and lists the moved values in CHANGES.md. The hashes depend on the platform's
-libm and scipy builds as well as on mlabeam. The configs are README's sample
-blocks, key for key, with se's three reduced keys on top.
+libm and scipy builds as well as on mlabeam, and on the SIMD kernel numpy
+dispatches its float64 tan to on the host's CPU: the exact field of
+beampattern (and of depth with include_exact) is built from that tan. The
+configs are README's sample blocks, key for key, with se's three reduced
+keys on top.
 """
 
 import hashlib
@@ -34,7 +37,7 @@ x_points = 81
 z_min_m = 10
 z_max_m = 100
 z_points = 61
-""", "b1a6e414a1c409685f6f5c8731306528caa6fd72d3df82f8360990ff3ae0be90"),
+""", "e3821f76b34de61ce115afa84fe3a1f248e39a2dce1af3cc26826acb11f72626"),
     "cutline": ("""focus_m = 30
 x_points = 401
 """, "b471a1aa0e24640e9bf15178238523f3d47c51b07382961b6fa9e4e8e3e4244b"),
