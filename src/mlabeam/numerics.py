@@ -10,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 # Threads for the block layers: the steering-grid build and the exact-gain
 # sweep (elementwise), and the 2D screen (GEMM per block, with BLAS held at
@@ -104,6 +103,12 @@ def fresnel_cs(u):
 
     Returns the (C, S) pair; accepts scalars or arrays. Both are odd in u.
     """
+    # Imported here, not at module level: scipy.special pulls in numpy.f2py,
+    # numpy.testing and numpy.ma (0.23-0.40 s and 20 MB of peak RSS on a
+    # 2-core host), and only the closed-form beamdepth analysis (the depth
+    # command) needs it.
+    import scipy.special
+
     s, c = scipy.special.fresnel(u)
     return c, s
 

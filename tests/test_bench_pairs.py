@@ -18,7 +18,8 @@ args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 assert args["--seconds"] == "7", "run length must come from BENCHMARK.json"
 seed = int(args["--seed"])
 times = {{"0:beampattern": [seed + 0.5, 1.5]}}
-print(json.dumps({{"report": {{"count_guard": {{"grid_bytes": [seed + {bonus}, 100]}}, "chunk_seconds": times}}}}))
+setups = [seed + 0.25, seed + {bonus}]
+print(json.dumps({{"report": {{"count_guard": {{"grid_bytes": [seed + {bonus}, 100]}}, "chunk_seconds": times, "setup_samples_s": setups}}}}))
 print('{{"correct": true, "attempted": 1, "failed": 0, "metrics": {{'
       '"units_per_s": {{"value": %d, "unit": "1/s"}}, '
       '"peak_rss_mb": {{"value": 100, "unit": "MB"}}}}}}' % (seed + {bonus}))
@@ -163,19 +164,22 @@ def test_report_line_that_is_not_json_records_no_count_guard(repo, tmp_path):
 
 
 def test_runs_keep_their_chunk_seconds(repo, tmp_path):
-    """Each run keeps its report line's chunk_seconds beside its count_guard,
-    so a run's slot times can be compared across sides; a report line
-    without chunk_seconds keeps its count_guard alone."""
+    """Each run keeps its report line's chunk_seconds and setup_samples_s
+    beside its count_guard, so a run's slot times and each fresh process's
+    set-up time can be compared across sides; a report line without them
+    keeps its count_guard alone."""
     change, parent = repo
     (change / "perfbench" / "run.py").write_text(
-        FAKE_RUN.format(bonus=5).replace('"chunk_seconds"', '"other_times"'))
-    _git(change, "commit", "-qam", "no chunk_seconds")
+        FAKE_RUN.format(bonus=5).replace('"chunk_seconds"', '"other_times"')
+        .replace('"setup_samples_s"', '"other_setups"'))
+    _git(change, "commit", "-qam", "no chunk_seconds or setup_samples_s")
     assert bench_pairs.main(["--label", "t", "--parent", parent,
                              "--parent-dir", str(tmp_path / "parent"), "--pairs", "2",
                              "--workload", "beam_figures:10"]) == 0
     doc = json.loads((change / "BENCH_t.json").read_text())
-    assert [(r["side"], r["seed"], r.get("chunk_seconds"), r["count_guard"]) for r in doc["runs"]] == [
-        ("parent", 10, {"0:beampattern": [10.5, 1.5]}, {"grid_bytes": [10, 100]}),
-        ("change", 10, None, {"grid_bytes": [15, 100]}),
-        ("change", 11, None, {"grid_bytes": [16, 100]}),
-        ("parent", 11, {"0:beampattern": [11.5, 1.5]}, {"grid_bytes": [11, 100]})]
+    assert [(r["side"], r["seed"], r.get("chunk_seconds"), r.get("setup_samples_s"),
+             r["count_guard"]) for r in doc["runs"]] == [
+        ("parent", 10, {"0:beampattern": [10.5, 1.5]}, [10.25, 10], {"grid_bytes": [10, 100]}),
+        ("change", 10, None, None, {"grid_bytes": [15, 100]}),
+        ("change", 11, None, None, {"grid_bytes": [16, 100]}),
+        ("parent", 11, {"0:beampattern": [11.5, 1.5]}, [11.25, 11], {"grid_bytes": [11, 100]})]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mlabeam import count_peaks
+from mlabeam import cli, count_peaks
 from mlabeam.cli import SCHEMAS, ConfigError, main, parse_config
 
 
@@ -215,6 +215,27 @@ def test_exit_codes_config_and_io(tmp_path, capsys):
     assert main(["cutline", "--config", str(tmp_path / "missing.txt")]) == 5
     assert main(["cutline", "--focus_m", "30",
                  "--out", str(tmp_path / "no_dir" / "x.csv")]) == 5
+
+
+def test_calls_in_a_row_write_what_each_writes_alone(tmp_path):
+    """main builds its parser once per process; a call's subcommand and
+    overrides do not carry over to the next call, so calls in a row write the
+    bytes that each writes with a parser of its own."""
+    calls = [["cutline", "--focus_m", "20", "--x_points", "31", "--num_subarrays", "4",
+              "--antennas_per_subarray", "16"],
+             ["depth", "--focus_m", "2", "--aperture_m", "1", "--num_subarrays", "4",
+              "--antennas_per_subarray", "16", "--chain", "2", "--z_points", "40"],
+             ["cutline", "--focus_m", "30"]]
+    alone = []
+    for i, argv in enumerate(calls):
+        cli._parser.cache_clear()
+        assert main([*argv, "--out", str(tmp_path / f"alone_{i}.csv")]) == 0
+        alone.append((tmp_path / f"alone_{i}.csv").read_bytes())
+    cli._parser.cache_clear()
+    for i, argv in enumerate(calls):
+        assert main([*argv, "--out", str(tmp_path / f"row_{i}.csv")]) == 0
+    assert cli._parser.cache_info().misses == 1
+    assert [(tmp_path / f"row_{i}.csv").read_bytes() for i in range(len(calls))] == alone
 
 
 def test_gap_overrides_aperture(tmp_path):

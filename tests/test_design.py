@@ -1,9 +1,3 @@
-import ast
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,21 +116,6 @@ def test_pchip_subnormal_secant_matches_scipy():
     y = np.array([0.0, 1e-310, 2e-310, 1.0, 0.5])
     np.testing.assert_allclose(design._pchip_upsample(y, 10), _scipy_pchip(y, 10), rtol=0,
                                atol=1e-15)
-
-
-def test_design_imports_no_interpolation():
-    """scipy.interpolate costs about a quarter second to import, and no
-    library module needs it."""
-    code = "import sys, mlabeam.cli; print(any(m.startswith('scipy.interpolate') for m in sys.modules))"
-    src = str(Path(design.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
-    tree = ast.parse(Path(design.__file__).read_text())
-    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
-    imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
-    assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 def test_design_n64_needs_two():

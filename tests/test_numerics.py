@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -47,6 +48,30 @@ def test_fresnel_vectorized():
     C, S = fresnel_cs(u)
     assert C.shape == (3,)
     assert C[1] == pytest.approx(0.7798934, abs=1e-7)
+
+
+# negative, zero, both sides of 36974 (beyond it scipy takes its asymptotic
+# branch) and the infinities
+FRESNEL_INPUTS = [-math.inf, -1e12, -36975.0, -36974.0, -2.5, -1.0, -0.0, 0.0, 1e-300, 0.3,
+                  1.0, 5.0, 36974.0, 36974.9, 36975.0, 4e4, 1e12, math.inf]
+
+
+@pytest.mark.parametrize("kind", ["python", "0-d", "array"])
+def test_fresnel_is_scipy_bit_for_bit(kind):
+    """fresnel_cs is scipy's (S, C) pair as (C, S), bit for bit, and gives
+    numpy types: a float64 scalar for a Python float or a 0-d array, a float64
+    array for an array."""
+    if kind == "array":
+        cases = [np.array(FRESNEL_INPUTS)]
+    else:
+        cases = [u if kind == "python" else np.array(u) for u in FRESNEL_INPUTS]
+    for u in cases:
+        got = fresnel_cs(u)
+        want = scipy.special.fresnel(u)[::-1]
+        for g, w in zip(got, want, strict=True):
+            assert type(g) is (np.ndarray if kind == "array" else np.float64)
+            assert g.dtype == np.float64 and g.shape == np.shape(u)
+            assert np.array_equal(np.asarray(g).view(np.uint64), np.asarray(w).view(np.uint64))
 
 
 def test_rule_construction():

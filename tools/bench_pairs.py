@@ -14,9 +14,10 @@ above 0) stops the tool and is not recorded. The parent's
 checkout is --parent-dir: when it exists it must be a git checkout with
 HEAD at --parent and no changes to tracked files, otherwise the tool stops;
 when it does not, it is cloned there from this repository at --parent.
-Each run's last-line JSON, and the ``count_guard`` and ``chunk_seconds`` (every
-completed chunk's time, by slot) of its report line (the line before the
-last, when that is JSON), go into ``BENCH_<label>.json`` in
+Each run's last-line JSON, and the ``count_guard``, ``chunk_seconds`` (every
+completed chunk's time, by slot) and ``setup_samples_s`` (each fresh
+process's set-up time, whose median is ``setup_s``) of its report line (the
+line before the last, when that is JSON), go into ``BENCH_<label>.json`` in
 the checkout root, rewritten after every run, with a summary per workload
 and end-to-end metric: the median and quartiles of each side, the number of pairs the
 checkout won, by the metric's direction in BENCHMARK.json, the signed
@@ -58,9 +59,9 @@ def _host() -> str:
 
 def run_once(side: str, root: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced perfbench run in root: {"result": its last-line JSON}, plus
-    "count_guard" and "chunk_seconds" from its report line when that is JSON
-    and has them. A run that exits non-zero or reports a failed check is no
-    sample: it raises."""
+    "count_guard", "chunk_seconds" and "setup_samples_s" from its report line
+    when that is JSON and has them. A run that exits non-zero or reports a
+    failed check is no sample: it raises."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -77,7 +78,7 @@ def run_once(side: str, root: Path, workload: str, seed: int, seconds: int) -> d
         report = json.loads(lines[-1])["report"]
     except (IndexError, ValueError, TypeError, KeyError):
         report = {}
-    for key in ("count_guard", "chunk_seconds"):
+    for key in ("count_guard", "chunk_seconds", "setup_samples_s"):
         if isinstance(report, dict) and key in report:
             entry[key] = report[key]
     return entry
