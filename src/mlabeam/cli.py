@@ -20,6 +20,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -405,11 +406,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     schema = SCHEMAS[args.command]
     try:
-        if args.config:
-            with open(args.config, encoding="utf-8") as f:
-                text = f.read()
-        else:
-            text = ""
+        try:
+            text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
         overrides = {k: getattr(args, f"key_{k}") for k in schema}
         cfg = parse_config(text, schema, overrides)
         return _COMMANDS[args.command](cfg, args.out)

@@ -185,8 +185,12 @@ def default_angle_grid(step: float) -> np.ndarray:
 
 
 def centered_angle_grid(step: float) -> np.ndarray:
-    """Angle grid of the whole-array 2D search, pi/2 +- _GRID_HALFWIDTH."""
-    return np.arange(math.pi / 2 - _GRID_HALFWIDTH, math.pi / 2 + _GRID_HALFWIDTH, step)
+    """Angle grid of the whole-array 2D search: pi/2 + k * step for each integer
+    k that puts it in [pi/2 - _GRID_HALFWIDTH, pi/2 + _GRID_HALFWIDTH)."""
+    reach = math.ceil(_GRID_HALFWIDTH / step)
+    angles = math.pi / 2 + step * np.arange(-reach, reach + 1)
+    return angles[(math.pi / 2 - _GRID_HALFWIDTH <= angles)
+                  & (angles < math.pi / 2 + _GRID_HALFWIDTH)]
 
 
 def default_distance_grid(step: float) -> np.ndarray:
@@ -284,22 +288,22 @@ def _mirror_partners(angles, cos_angles, x, k):
     entry m of b(a_i) reversed is element m's entry at cosine -cos a_i. As
     r^2 = (x - c d)^2 + d^2 (1 - c^2), |dr/dc| = |x d| / r <= |x| / sqrt(1 - c^2),
     so its phase is within k |x| |cos a_i + cos a_j| / min(|sin a_i|, |sin a_j|)
-    of b(a_j)'s. Angles pair when that is at most u = 2**-24 for every element.
+    of b(a_j)'s. Angles pair when that is at most u = 2**-24 for every element
+    and each is the other's nearest by |cos a_i + cos a_j| (ties: lower cosine,
+    then lower index).
     """
-    partner = np.full(angles.size, -1)
-    if x.size < 2 or not np.array_equal(x, -x[::-1]):
-        return partner
-    sin = np.abs(np.sin(angles))
-    reach = _U32 / (k * np.abs(x).max())
+    if angles.size < 2 or x.size < 2 or not np.array_equal(x, -x[::-1]):
+        return np.full(angles.size, -1)
+    bound = _U32 / (k * np.abs(x).max()) * np.abs(np.sin(angles))
     order = np.argsort(cos_angles, kind="stable")
-    lo = np.searchsorted(cos_angles[order], -cos_angles - reach * sin, "left")
-    hi = np.searchsorted(cos_angles[order], -cos_angles + reach * sin, "right")
-    for i in range(angles.size):
-        for j in sorted(order[lo[i]:hi[i]]):
-            if (j > i and partner[i] < 0 and partner[j] < 0
-                    and abs(cos_angles[i] + cos_angles[j]) <= reach * min(sin[i], sin[j])):
-                partner[i], partner[j] = j, i
-    return partner
+    ranked = cos_angles[order]
+    # nearest to -cos a_i: ranked[pos - 1] or [pos], then its run's lowest index
+    pos = np.clip(np.searchsorted(ranked, -cos_angles), 1, ranked.size - 1)
+    pos -= np.abs(ranked[pos - 1] + cos_angles) <= np.abs(ranked[pos] + cos_angles)
+    near = order[np.searchsorted(ranked, ranked[pos])]
+    keep = ((near[near] == np.arange(angles.size)) & (near != np.arange(angles.size))
+            & (np.abs(cos_angles + cos_angles[near]) <= np.minimum(bound, bound[near])))
+    return np.where(keep, near, -1)
 
 
 class NearFieldGrid:
@@ -308,13 +312,13 @@ class NearFieldGrid:
 
     Grid points are numbered angle-major: index = angle_index *
     len(distance_grid) + distance_index. When two grid angles mirror each
-    other about broadside (a_i + a_j = pi, as on centered_angle_grid) and the
-    element positions are antisymmetric, angle j's steering vectors are
-    angle i's with the element order reversed (see _mirror_partners), so
-    only the lower-indexed angle of each pair is stored. matrix holds the
-    stored angles' rows, angle-major in grid order: about half a gigabyte at
-    the default resolutions, built once and shared across trials. mla and
-    carrier are the array and carrier the grid was built for.
+    other about broadside (a_i + a_j = pi, as pi/2 +- k * step do on
+    centered_angle_grid) and the element positions are antisymmetric, angle j's
+    steering vectors are angle i's with the element order reversed (see
+    _mirror_partners), so only the lower-indexed angle of each pair is stored.
+    matrix holds the stored angles' rows, angle-major in grid order: about half
+    a gigabyte at the default resolutions, built once and shared across trials.
+    mla and carrier are the array and carrier the grid was built for.
     """
 
     def __init__(self, mla: ModularArray, carrier: Carrier,

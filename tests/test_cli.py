@@ -211,6 +211,12 @@ def test_exit_codes_config_and_io(tmp_path, capsys):
     bad.write_text("focus_m 30\n", encoding="utf-8")
     assert main(["cutline", "--config", str(bad)]) == 2
     assert "line 1: expected 'key = value'" in capsys.readouterr().err
+    # a file that is not UTF-8 once ended in a UnicodeDecodeError traceback
+    bad.write_bytes(b"focus_m = 30\n\xff\n")
+    assert main(["cutline", "--config", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{bad} is not UTF-8 text" in err
+    assert not (tmp_path / "c.csv").exists()
 
     assert main(["cutline", "--config", str(tmp_path / "missing.txt")]) == 5
     assert main(["cutline", "--focus_m", "30",

@@ -220,6 +220,40 @@ def test_2d_rows_are_near_steering():
             assert np.array_equal(b.real, np.cos(theta)) and np.array_equal(b.imag, np.sin(theta))
 
 
+@settings(max_examples=300, deadline=None)
+@given(step=st.floats(1e-3, 3.0))
+@example(step=0.003)
+@example(step=0.007)
+@example(step=1.1 / 7)
+@example(step=2.2)
+def test_centered_grid_is_broadside_plus_whole_steps(step):
+    """centered_angle_grid is pi/2 + k * step, bit for bit, for each integer
+    k whose angle lies in [pi/2 - 1.1, pi/2 + 1.1), k increasing and none
+    missing; the angles for k and -k sum to pi within a few ulps, at any
+    step, so each has its mirror about broadside on the grid."""
+    grid = localization.centered_angle_grid(step)
+    k = np.rint((grid - math.pi / 2) / step)
+    assert grid.size and np.array_equal(grid, math.pi / 2 + step * k)
+    assert np.all(np.diff(k) == 1)
+    lo, hi = math.pi / 2 - 1.1, math.pi / 2 + 1.1
+    assert lo <= grid[0] and grid[-1] < hi
+    assert math.pi / 2 + step * (k[0] - 1) < lo and math.pi / 2 + step * (k[-1] + 1) >= hi
+    mirrored = np.isin(-k, k)
+    assert np.count_nonzero(mirrored) >= grid.size - 1
+    mirror = grid[(-k[mirrored] - k[0]).astype(int)]
+    assert np.all(np.abs(grid[mirrored] + mirror - math.pi) <= 4 * np.spacing(math.pi))
+
+
+@pytest.mark.parametrize("step, count", [
+    (0.002, 1100), (0.0025, 880), (0.01, 220), (0.02, 110), (0.05, 44)])
+def test_centered_grid_keeps_the_arange_count(step, count):
+    """Where the step divides the 2.2 rad span, the grid holds as many angles
+    as the np.arange grid it replaced, so the 2D search's point count (and
+    the benchmark's exact count of 2,003,100 and 80,300 points) is kept."""
+    assert localization.centered_angle_grid(step).size == count
+    assert np.arange(math.pi / 2 - 1.1, math.pi / 2 + 1.1, step).size == count
+
+
 def test_music_high_snr_within_two_steps():
     mla = _array(L=2, N=16, D=1.0)
     pos = element_positions(mla)[0] - subarray_centers(mla)[0]
@@ -669,6 +703,81 @@ def test_mirror_layout():
                                               x, k)) == [1, 0]
 
 
+def _brute_force_partners(angles, cos, x, k):
+    """O(n^2) reference for _mirror_partners: i and j != i pair when each is
+    the other's nearest by |cos a_i + cos a_j| (ties to the lower cosine, then
+    to the lower index) and that sum is within the float32 phase bound; no
+    angle pairs for positions that are not antisymmetric."""
+    n = cos.size
+    if x.size < 2 or not np.array_equal(x, -x[::-1]):
+        return [-1] * n
+    bound = 2.0**-24 / (k * np.abs(x).max()) * np.abs(np.sin(angles))
+    near = []
+    for i in range(n):
+        gap = np.abs(cos[i] + cos)
+        ties = np.flatnonzero(gap == gap.min())
+        near.append(int(ties[cos[ties] == cos[ties].min()][0]))
+    return [j if j != i and near[j] == i and abs(cos[i] + cos[j]) <= min(bound[i], bound[j])
+            else -1 for i, j in enumerate(near)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ks=st.lists(st.integers(-40, 40), min_size=1, max_size=60),
+       step=st.sampled_from([0.01, 0.02, 0.03, 0.07]),
+       kind=st.sampled_from(["centered", "sign", "nudged", "skewed"]),
+       nudge=st.sampled_from([0.5, 1 - 1e-3, 1 + 1e-3, 2.0]),
+       L=st.integers(1, 4), N=st.integers(1, 8))
+@example(ks=[0], step=0.01, kind="centered", nudge=0.5, L=2, N=8)
+@example(ks=[3], step=0.01, kind="centered", nudge=0.5, L=2, N=8)
+@example(ks=[3, -3], step=0.01, kind="centered", nudge=0.5, L=2, N=8)
+@example(ks=[3, -3], step=0.01, kind="nudged", nudge=1 - 1e-3, L=2, N=8)
+@example(ks=[3, -3], step=0.01, kind="nudged", nudge=1 + 1e-3, L=2, N=8)
+@example(ks=[-3, 3, 3, -3], step=0.01, kind="sign", nudge=0.5, L=3, N=5)
+@example(ks=[3, -3], step=0.01, kind="skewed", nudge=0.5, L=2, N=8)
+def test_mirror_partners_match_brute_force(ks, step, kind, nudge, L, N):
+    """The sorted nearest-cosine pairing equals the O(n^2) reference on
+    subsets of centered grids, repeated angles included; with angles negated
+    at random, as on SIGN_GRID, so that distinct angles share a cosine; with
+    each partner's cosine moved to nudge times the bound away from the
+    mirror; on one or two angles; and for positions that are not
+    antisymmetric. The result is symmetric, never pairs an angle with itself
+    and gives each angle at most one partner."""
+    x = element_positions(ModularArray(L, N, 0.01, 0.05)).ravel()
+    k = 2 * np.pi / CAR.wavelength
+    ks = np.array(ks)
+    angles = math.pi / 2 + step * ks
+    cos = np.cos(angles)
+    if kind == "sign":
+        angles = np.where(np.arange(ks.size) % 3 == 1, -angles, angles)
+        cos = np.cos(angles)
+    elif kind == "nudged" and x.size > 1:
+        cos = np.where(ks < 0, cos + nudge * 2.0**-24 / (k * np.abs(x).max())
+                       * np.abs(np.sin(angles)), cos)
+        angles = np.arccos(cos)
+    elif kind == "skewed":
+        x = x + 1e-3
+    got = localization._mirror_partners(angles, cos, x, k)
+    assert list(got) == _brute_force_partners(angles, cos, x, k)
+    paired = np.flatnonzero(got >= 0)
+    assert np.array_equal(got[got[paired]], paired)
+    assert np.all(got[paired] != paired)
+    assert np.unique(got[paired]).size == paired.size
+
+
+def test_mirror_partner_ties_go_to_the_lower_cosine_then_index():
+    """Two cosines equally near -cos a_0, one on each side and both within
+    the bound: angle 0 pairs with the lower one. Two equal cosines, nearest
+    from below: with the lower index."""
+    x = element_positions(_array(L=2, N=8, D=1.0)).ravel()
+    k = 2 * np.pi / CAR.wavelength
+    e = 2.0**-33
+    cos = np.array([0.25, -0.25 + e, -0.25 - e])
+    assert e <= 2.0**-24 / (k * np.abs(x).max()) * math.sqrt(1 - (0.25 + e)**2)
+    assert list(localization._mirror_partners(np.arccos(cos), cos, x, k)) == [2, -1, 0]
+    cos = np.array([0.25, -0.25 - e, -0.25 - e])
+    assert list(localization._mirror_partners(np.arccos(cos), cos, x, k)) == [1, 0, -1]
+
+
 MIRROR_KINDS = ["random", "distance_tie", "angle_tie", "mirror_tie", "boundary_tie",
                 "first_angle", "self_mirror"]
 
@@ -787,16 +896,25 @@ def test_screen_gemm_width(monkeypatch):
     assert shapes == [(32, 6)] + [(32, 12)] * 6 + [(32, 6)]
 
 
-def test_default_grid_stores_half(monkeypatch):
+@pytest.mark.parametrize("step, angles, stored, nbytes", [
+    (0.002, 1100, 551, 513_725_952),
+    (0.003, 733, 367, 342_173_184),
+    (0.007, 315, 158, 147_311_616),
+])
+def test_default_grid_stores_half(step, angles, stored, nbytes, monkeypatch):
     """The default centered grid stores angles 0..550 of its 1,100: 513.7 MB
-    in place of 1,025.6 MB, for the same 2,003,100 grid points. The build is
-    skipped here: only the layout is checked."""
+    in place of 1,025.6 MB, for the same 2,003,100 grid points. Steps that do
+    not divide the 2.2 rad span pair every angle but pi/2 too: 0.003 rad
+    stores 367 of 733 angles, 342 MB, where its unpaired layout held 684 MB.
+    The build is skipped here: only the layout is checked."""
     monkeypatch.setattr(localization, "_run_blocks", lambda task, num_blocks: None)
-    grid = NearFieldGrid(_array(), CAR, localization.centered_angle_grid(0.002),
+    grid = NearFieldGrid(_array(), CAR, localization.centered_angle_grid(step),
                          localization.default_distance_grid(0.02))
-    assert list(grid._stored) == list(range(551))
-    assert grid.matrix.nbytes == 513_725_952
-    assert grid.num_points == 2_003_100
+    assert grid.angle_grid.size == angles
+    assert np.count_nonzero(grid._partner >= 0) >= angles - 2
+    assert list(grid._stored) == list(range(stored))
+    assert grid.matrix.nbytes == nbytes <= grid.num_points * 64 * 8 / 2 + 1821 * 64 * 8
+    assert grid.num_points == angles * 1821
 
 
 def test_screen_workers_lose_no_candidates_under_switching(monkeypatch):

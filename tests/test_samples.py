@@ -70,7 +70,7 @@ trials = 20
 include_2d = true
 angle_step_rad = 0.01
 distance_step_m = 0.1
-""", "a8392eae12f51309ad5dec3e888d629a9d2391010b64e7efb1d01cf595b128df"),
+""", "ea30a2ee53ebb9b75e87f0262a0ee18406d5bcfdb27f637c993013084a4cc0da"),
 }
 
 
