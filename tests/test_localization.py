@@ -736,8 +736,8 @@ def _brute_force_partners(angles, cos, x, k):
 @example(ks=[3, -3], step=0.01, kind="skewed", nudge=0.5, L=2, N=8)
 def test_mirror_partners_match_brute_force(ks, step, kind, nudge, L, N):
     """The sorted nearest-cosine pairing equals the O(n^2) reference on
-    subsets of centered grids, repeated angles included; with angles negated
-    at random, as on SIGN_GRID, so that distinct angles share a cosine; with
+    subsets of centered grids, repeated angles included; with every third
+    angle negated, as on SIGN_GRID, so that distinct angles share a cosine; with
     each partner's cosine moved to nudge times the bound away from the
     mirror; on one or two angles; and for positions that are not
     antisymmetric. The result is symmetric, never pairs an angle with itself
