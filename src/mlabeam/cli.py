@@ -407,7 +407,7 @@ def main(argv=None) -> int:
     schema = SCHEMAS[args.command]
     try:
         try:
-            text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+            text = Path(args.config).read_text(encoding="utf-8-sig") if args.config else ""
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
         overrides = {k: getattr(args, f"key_{k}") for k in schema}

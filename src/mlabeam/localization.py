@@ -361,12 +361,9 @@ class NearFieldGrid:
                 np.sin(phase, out=rows.imag)
 
         _run_blocks(build_rows, self._stored.size)
-        # the stored rows as runs of angles that all have a partner or all
-        # lack one: (first row, stop row, paired)
-        paired = self._partner[self._stored] >= 0
-        cuts = np.r_[0, np.flatnonzero(paired[1:] != paired[:-1]) + 1, paired.size].tolist()
-        self._runs = [(lo * gd.size, hi * gd.size, bool(paired[lo]))
-                      for lo, hi in zip(cuts[:-1], cuts[1:])]
+        # the stored rows of angles without a partner: their Jw scores belong
+        # to no grid point
+        self._lone = np.repeat(self._partner[self._stored] < 0, gd.size)
 
     @property
     def num_points(self) -> int:
@@ -377,10 +374,11 @@ class NearFieldGrid:
         |u1^H b|^2, for each column u1 of an (L*N, B) stack of principal
         eigenvectors: a list of B (angle, distance) pairs. The stored rows are
         read once per call, in row blocks, with one single-precision GEMM per
-        block against the whole stack: against w = conj(stack) for angles
-        without a partner, and against [w, Jw] for paired ones, J reversing
-        the element order: (Jw)^T b = w^T (Jb) scores the partner too. The
-        blocks are split into contiguous ranges over the worker threads (see
+        block against [w, Jw] for the whole stack, w = conj(stack) and J
+        reversing the element order: (Jw)^T b = w^T (Jb) scores a paired
+        angle's partner too, and the Jw scores of angles without a partner,
+        which belong to no grid point, are dropped. The blocks are split into
+        contiguous ranges over the worker threads (see
         numerics._run_blas_blocks). That pass only screens: the points whose
         float32 |u1^H b|^2 lies within twice its worst-case error of the
         column's float32 best are rescored in float64 on their steering rows
@@ -413,41 +411,34 @@ class NearFieldGrid:
         # and the float64 rounding and reduction of the phases, is the margin.
         margin = (12 * n * n + 24 * n) * _U32 * (w.real**2 + w.imag**2).sum(axis=0)
 
-        def real_form(v):
-            # the complex product as a real one on the interleaved float32 view
-            # of the rows: columns [Re p_0, Im p_0, Re p_1, ...] of row block @
-            # wr, so |p|^2 is one pairwise add over the squared product
-            v32 = v.astype(np.complex64)
-            wr = np.empty((2 * n, 2 * v.shape[1]), dtype=np.float32)
-            wr[0::2, 0::2], wr[0::2, 1::2] = v32.real, v32.imag
-            wr[1::2, 0::2], wr[1::2, 1::2] = -v32.imag, v32.real
-            return wr
-
-        weights = {False: real_form(w), True: real_form(np.hstack([w, w[::-1]]))}
-        # one block height for every run, set by the wider [w, Jw] product;
-        # an unpaired block's narrower product fits the same buffers
-        widest = weights[True]
-        height = max(1, _BLOCK_PRODUCT_BYTES // (widest.itemsize * widest.shape[1]) // 64) * 64
-        size = height * widest.shape[1]
-        blocks = [(start, min(start + height, stop), paired)
-                  for first, stop, paired in self._runs
-                  for start in range(first, stop, height)]
+        # the complex product [w, Jw] as a real one on the interleaved float32
+        # view of the rows, J reversing the element order: columns [Re p_0,
+        # Im p_0, Re p_1, ...] of row block @ wr, so |p|^2 is one pairwise add
+        # over the squared product
+        width = 2 * batch  # power columns
+        v32 = np.hstack([w, w[::-1]]).astype(np.complex64)
+        wr = np.empty((2 * n, 2 * width), dtype=np.float32)
+        wr[0::2, 0::2], wr[0::2, 1::2] = v32.real, v32.imag
+        wr[1::2, 0::2], wr[1::2, 1::2] = -v32.imag, v32.real
+        height = max(1, _BLOCK_PRODUCT_BYTES // (wr.itemsize * 2 * width) // 64) * 64
+        starts = range(0, self.matrix.shape[0], height)
         bests, found = [], []  # each worker's final best; every worker's candidates
 
         def screen(first, stop):
             # one worker's contiguous range of row blocks, with its own buffers
-            # and running best; a block's power columns are [w scores, Jw scores]
-            product = np.empty(size, dtype=np.float32)
-            power = np.empty(size // 2, dtype=np.float32)
+            # and running best; a block's power columns are [w scores, Jw
+            # scores], and a row without a partner drops its Jw scores
+            product = np.empty(height * 2 * width, dtype=np.float32)
+            power = np.empty(height * width, dtype=np.float32)
             best = np.full(batch, -np.inf)
-            for start, end, paired in blocks[first:stop]:
-                wr = weights[paired]
-                h, width = end - start, wr.shape[1] // 2
-                block = self.matrix[start:end].view(np.float32)
+            for start in starts[first:stop]:
+                block = self.matrix[start:start + height].view(np.float32)
+                h = block.shape[0]
                 q = product[:2 * h * width].reshape(h, 2 * width)
                 np.square(np.matmul(block, wr, out=q), out=q)
                 flat, pw = q.ravel(), power[:h * width].reshape(h, width)
                 np.add(flat[0::2], flat[1::2], out=pw.ravel())
+                pw[self._lone[start:start + height], batch:] = -np.inf
                 # a column max over 64 * width wide rows, then over their 64
                 # slices: on a 2-core Xeon 3x faster than over width wide rows
                 # at B = 42 (3,072 x 84: 36 vs 125 us); a 64-row block would
@@ -464,7 +455,7 @@ class NearFieldGrid:
                     found.append((start + r, hot[c], sub[r, c]))
             bests.append(best)
 
-        _run_blas_blocks(screen, len(blocks))
+        _run_blas_blocks(screen, len(starts))
         best = np.max(bests, axis=0)
         row, col, val = (np.concatenate(parts) for parts in zip(*found))
         keep = val >= (best - margin)[col % batch]

@@ -45,9 +45,11 @@ def repo(tmp_path, monkeypatch):
     its HEAD scores 5 more than the parent's."""
     root = tmp_path / "change"
     (root / "perfbench").mkdir(parents=True)
-    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7, "end_to_end": [
-        {"name": "units_per_s", "better": "higher", "bound": 0.25},
-        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7, "workloads": [{"name": "se_2d"}, {"name": "beam_figures"}],
+        "end_to_end": [
+            {"name": "units_per_s", "better": "higher", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
     _git(root, "init", "-q")
     parent = _commit_run(root, 0)
     _commit_run(root, 5)
@@ -127,6 +129,26 @@ def test_parent_dir_must_hold_parent(repo, tmp_path, stand_in):
                           "--parent-dir", str(parent_dir), "--pairs", "1",
                           "--workload", "se_2d:10"])
     assert not (change / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("bad", [
+    ["--workload", "se_2d"],
+    ["--workload", "se_3d:10"],
+    ["--workload", "se_2d:ten"],
+    ["--workload", "se_2d:10", "--pairs", "0"],
+], ids=["workload_without_seed", "unknown_workload", "seed_not_a_number", "zero_pairs"])
+def test_bad_arguments_stop_the_tool_before_it_clones(repo, tmp_path, capsys, bad):
+    """A workload without :SEED once ended in a ValueError traceback, and
+    --pairs 0 cloned the parent and exited 0 without a BENCH file: both are
+    argparse errors now, before any clone or run."""
+    change, parent = repo
+    parent_dir = tmp_path / "parent"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--label", "t", "--parent", parent,
+                          "--parent-dir", str(parent_dir), *bad])
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+    assert not parent_dir.exists() and not (change / "BENCH_t.json").exists()
 
 
 @pytest.mark.parametrize("fault", ['"correct": false', '"failed": 1'],

@@ -203,6 +203,17 @@ def test_config_file_flow(tmp_path):
     assert len(rows) == 51
 
 
+def test_config_file_with_byte_order_mark(tmp_path):
+    """A config saved with a UTF-8 byte-order mark once failed as an unknown
+    key on line 1; it now writes the same bytes as the file without one."""
+    text = "focus_m = 30\nnum_subarrays = 2\naperture_m = 2.0\n"
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / f"{name}.txt").write_bytes(data)
+        assert main(["cutline", "--config", str(tmp_path / f"{name}.txt"), "--x_points", "21",
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_exit_codes_config_and_io(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("aperture_m = -1\nfocus_m = 30\n", encoding="utf-8")

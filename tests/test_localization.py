@@ -681,16 +681,18 @@ def test_exact_tie_goes_to_the_lower_index(workers, block_bytes, monkeypatch):
 
 def test_mirror_layout():
     """Only one angle of each mirror pair is stored; angles without a partner
-    keep their rows. Positions that are not antisymmetric pair nothing."""
+    keep their rows, and those rows are marked lone. Positions that are not
+    antisymmetric pair nothing."""
     D = MIRROR_GRID.distance_grid.size
     partner = [-1] + list(range(19, 10, -1)) + [-1] + list(range(9, 0, -1))
     assert list(MIRROR_GRID._partner) == partner
     assert list(MIRROR_GRID._stored) == list(range(11))
     assert MIRROR_GRID.matrix.shape == (11 * D, 16)
     assert MIRROR_GRID.num_points == 20 * D
-    assert MIRROR_GRID._runs == [(0, D, False), (D, 10 * D, True), (10 * D, 11 * D, False)]
+    assert list(MIRROR_GRID._lone) == [True] * D + [False] * (9 * D) + [True] * D
     assert np.all(SMALL_GRID._partner == -1)
-    assert SMALL_GRID.matrix.shape[0] == SMALL_GRID.num_points
+    assert SMALL_GRID.matrix.shape[0] == SMALL_GRID._lone.size == SMALL_GRID.num_points
+    assert np.all(SMALL_GRID._lone)
     x = element_positions(_array(L=2, N=8, D=1.0)).ravel()
     c = np.cos(MIRROR_ANGLES)
     assert np.all(localization._mirror_partners(MIRROR_ANGLES, c, x + 1e-3, 100.0) == -1)
@@ -874,14 +876,13 @@ def test_pick_ignores_the_storage_bound_in_the_stored_rows(grid_name, kind, work
 
 
 def test_screen_gemm_width(monkeypatch):
-    """Blocks of angles without a partner are screened against the B weight
-    columns alone (2B real columns), paired blocks against [w, Jw] (4B): on a
-    grid with no pairs every GEMM has 2B columns."""
+    """Every row block is screened against [w, Jw] (4B real columns), on a
+    grid with no pairs as on a mirrored one."""
     shapes = []
     matmul = np.matmul
 
     def spy(a, b, **kwargs):
-        shapes.append(b.shape)
+        shapes.append((a.shape[1],) + b.shape)
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
@@ -889,11 +890,25 @@ def test_screen_gemm_width(monkeypatch):
     rng = np.random.default_rng(5)
     u = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
     SMALL_GRID.argmax_rank1(u)
-    assert len(shapes) == 13 and set(shapes) == {(32, 6)}
+    assert shapes == [(32, 32, 12)] * 13
     shapes.clear()
     MIRROR_GRID.argmax_rank1(u)
-    # angle 0, angles 1..9 in 64-row blocks, angle 10
-    assert shapes == [(32, 6)] + [(32, 12)] * 6 + [(32, 6)]
+    assert shapes == [(32, 32, 12)] * 7
+
+
+@pytest.mark.parametrize("angles", [[np.pi / 2 + 0.3, np.pi / 2 - 0.5],
+                                    [np.pi / 2 - 0.5, np.pi / 2 + 0.3]])
+def test_lone_rows_drop_their_reversed_scores(angles):
+    """A column that matches the reversed row of an angle without a partner
+    (its mirror pi/2 + 0.5 is off the grid) scores that row highest in the
+    Jw half of the screen; the pick is still the best grid point."""
+    grid = NearFieldGrid(_array(L=2, N=8, D=1.0), CAR, angles, [5.0, 10.0, 20.0])
+    assert np.all(grid._lone)
+    u = near_steering(grid.mla, CAR, np.pi / 2 + 0.5, 10.0)
+    u /= np.linalg.norm(u)
+    want = _brute_force_argmax(grid, u)
+    assert want == (np.pi / 2 + 0.3, 5.0)
+    assert grid.argmax_rank1(u[:, None]) == [want]
 
 
 @pytest.mark.parametrize("step, angles, stored, nbytes", [

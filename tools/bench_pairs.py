@@ -127,23 +127,38 @@ def summarize(runs: list, metrics: list) -> dict:
     return summary
 
 
-def _parse(argv):
+def _parse(argv, workloads):
+    """The tool's arguments, checked before anything is cloned or run: each
+    --workload is NAME:FIRST_SEED with NAME one of workloads, and --pairs is
+    at least 1; a bad one is an argparse error (exit 2)."""
+    def pairs(text):
+        count = int(text)
+        if count < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, not {count}")
+        return count
+
+    def workload(text):
+        name, _, seed = text.partition(":")
+        if name not in workloads or not seed.isdigit():
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not NAME:FIRST_SEED with NAME one of {', '.join(workloads)}")
+        return name, int(seed)
+
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     p.add_argument("--parent", required=True, help="commit to compare against")
     p.add_argument("--parent-dir", type=Path, required=True,
                    help="git checkout of --parent; cloned there if missing")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--workload", action="append", required=True, metavar="NAME:FIRST_SEED",
+    p.add_argument("--pairs", type=pairs, default=10)
+    p.add_argument("--workload", type=workload, action="append", required=True,
+                   metavar="NAME:FIRST_SEED",
                    help="pair i runs seed FIRST_SEED + i; repeat for more workloads")
-    args = p.parse_args(argv)
-    args.workload = [(name, int(seed)) for name, seed in
-                     (w.split(":") for w in args.workload)]
-    return args
+    return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parse(argv)
+    bench = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
+    args = _parse(argv, [w["name"] for w in bench["workloads"]])
     parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     if not args.parent_dir.exists():
         _git("clone", "--quiet", "--no-checkout", str(CHECKOUT), str(args.parent_dir))
@@ -155,7 +170,6 @@ def main(argv=None) -> int:
         raise SystemExit(f"{args.parent_dir} is at {head}, not --parent {parent}")
     if _git("status", "--porcelain", "--untracked-files=no", cwd=args.parent_dir):
         raise SystemExit(f"{args.parent_dir} has changes to tracked files")
-    bench = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     doc = {
         "description": (f"Paired untraced runs of perfbench/run.py (--seconds {seconds} "
