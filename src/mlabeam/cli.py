@@ -267,8 +267,7 @@ def _cmd_cutline(cfg: dict, out: str) -> int:
 
 def _cmd_depth(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg)
-    foci = [float(f) for f in focus_chain(mla, cfg["focus_m"], carrier, cfg["chain"],
-                                          cfg["depth_threshold"])]
+    foci = focus_chain(mla, cfg["focus_m"], carrier, cfg["chain"], cfg["depth_threshold"])
     z_lo = cfg["z_min_m"] if cfg["z_min_m"] is not None else foci[0] / 2
     z_hi = cfg["z_max_m"] if cfg["z_max_m"] is not None else foci[-1] * 2.5
     zs = _samples(cfg, z_lo, z_hi, "z")

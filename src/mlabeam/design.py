@@ -21,60 +21,25 @@ from .gain import crossrange_gain, half_power_beamwidth
 PEAK_PROMINENCE = 1e-2
 
 
-def _end_slope(m0: float, m1: float) -> float:
-    # one-sided three-point slope, clipped to keep the end monotone
-    d = (3.0 * m0 - m1) / 2.0
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_upsample(y: np.ndarray, upsample: int) -> np.ndarray:
-    """Monotone cubic (PCHIP) interpolant of y at unit spacing, evaluated at
-    upsample * len(y) evenly spaced points from the first sample to the last.
-
-    Fritsch-Carlson slopes inside (the harmonic mean of the two secant
-    slopes, 0 at a local extremum), one-sided three-point slopes at the ends,
-    and each piece's Hermite cubic evaluated in the order scipy's
-    PchipInterpolator uses, so the values match it.
-    """
-    m = np.diff(y)
-    d = np.empty_like(y)
-    left, right = m[:-1], m[1:]
-    smooth = (np.sign(left) == np.sign(right)) & (left != 0) & (right != 0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d[1:-1] = np.where(smooth, 1.0 / ((3.0 / left + 3.0 / right) / 6.0), 0.0)
-    d[0], d[-1] = _end_slope(m[0], m[1]), _end_slope(m[-1], m[-2])
-    cubic = d[:-1] + d[1:] - 2 * m
-    square = m - d[:-1] - cubic
-    xs = np.linspace(0.0, y.size - 1.0, upsample * y.size)
-    k = np.minimum(xs.astype(np.intp), y.size - 2)
-    s = xs - k
-    s2 = s * s
-    return y[k] + d[k] * s + square[k] * s2 + cubic[k] * (s2 * s)
-
-
-def count_peaks(samples, prominence: float = PEAK_PROMINENCE, upsample: int = 10) -> int:
+def count_peaks(samples, prominence: float = PEAK_PROMINENCE) -> int:
     """Count genuine local maxima of uniformly sampled data.
 
-    The samples are resampled to `upsample` times the density with a monotone
-    cubic interpolant, consecutive equal values are collapsed into runs (the
-    interpolant produces flat two-point plateaus when a symmetric apex falls
-    between samples), and a run counts as a peak when it is interior, strictly
-    above both neighboring runs, and rises at least `prominence` above the
-    higher of its two flanking minima. Window endpoints can serve as flanking
-    minima but are never peaks themselves.
+    Consecutive equal samples are collapsed into runs (a symmetric apex that
+    falls between two samples gives a flat two-sample top), and a run counts
+    as a peak when it is interior, strictly above both neighboring runs, and
+    rises at least `prominence` above the higher of its two flanking minima.
+    Window endpoints can serve as flanking minima but are never peaks
+    themselves. The samples are counted as they are: a shape-preserving
+    interpolant such as PCHIP has its extrema only at the samples, so
+    resampling reveals no peak, and its rounding ripple can split a flat top.
     """
     y = np.asarray(samples, dtype=float)
     if y.size < 3:
         raise ValueError("need at least three samples")
-    dense = _pchip_upsample(y, upsample)
-    keep = np.empty(dense.size, dtype=bool)
+    keep = np.empty(y.size, dtype=bool)
     keep[0] = True
-    keep[1:] = dense[1:] != dense[:-1]
-    runs = dense[keep]
+    keep[1:] = y[1:] != y[:-1]
+    runs = y[keep]
     idx = np.arange(runs.size)
     peak = np.zeros(runs.size, dtype=bool)
     peak[1:-1] = (runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])

@@ -309,10 +309,13 @@ def focus_chain(mla: ModularArray, first_focus: float, carrier: Carrier, count: 
                 depth_threshold: float = 0.05) -> list:
     """Successive focal depths, each placed at the previous curve's first null.
 
-    Returns `count` focal distances starting with first_focus; raises
-    NullNotFoundError if the chain runs out of nulls first.
+    Returns `count` focal distances, as floats, starting with first_focus;
+    raises ValueError if count is below 1 and NullNotFoundError if the chain
+    runs out of nulls first.
     """
+    if count < 1:
+        raise ValueError(f"a focus chain needs at least one focus, not {count}")
     foci = [float(first_focus)]
     while len(foci) < count:
-        foci.append(first_null_after_focus(mla, foci[-1], carrier, depth_threshold))
+        foci.append(float(first_null_after_focus(mla, foci[-1], carrier, depth_threshold)))
     return foci

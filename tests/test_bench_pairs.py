@@ -169,6 +169,24 @@ def test_run_that_fails_its_checks_stops_the_tool(repo, tmp_path, fault):
         ("parent", 10, True)]
 
 
+@pytest.mark.parametrize("run_py", ['print("done")\n', "pass\n"],
+                         ids=["last_line_not_json", "prints_nothing"])
+def test_run_without_a_json_last_line_stops_the_tool(repo, tmp_path, run_py):
+    """A run whose last line is no JSON, or that prints nothing, once ended in
+    a bare JSONDecodeError or an unpacking ValueError: it stops the tool with
+    a RuntimeError naming the run, and BENCH_<label>.json holds only the runs
+    before it."""
+    change, parent = repo
+    (change / "perfbench" / "run.py").write_text(run_py)
+    _git(change, "commit", "-qam", "no JSON last line")
+    with pytest.raises(RuntimeError, match="change run of se_2d seed 10 .* printed no JSON"):
+        bench_pairs.main(["--label", "t", "--parent", parent,
+                          "--parent-dir", str(tmp_path / "parent"), "--pairs", "2",
+                          "--workload", "se_2d:10"])
+    doc = json.loads((change / "BENCH_t.json").read_text())
+    assert [(r["side"], r["seed"]) for r in doc["runs"]] == [("parent", 10)]
+
+
 def test_report_line_that_is_not_json_records_no_count_guard(repo, tmp_path):
     """A plain-text report line is no error: that run's entry has no
     count_guard."""

@@ -376,6 +376,14 @@ def test_focus_chain_values():
     assert len(chain) == 4
     np.testing.assert_allclose(chain, [2.0, 2.6745, 4.0356, 8.2176], atol=5e-3)
     assert np.all(np.diff(chain) > 0)
+    assert all(type(f) is float for f in chain)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_focus_chain_rejects_count_below_one(count):
+    """A chain of count foci has at least one; 0 and -3 once returned [first_focus]."""
+    with pytest.raises(ValueError, match="at least one focus"):
+        focus_chain(_mla(4, 16, 0.14), 2.0, LAM, count)
 
 
 def test_no_null_beyond_fraunhofer():

@@ -9,11 +9,12 @@ For each workload and each pair i it runs ``perfbench/run.py --workload W
 in this checkout, the parent first in even pairs and the checkout first in
 odd ones, one run at a time; S is ``run_seconds`` in BENCHMARK.json, so both
 sides and every pair run as long as the benchmark does. A run that exits
-non-zero or reports a failed check (``"correct": false`` or ``"failed"``
-above 0) stops the tool and is not recorded. The parent's
-checkout is --parent-dir: when it exists it must be a git checkout with
-HEAD at --parent and no changes to tracked files, otherwise the tool stops;
-when it does not, it is cloned there from this repository at --parent.
+non-zero, prints no JSON last line or reports a failed check
+(``"correct": false`` or ``"failed"`` above 0) stops the tool and is not
+recorded. The parent's checkout is --parent-dir: when it exists it must be
+a git checkout with HEAD at --parent and no changes to tracked files,
+otherwise the tool stops; when it does not, it is cloned there from this
+repository at --parent.
 Each run's last-line JSON, and the ``count_guard``, ``chunk_seconds`` (every
 completed chunk's time, by slot) and ``setup_samples_s`` (each fresh
 process's set-up time, whose median is ``setup_s``) of its report line (the
@@ -60,22 +61,25 @@ def _host() -> str:
 def run_once(side: str, root: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced perfbench run in root: {"result": its last-line JSON}, plus
     "count_guard", "chunk_seconds" and "setup_samples_s" from its report line
-    when that is JSON and has them. A run that exits non-zero or reports a
-    failed check is no sample: it raises."""
+    when that is JSON and has them. A run that exits non-zero, prints no JSON
+    last line or reports a failed check is no sample: it raises."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     run = f"{side} run of {workload} seed {seed} ({' '.join(cmd)} in {root})"
     if out.returncode != 0:
         raise RuntimeError(f"{run} exited {out.returncode}:\n{out.stderr[-2000:]}")
-    *lines, last = out.stdout.strip().splitlines()
-    result = json.loads(last)
+    lines = out.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise RuntimeError(f"{run} printed no JSON last line:\n{out.stdout[-2000:]}") from None
     if result["correct"] is not True or result["failed"] != 0:
         raise RuntimeError(f"{run} failed its checks: correct {result['correct']}, "
                            f"failed {result['failed']}")
     entry = {"result": result}
     try:
-        report = json.loads(lines[-1])["report"]
+        report = json.loads(lines[-2])["report"]
     except (IndexError, ValueError, TypeError, KeyError):
         report = {}
     for key in ("count_guard", "chunk_seconds", "setup_samples_s"):
