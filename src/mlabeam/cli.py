@@ -9,7 +9,7 @@ Exit codes: 0 success, 2 config error, 3 infeasible design, 4 numerical
 degeneracy, 5 I/O error. Config errors are raised where config values become
 library inputs; any other exception is a bug and propagates. Every float
 value must be finite, and every gain column a figure command writes must lie
-in [0, 1] before its file is opened.
+in [0, 1], up to 1e-9 above 1 for rounding, before its file is opened.
 """
 
 from __future__ import annotations

@@ -81,6 +81,10 @@ class TrialConfig:
             raise ValueError("sweep needs at least one value")
         if len(set(self.sweep_values)) < len(self.sweep_values):
             raise ValueError("sweep values must be distinct")
+        if self.sweep_variable != "power" and not all(
+                float(value).is_integer() for value in self.sweep_values):
+            raise ValueError(f"{self.sweep_variable} sweep values must be whole numbers, "
+                             f"got {self.sweep_values!r}")
         # what every trial's Scenario, and triangulate, would otherwise reject
         if not (-90 < self.angle_bounds_deg[0] and self.angle_bounds_deg[1] <= 90
                 and self.distance_bounds[0] > 0):

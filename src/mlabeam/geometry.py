@@ -145,15 +145,21 @@ def spacing_for_aperture(aperture: float, num_subarrays: int, elements_per_subar
     """Gap Delta that makes the layout fill the requested aperture exactly.
 
     Inverts the aperture formula: Delta = (D - (L*(N-1)+1)*delta)/(L-1).
-    Raises InfeasibleArrayError when the result would be below the element
-    spacing (adjacent sub-arrays would overlap).
+    The gap is at least delta exactly when L*N*delta <= D; a contiguous
+    layout whose formula gap rounds below delta gets delta. Raises
+    InfeasibleArrayError when L*N*delta > D (adjacent sub-arrays would
+    overlap).
     """
     L, N = num_subarrays, elements_per_subarray
     if L < 2:
         raise ValueError("need at least two sub-arrays to solve for the gap")
     gap = (aperture - (L * (N - 1) + 1) * spacing) / (L - 1)
     if gap < spacing:
+        needed = L * N * spacing
+        if needed <= aperture:
+            return spacing
         raise InfeasibleArrayError(
             f"aperture {aperture} m cannot hold {L} sub-arrays of {N} elements "
-            f"at spacing {spacing} m (gap {gap:.6g} m < spacing)")
+            f"at spacing {spacing} m: they need {needed:.6g} m, "
+            f"{needed - aperture:.3g} m more")
     return gap

@@ -223,3 +223,19 @@ def test_runs_keep_their_chunk_seconds(repo, tmp_path):
         ("change", 10, None, None, {"grid_bytes": [15, 100]}),
         ("change", 11, None, None, {"grid_bytes": [16, 100]}),
         ("parent", 11, {"0:beampattern": [11.5, 1.5]}, [11.25, 11], {"grid_bytes": [11, 100]})]
+
+
+def test_each_run_is_written_on_one_line(repo, tmp_path):
+    """BENCH_<label>.json puts each run, with its chunk and set-up time lists,
+    on a line of its own; the rest stays indented one space per level."""
+    change, parent = repo
+    assert bench_pairs.main(["--label", "t", "--parent", parent,
+                             "--parent-dir", str(tmp_path / "parent"), "--pairs", "2",
+                             "--workload", "beam_figures:10"]) == 0
+    text = (change / "BENCH_t.json").read_text()
+    doc = json.loads(text)
+    runs = [line for line in text.splitlines() if line.startswith("  {")]
+    assert [json.loads(line.removesuffix(",")) for line in runs] == doc["runs"]
+    assert len(runs) == 4 and all("chunk_seconds" in run for run in doc["runs"])
+    others = {key: value for key, value in doc.items() if key != "runs"}
+    assert all(line in text for line in json.dumps(others, indent=1).splitlines()[1:-1])

@@ -273,6 +273,20 @@ def test_exit_code_infeasible_geometry():
                  "--out", "/dev/null"]) == 3
 
 
+def test_exactly_contiguous_layout_is_feasible(tmp_path, capsys):
+    """An aperture of exactly L*N*spacing holds the contiguous layout (gap =
+    spacing), though the gap formula rounds it one ulp below the spacing."""
+    out = tmp_path / "design.csv"
+    assert main(["design", "--aperture_m", "0.06", "--focus_m", "1", "--antenna_counts", "3",
+                 "--spacing_m", "0.01", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == [
+        "3", "2", "0.0100", "1", "aperture-filled"]
+    assert _read_table(out)[2].tolist() == [[3, 2, 0.01, 1, 0]]
+    assert main(["cutline", "--focus_m", "1", "--aperture_m", "0.06", "--num_subarrays", "2",
+                 "--antennas_per_subarray", "3", "--spacing_m", "0.01",
+                 "--out", str(tmp_path / "cut.csv")]) == 0
+
+
 # an se run on a coarse 2D grid, whose span the user bounds must stay inside
 _SE_SMALL_GRID = ["se", "--trials", "12", "--power_dbm_values", "20",
                   "--angle_step_rad", "0.02", "--distance_step_m", "0.5"]

@@ -428,6 +428,12 @@ def test_config_validation(monkeypatch):
         _config(trials=0)
     with pytest.raises(ValueError, match="distinct"):
         _config(sweep_values=(4, 4))
+    # a geometry sweep value is a count: 4.5 is refused, not run as N = 4
+    for variable in ("elements_per_subarray", "num_subarrays"):
+        for bad in (4.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="whole numbers"):
+                _config(sweep_variable=variable, sweep_values=(4, bad))
+    assert _config(sweep_values=(4, 8.0)).sweep_values == (4, 8.0)
     for bounds in ({"angle_bounds_deg": (30.0, -30.0)}, {"distance_bounds": (20.0, 5.0)}):
         with pytest.raises(ValueError, match="ordered"):
             _config(**bounds)

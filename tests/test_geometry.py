@@ -123,6 +123,22 @@ def test_guard_identity():
                 spacing_for_aperture(D, L, N, d)
 
 
+@settings(max_examples=300, deadline=None)
+@given(L=st.integers(2, 40), N=st.integers(1, 64),
+       spacing=st.floats(1e-3, 0.05, allow_nan=False, allow_infinity=False))
+def test_contiguous_aperture_is_feasible(L, N, spacing):
+    """An aperture of exactly L*N*spacing gives the contiguous layout, gap =
+    spacing (the formula may round it an ulp below), and any shorter
+    aperture still raises, stating the shortfall."""
+    aperture = L * N * spacing
+    gap = spacing_for_aperture(aperture, L, N, spacing)
+    assert gap >= spacing
+    assert gap == pytest.approx(spacing, rel=1e-12)
+    short = aperture * (1 - 1e-6)
+    with pytest.raises(InfeasibleArrayError, match=f"{L * N * spacing:.6g} m, .* m more"):
+        spacing_for_aperture(short, L, N, spacing)
+
+
 def test_fixed_aperture_half_pitch():
     # at fixed aperture the half pitch depends on L and N only through (D - N*delta)
     D, d = 2.0, 0.01

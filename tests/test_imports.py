@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import mlabeam
-from test_samples import SAMPLES
+from test_samples import readme_samples
 
 PACKAGE = Path(mlabeam.__file__).parent
 
@@ -61,8 +61,9 @@ def test_scipy_loads_only_for_the_fresnel_integrals(tmp_path):
     the README cutline sample; the depth sample loads scipy.special. In the
     source, no module imports scipy at module level, and the one scipy
     import is scipy.special inside fresnel_cs."""
+    samples = readme_samples()
     for command in ("cutline", "depth"):
-        (tmp_path / f"{command}.cfg").write_text(SAMPLES[command][0])
+        (tmp_path / f"{command}.cfg").write_text(samples[command])
     src = str(PACKAGE.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", SCRIPT, "cutline", "depth"], cwd=tmp_path,

@@ -1,10 +1,12 @@
-"""The benchmark's code still finds the library names it uses.
+"""The benchmark's code still finds the library names it uses, and its
+configs are README's samples.
 
 perfbench/tracing.py wraps mlabeam functions at the names their callers look
 them up under, and perfbench/workloads.py imports names from mlabeam's
 modules. A renamed or deleted function would only surface when a benchmark
 run fails, so this loads both files by path, resolves each patch site the way
-Tracer.installed does, and imports the workloads.
+Tracer.installed does, and imports the workloads. perfbench/configs holds
+copies of README sample configs, read here and never written.
 """
 
 import importlib
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_samples import readme_samples
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,3 +57,15 @@ def test_workloads_import(monkeypatch):
         for name in ("checks", "tracing"):
             sys.modules.pop(name, None)
     assert {"se_2d", "beam_figures"} <= set(workloads.WORKLOADS)
+
+
+@pytest.mark.parametrize("config", sorted((_PERFBENCH / "configs").glob("*.cfg")),
+                         ids=lambda path: path.stem)
+def test_benchmark_configs_are_readme_samples(config):
+    """Each benchmark config sets the keys and values of the README sample of
+    its name, line for line; only the leading comment may differ."""
+    def settings(text):
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    sample = readme_samples()[config.stem]
+    assert settings(config.read_text(encoding="utf-8")) == settings(sample)

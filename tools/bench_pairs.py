@@ -160,6 +160,14 @@ def _parse(argv, workloads):
     return p.parse_args(argv)
 
 
+def _dumps(doc: dict) -> str:
+    """doc as JSON indented one space per level, except that each entry of its
+    runs list, with its per-chunk and per-process time lists, is one line."""
+    runs = ",\n".join(f"  {json.dumps(run)}" for run in doc["runs"])
+    text = json.dumps({**doc, "runs": None}, indent=1)
+    return text.replace('"runs": null', f'"runs": [\n{runs}\n ]', 1)
+
+
 def main(argv=None) -> int:
     bench = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
     args = _parse(argv, [w["name"] for w in bench["workloads"]])
@@ -195,7 +203,7 @@ def main(argv=None) -> int:
                 doc["runs"].append({"side": side, "workload": name, "seed": first + pair,
                                     "pair": pair, **entry})
                 doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
-                out.write_text(json.dumps(doc, indent=1) + "\n")
+                out.write_text(_dumps(doc) + "\n")
                 print(f"{name} pair {pair} {side}: "
                       f"{json.dumps(entry['result']['metrics'])}", flush=True)
     return 0
