@@ -220,12 +220,26 @@ def _resolve_array(cfg: dict):
         return ModularArray(L, N, spacing, gap), carrier
 
 
-def _samples(cfg: dict, lo: float, hi: float, axis: str, log: bool = False) -> np.ndarray:
-    """cfg[axis + '_points'] samples from lo to hi, which must be increasing."""
+def _centered_linspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """n evenly spaced samples from lo to hi, built outward from the center:
+    (lo + hi)/2 + (hi - lo)/2 * k/(n - 1) for k = -(n - 1), -(n - 3), ..., n - 1,
+    with the ends exactly lo and hi. When lo == -hi every sample's negation is
+    a sample, bit for bit, which np.linspace does not promise."""
+    if n == 1:
+        return np.array([lo], dtype=float)
+    center, half = lo / 2 + hi / 2, hi / 2 - lo / 2
+    xs = center + half * (np.arange(1 - n, n, 2) / (n - 1))
+    xs[0], xs[-1] = lo, hi
+    return xs
+
+
+def _samples(cfg: dict, lo: float, hi: float, axis: str, spacing=np.linspace) -> np.ndarray:
+    """cfg[axis + '_points'] samples from lo to hi, which must be increasing,
+    placed by spacing(lo, hi, points)."""
     points = cfg[f"{axis}_points"]
     if points > 1 and not lo < hi:
         raise ConfigError(f"'{axis}_min_m' must be below '{axis}_max_m' ({lo!r} >= {hi!r})")
-    return (np.geomspace if log else np.linspace)(lo, hi, points)
+    return spacing(lo, hi, points)
 
 
 def _write_figure(out: str, comments: list, columns: dict, gains: tuple = ()) -> None:
@@ -241,8 +255,10 @@ def _write_figure(out: str, comments: list, columns: dict, gains: tuple = ()) ->
 
 def _cmd_beampattern(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg)
-    xs = _samples(cfg, cfg["x_min_m"], cfg["x_max_m"], "x")
-    zs = _samples(cfg, cfg["z_min_m"], cfg["z_max_m"], "z", log=cfg["log_z"])
+    # symmetric x samples make the sweep's mirror grouping pay on a symmetric range
+    xs = _samples(cfg, cfg["x_min_m"], cfg["x_max_m"], "x", _centered_linspace)
+    zs = _samples(cfg, cfg["z_min_m"], cfg["z_max_m"], "z",
+                  np.geomspace if cfg["log_z"] else np.linspace)
     X, Z = np.meshgrid(xs, zs)
     gains = gain_exact_sweep(mla, X, Z, cfg["focus_m"], carrier)
     _write_figure(out, [_config_comment(cfg)], {"z_m": Z, "x_m": X, "gain": gains}, ("gain",))

@@ -142,14 +142,22 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
     |E|^2 over cell i, taken on the same quadrature nodes. By Cauchy-Schwarz
     (unit-energy weights, positive quadrature weights) the gain then lies in
     [0, 1] for a source at any depth. One weight vector serves every point,
-    and the points are evaluated in blocks of a fixed number of field samples.
+    and each distinct (|x|, z) is evaluated once, in blocks of a fixed number
+    of field samples. Coordinates must be finite, and z positive.
     """
     rule = rule or _DEFAULT_RULE
     X, Z = np.broadcast_arrays(np.asarray(xs, float), np.asarray(zs, float))
+    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
+        raise ValueError("source coordinates must be finite")
     if np.any(Z <= 0):
         raise ValueError("source must be in front of the array (z > 0)")
     w = matched_filter_weights(mla, focus, carrier, rule).ravel()
-    xs, zs, lam = X.ravel(), Z.ravel(), carrier.wavelength
+    # element positions are antisymmetric and the weights are matched to an
+    # on-axis focus, so a source's gain depends on x only through |x|: each
+    # distinct (|x|, z) is evaluated once and scattered back
+    keys, inverse = np.unique(np.column_stack([np.abs(X.ravel()), Z.ravel()]), axis=0,
+                              return_inverse=True)
+    xs, zs, lam = keys[:, 0], keys[:, 1], carrier.wavelength
     d = mla.spacing
     nodes = _CellNodes(element_positions(mla).ravel(), d, rule)
     step = max(1, _SWEEP_BLOCK_SAMPLES // nodes.x.size // nodes.dy2.size)
@@ -163,7 +171,7 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
             out[s:s + step] = np.abs((w * cells).sum(-1)) ** 2 / (d * d * energy)
 
     _run_blocks(run, -(-xs.size // step))
-    return out.reshape(X.shape)
+    return out[inverse].reshape(X.shape)
 
 
 def _on_axis(focus: float, z, gain_at) -> float | np.ndarray:

@@ -17,7 +17,7 @@ import sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 assert args["--seconds"] == "7", "run length must come from BENCHMARK.json"
 seed = int(args["--seed"])
-times = {{"0:beampattern": [seed + 0.5, 1.5]}}
+times = {{"0:beampattern": [seed + {bonus} + 0.5, 1.5], "1:cutline": [0.25]}}
 setups = [seed + 0.25, seed + {bonus}]
 print(json.dumps({{"report": {{"count_guard": {{"grid_bytes": [seed + {bonus}, 100]}}, "chunk_seconds": times, "setup_samples_s": setups}}}}))
 print('{{"correct": true, "attempted": 1, "failed": 0, "metrics": {{'
@@ -83,6 +83,10 @@ def test_pairs_alternate_and_summarize(repo, tmp_path):
     rss = doc["summary"]["se_2d"]["peak_rss_mb"]
     assert rss["change_won"] == 0  # ties win nothing
     assert (rss["relative_change"], rss["parent_spread"], rss["verdict"]) == (0, 0, "no worse")
+    # each slot's median over all of a side's chunks: 1.5 and seed + bonus + 0.5, three times
+    assert doc["summary"]["se_2d"]["chunk_median_s"] == {
+        "0:beampattern": {"parent": 6.0, "change": 8.5},
+        "1:cutline": {"parent": 0.25, "change": 0.25}}
 
 
 @pytest.mark.parametrize("better, parent, change, verdict", [
@@ -217,12 +221,17 @@ def test_runs_keep_their_chunk_seconds(repo, tmp_path):
                              "--parent-dir", str(tmp_path / "parent"), "--pairs", "2",
                              "--workload", "beam_figures:10"]) == 0
     doc = json.loads((change / "BENCH_t.json").read_text())
+    times = {10: {"0:beampattern": [10.5, 1.5], "1:cutline": [0.25]},
+             11: {"0:beampattern": [11.5, 1.5], "1:cutline": [0.25]}}
     assert [(r["side"], r["seed"], r.get("chunk_seconds"), r.get("setup_samples_s"),
              r["count_guard"]) for r in doc["runs"]] == [
-        ("parent", 10, {"0:beampattern": [10.5, 1.5]}, [10.25, 10], {"grid_bytes": [10, 100]}),
+        ("parent", 10, times[10], [10.25, 10], {"grid_bytes": [10, 100]}),
         ("change", 10, None, None, {"grid_bytes": [15, 100]}),
         ("change", 11, None, None, {"grid_bytes": [16, 100]}),
-        ("parent", 11, {"0:beampattern": [11.5, 1.5]}, [11.25, 11], {"grid_bytes": [11, 100]})]
+        ("parent", 11, times[11], [11.25, 11], {"grid_bytes": [11, 100]})]
+    # the chunk medians come from the side that recorded chunk times
+    assert doc["summary"]["beam_figures"]["chunk_median_s"] == {
+        "0:beampattern": {"parent": 6.0}, "1:cutline": {"parent": 0.25}}
 
 
 def test_each_run_is_written_on_one_line(repo, tmp_path):

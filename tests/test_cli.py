@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mlabeam import cli, count_peaks
 from mlabeam.cli import SCHEMAS, ConfigError, main, parse_config
@@ -172,6 +173,32 @@ def test_beampattern_command(tmp_path):
         assert header == ["z_m", "x_m", "gain"]
         assert rows.shape == (7 * 15, 3)
         assert rows[:, 2].max() <= 1.0
+
+
+# ends in metres, none so near the subnormals that halving them loses bits
+_ENDS = st.floats(-1e6, 1e6).filter(lambda v: v == 0 or abs(v) > 1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=_ENDS, hi=_ENDS, n=st.integers(1, 400), symmetric=st.booleans())
+@example(lo=-2.0, hi=2.0, n=81, symmetric=True)
+@example(lo=-2.0, hi=2.0, n=1, symmetric=True)
+@example(lo=0.1, hi=0.7, n=2, symmetric=False)
+def test_beampattern_x_samples(lo, hi, n, symmetric):
+    """The beampattern x samples: the requested count, strictly increasing,
+    ending exactly at x_min_m and x_max_m, within a few ulps of np.linspace,
+    and mirror-closed, bit for bit, on a range symmetric about 0 (one sample
+    is x_min_m alone, as np.linspace gives)."""
+    if symmetric:
+        lo = -hi
+    ulp = np.spacing(max(abs(lo), abs(hi)))
+    assume(n == 1 or hi - lo > 64 * (n - 1) * ulp)
+    xs = cli._centered_linspace(lo, hi, n)
+    assert xs.shape == (n,) and xs[0] == lo and (n == 1 or xs[-1] == hi)
+    assert np.all(np.diff(xs) > 0)
+    assert np.all(np.abs(xs - np.linspace(lo, hi, n)) <= 4 * ulp)
+    if symmetric and n > 1:
+        assert np.isin(-xs, xs).all()
 
 
 def test_localize_command(tmp_path, capsys):

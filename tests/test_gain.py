@@ -10,6 +10,7 @@ from mlabeam import (Carrier, ModularArray, NullNotFoundError, TxPoint, crossran
                      focus_chain, gain_exact_sweep, gain_mla_fresnel, gain_ula_fresnel,
                      half_power_beamwidth, matched_filter_weights, ripple_metrics,
                      spacing_for_aperture, subarray_centers)
+from mlabeam.cli import _centered_linspace
 from mlabeam.numerics import gauss_legendre_rule
 
 LAM = Carrier.from_wavelength(0.02)
@@ -77,11 +78,12 @@ def test_exact_field_matches_complex_exp(tx, wavelength, points):
 
 def test_readme_beampattern_sweep_matches_complex_exp(monkeypatch):
     """README's beampattern sample (15 GHz, 2 x 64 over 2 m, focus 30 m, an
-    81 x 61 grid) lies within 1e-14 of the sweep on the complex-exp field."""
+    81 x 61 grid on the command's own x samples) lies within 1e-14 of the
+    sweep on the complex-exp field."""
     carrier = Carrier.from_frequency(15e9)
     d = carrier.wavelength / 2
     mla = ModularArray(2, 64, d, spacing_for_aperture(2.0, 2, 64, d))
-    X, Z = np.meshgrid(np.linspace(-2.0, 2.0, 81), np.linspace(10.0, 100.0, 61))
+    X, Z = np.meshgrid(_centered_linspace(-2.0, 2.0, 81), np.linspace(10.0, 100.0, 61))
     gains = gain_exact_sweep(mla, X, Z, 30.0, carrier)
 
     monkeypatch.setattr("mlabeam.gain._spherical_field", _exp_spherical)
@@ -242,6 +244,30 @@ def test_folded_quadrature_matches_unfolded(order):
     np.testing.assert_allclose(sweep, ref, rtol=1e-12, atol=0)
 
 
+# sub-arrays, elements per sub-array, spacing (m), gap beyond the spacing (m),
+# focus (m), then source offsets and depths in units of the aperture
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 6), N=st.integers(1, 32), d=st.floats(0.005, 0.02),
+       extra=st.floats(0.0, 1.0), F=st.one_of(st.floats(0.5, 200.0), st.just(math.inf)),
+       sources=st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(1e-3, 50.0)),
+                        min_size=1, max_size=6))
+@example(L=1, N=1, d=0.01, extra=0.0, F=math.inf, sources=[(0.0, 0.5), (0.3, 2.0)])
+@example(L=3, N=7, d=0.01, extra=0.2, F=30.0, sources=[(0.25, 1.0), (1.5, 0.01)])
+def test_exact_sweep_mirror_sources(L, N, d, extra, F, sources):
+    """The sweep evaluates (x, z) and (-x, z) as one source, so their gains
+    agree bit for bit, and the gains of signed sources still match the
+    unfolded quadrature, which evaluates each source where it lies."""
+    mla = ModularArray(L, N, d, d + extra)
+    aperture = derived_metrics(mla, LAM).aperture
+    u, v = np.array(sources).T
+    xs, zs = aperture * np.concatenate([u, -u]), aperture * np.concatenate([v, v])
+    g = gain_exact_sweep(mla, xs, zs, F, LAM)
+    assert np.array_equal(g[:u.size], g[u.size:])
+    rule = gauss_legendre_rule(8)
+    ref = [_unfolded_gain(mla, TxPoint(x, 0.0, z), F, rule) for x, z in zip(xs, zs)]
+    np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0)
+
+
 SWEEP_BLOCK_SAMPLES = [1, 5000, 20000, 10**9]
 
 
@@ -273,6 +299,18 @@ def test_exact_sweep_rejects_source_behind_array():
     mla = ModularArray(2, 16, 0.01, 0.2)
     with pytest.raises(ValueError):
         gain_exact_sweep(mla, np.zeros(3), np.array([10.0, 0.0, 20.0]), 30.0, LAM)
+
+
+@pytest.mark.parametrize("coordinate", ["x", "z"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_sweep_rejects_non_finite_sources(coordinate, bad):
+    """A NaN depth passed the z <= 0 check, and NaN or inf in either
+    coordinate came back as NaN gains; each is now refused."""
+    mla = ModularArray(2, 16, 0.01, 0.2)
+    xs, zs = np.zeros(3), np.array([10.0, 20.0, 30.0])
+    (xs if coordinate == "x" else zs)[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        gain_exact_sweep(mla, xs, zs, 30.0, LAM)
 
 
 def test_crossrange_identity_with_complex_sum():

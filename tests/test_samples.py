@@ -23,7 +23,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SE_REDUCED = ["--trials", "20", "--angle_step_rad", "0.01", "--distance_step_m", "0.1"]
 
 SHA256 = {
-    "beampattern": "e3821f76b34de61ce115afa84fe3a1f248e39a2dce1af3cc26826acb11f72626",
+    "beampattern": "ad85cb0b5008bcfe1af4675ecb99dc0dd05518acbb81d3180d1a42a9d542e522",
     "cutline": "b471a1aa0e24640e9bf15178238523f3d47c51b07382961b6fa9e4e8e3e4244b",
     "depth": "738c0f44e5245df8d88073a751264e9b35856a4a257ef3ae4ed5f637e0c7a115",
     "design": "8627c5c286165fe24af86bdf7dce52edd58d644aa654ff3af76218815bf788bb",
@@ -46,14 +46,32 @@ def test_every_readme_sample_is_pinned():
     assert sorted(readme_samples()) == sorted(SHA256)
 
 
-@pytest.mark.parametrize("command", sorted(SHA256))
-def test_sample_config_csv_is_pinned(command, tmp_path, capsys):
+def _run_sample(command, tmp_path, capsys) -> Path:
+    """Run README's sample config of command; the path of the CSV it wrote."""
     config, out = tmp_path / f"{command}.cfg", tmp_path / f"{command}.csv"
     config.write_text(readme_samples()[command], encoding="utf-8")
     assert main([command, "--config", str(config), "--out", str(out),
                  *(SE_REDUCED if command == "se" else [])]) == 0
     capsys.readouterr()
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(SHA256))
+def test_sample_config_csv_is_pinned(command, tmp_path, capsys):
+    out = _run_sample(command, tmp_path, capsys)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SHA256[command]
+
+
+def test_readme_beampattern_x_is_mirror_closed(tmp_path, capsys):
+    """README's beampattern x range is symmetric about 0, and its x_m column
+    holds the negation of each of its values, bit for bit: the exact-gain
+    sweep evaluates each mirror pair as one source."""
+    rows = [line.split(",") for line in
+            _run_sample("beampattern", tmp_path, capsys).read_text().splitlines()
+            if not line.startswith("#")]
+    column = rows[0].index("x_m")
+    xs = {float(row[column]) for row in rows[1:]}
+    assert len(xs) > 1 and {-x for x in xs} == xs
 
 
 def test_readme_library_example(capsys):

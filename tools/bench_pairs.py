@@ -30,6 +30,10 @@ a verdict against the metric's bound in BENCHMARK.json:
 - otherwise ``worse`` when the median is worse by more than the bound;
 - otherwise ``better`` when the median is better by more than the bound;
 - otherwise ``no worse``.
+
+Each workload's summary also gives every chunk slot's median seconds per
+side (``chunk_median_s``, keyed by slot as in ``chunk_seconds``, e.g.
+``"0:beampattern"``), which shows which chunk a change in its rate moved.
 """
 
 from __future__ import annotations
@@ -91,20 +95,22 @@ def run_once(side: str, root: Path, workload: str, seed: int, seconds: int) -> d
 def summarize(runs: list, metrics: list) -> dict:
     """{workload: {metric: per-side median, q1, q3, pairs won, relative
     change, parent spread and verdict}} over the pairs that have both sides;
-    metrics are BENCHMARK.json's end_to_end entries."""
+    metrics are BENCHMARK.json's end_to_end entries. A workload whose runs
+    recorded chunk_seconds also gets "chunk_median_s": {slot: {side: median
+    of every chunk time of that slot in that side's runs}}."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
         for r in runs:
             if r["workload"] == workload:
-                pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
+                pairs.setdefault(r["pair"], {})[r["side"]] = r
         pairs = [p for _, p in sorted(pairs.items()) if len(p) == 2]
         if not pairs:
             continue
         summary[workload] = {}
         for spec in metrics:
             metric, bound = spec["name"], spec["bound"]
-            values = {side: [p[side][metric]["value"] for p in pairs]
+            values = {side: [p[side]["result"]["metrics"][metric]["value"] for p in pairs]
                       for side in ("parent", "change")}
             sign = 1 if spec["better"] == "higher" else -1
             won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
@@ -128,6 +134,15 @@ def summarize(runs: list, metrics: list) -> dict:
                 verdict = "no worse"
             entry.update(relative_change=relative, parent_spread=spread, verdict=verdict)
             summary[workload][metric] = entry
+        chunks = {}
+        for p in pairs:
+            for side, run in p.items():
+                for slot, seconds in run.get("chunk_seconds", {}).items():
+                    chunks.setdefault(slot, {}).setdefault(side, []).extend(seconds)
+        if chunks:
+            summary[workload]["chunk_median_s"] = {
+                slot: {side: statistics.median(seconds) for side, seconds in sides.items()}
+                for slot, sides in chunks.items()}
     return summary
 
 
