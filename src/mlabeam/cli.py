@@ -302,17 +302,18 @@ def _cmd_depth(cfg: dict, out: str) -> int:
 
 def _cmd_design(cfg: dict, out: str) -> int:
     carrier = _carrier(cfg)
+    with _input_boundary():
+        designs = [DesignInput(cfg["aperture_m"], cfg["focus_m"], int(n), carrier,
+                               cfg["spacing_m"], cfg["grid_points"])
+                   for n in cfg["antenna_counts"]]
     rows = []
     print(f"{'N':>5} {'L':>5} {'gap_m':>10} {'peaks':>6}  note")
-    for n in cfg["antenna_counts"]:
-        with _input_boundary():
-            design = DesignInput(cfg["aperture_m"], cfg["focus_m"], int(n), carrier,
-                                 cfg["spacing_m"], cfg["grid_points"])
-        res = design_num_arrays(design)
+    for design in designs:
+        n, res = design.elements_per_subarray, design_num_arrays(design)
         note = "guard-limited" if res.guard_limited else (
             "aperture-filled" if res.aperture_filled else "")
         print(f"{n:>5} {res.num_subarrays:>5} {res.gap:>10.4f} {res.final_peak_count:>6}  {note}")
-        rows.append((int(n), res.num_subarrays, float(res.gap), res.final_peak_count,
+        rows.append((n, res.num_subarrays, float(res.gap), res.final_peak_count,
                      int(res.guard_limited)))
     header = ("antennas_per_subarray", "num_subarrays", "gap_m", "final_peak_count",
               "guard_limited")

@@ -1,9 +1,9 @@
 """Choose the number of sub-arrays that focuses a single beam peak.
 
 The search raises the sub-array count two at a time, spreads the sub-arrays
-over the fixed total aperture, and samples the cross-range gain inside the
-half-power window until only one genuine peak remains or no larger count
-fits the aperture.
+over the fixed total aperture, and counts the cross-range gain's peaks on
+samples of the half-power window, finer than the aperture's lobes, until
+only one genuine peak remains or no larger count fits the aperture.
 """
 
 from __future__ import annotations
@@ -36,25 +36,14 @@ def count_peaks(samples, prominence: float = PEAK_PROMINENCE) -> int:
     y = np.asarray(samples, dtype=float)
     if y.size < 3:
         raise ValueError("need at least three samples")
-    keep = np.empty(y.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = y[1:] != y[:-1]
-    runs = y[keep]
-    idx = np.arange(runs.size)
-    peak = np.zeros(runs.size, dtype=bool)
-    peak[1:-1] = (runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])
-    # a peak's flanking minimum is where the strict descent from it stops:
-    # the nearest run to its left not above its own left neighbor, and
-    # likewise to its right (the ends always stop a descent)
-    stops_left = np.ones(runs.size, dtype=bool)
-    stops_left[1:] = ~(runs[:-1] < runs[1:])
-    stops_right = np.ones(runs.size, dtype=bool)
-    stops_right[:-1] = ~(runs[1:] < runs[:-1])
-    left = np.maximum.accumulate(np.where(stops_left, idx, 0))[peak]
-    right = np.minimum.accumulate(np.where(stops_right, idx, runs.size - 1)[::-1])[::-1][peak]
-    lo, hi = runs[left], runs[right]
-    higher_min = np.where(hi > lo, hi, lo)
-    return int(np.count_nonzero(runs[peak] - higher_min >= prominence))
+    runs = y[np.r_[True, y[1:] != y[:-1]]]
+    # no two neighboring runs are equal, so the interior extrema alternate
+    # between peaks and valleys, and each peak's flanking minima are its
+    # neighbors in the sequence of extrema with the two ends
+    rising = runs[1:] > runs[:-1]
+    ext = runs[np.r_[0, np.flatnonzero(rising[1:] != rising[:-1]) + 1, runs.size - 1]]
+    top, lo, hi = ext[1:-1], ext[:-2], ext[2:]
+    return int(np.count_nonzero((top > lo) & (top - np.maximum(lo, hi) >= prominence)))
 
 
 @dataclass(frozen=True)
@@ -73,6 +62,13 @@ class DesignInput:
             raise ValueError("need at least 16 grid points")
         if self.elements_per_subarray * self.element_spacing >= self.aperture:
             raise ValueError("one sub-array already exceeds the aperture")
+        # the window is 1.77 F lambda / (2 N delta) wide and the aperture's
+        # lobes lambda F / D: a coarser sample step than the lobe width finds
+        # lobes between samples, or none
+        needed = 1 + 1.77 * self.aperture / (2 * self.elements_per_subarray * self.element_spacing)
+        if self.grid_points < needed:
+            raise ValueError(f"the half-power window needs at least {needed:.3g} grid points "
+                             f"to resolve the aperture's lobes, not {self.grid_points}")
 
     @property
     def element_spacing(self) -> float:
@@ -105,25 +101,20 @@ class DesignResult:
         return self.aperture_filled and self.final_peak_count > 1
 
 
-def _window_peak_count(inp: DesignInput, mla: ModularArray) -> int:
-    bw = half_power_beamwidth(mla, inp.focus, inp.carrier)
-    xs = np.linspace(-bw / 2, bw / 2, inp.grid_points)
-    g, _ = crossrange_gain(mla, inp.focus, xs, inp.carrier)
-    return count_peaks(g)
-
-
 def design_num_arrays(inp: DesignInput) -> DesignResult:
     """Smallest even sub-array count focusing a single peak in the half-power
     window, with the sub-arrays spread over the full aperture.
 
-    L steps by 2 from 2 and stops at the first of three exits: one peak
-    remains, the elements fill the aperture (L*N*delta >= aperture), or the
-    next even count no longer fits. The last two return the last feasible
-    layout with its remaining peak count. Raises InfeasibleArrayError when
-    not even the first candidate layout fits.
+    The window samples depend on N and the spacing only and are built once.
+    L steps by 2 from 2 until one peak remains or the next even count no
+    longer fits, as none does once L*N*delta >= aperture, and the last
+    feasible layout is returned with its remaining peak count. Raises
+    InfeasibleArrayError when not even the first candidate layout fits.
     """
     d = inp.element_spacing
     N = inp.elements_per_subarray
+    bw = half_power_beamwidth(ModularArray.ula(N, d), inp.focus, inp.carrier)
+    xs = np.linspace(-bw / 2, bw / 2, inp.grid_points)
     trace = []
     for L in itertools.count(2, 2):
         try:
@@ -133,11 +124,11 @@ def design_num_arrays(inp: DesignInput) -> DesignResult:
                 raise
             break
         mla = ModularArray(L, N, d, gap)
-        peaks = _window_peak_count(inp, mla)
+        peaks = count_peaks(crossrange_gain(mla, inp.focus, xs, inp.carrier)[0])
         trace.append((L, peaks))
-        filled = mla.num_elements * d >= inp.aperture
-        if peaks == 1 or filled:
+        if peaks == 1:
             break
     # every exit with more than one peak is a fill exit
     return DesignResult(num_subarrays=mla.num_subarrays, gap=mla.gap, final_peak_count=peaks,
-                        aperture_filled=filled or peaks > 1, peak_trace=trace)
+                        aperture_filled=mla.num_elements * d >= inp.aperture or peaks > 1,
+                        peak_trace=trace)

@@ -2,11 +2,12 @@
 
 The exact route integrates a spherical-wave field over every element cell
 with Gauss-Legendre quadrature and combines with matched-filter weights.
-The closed forms use Fresnel integrals of the quadratic-phase approximation
-and agree with the exact route to a few percent beyond twice the aperture.
-They take a ModularArray of any number of sub-arrays and read its spacing and
-half_pitch; gain_ula_fresnel is gain_mla_fresnel on ModularArray.ula, and only
-ripple_metrics (the two-sub-array formula on a half-pitch) takes plain numbers.
+The closed forms, Fresnel integrals of the quadratic-phase approximation on
+axis and an envelope times an array factor across, agree with the exact route
+to a few percent beyond twice the aperture. They take a ModularArray of any
+number of sub-arrays and read its spacing and half_pitch; gain_ula_fresnel is
+gain_mla_fresnel on ModularArray.ula, and only ripple_metrics (the
+two-sub-array formula on a half-pitch) takes plain numbers.
 """
 
 from __future__ import annotations
@@ -174,23 +175,11 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
     return out[inverse].reshape(X.shape)
 
 
-def _on_axis(focus: float, z, gain_at) -> float | np.ndarray:
-    # closed-form gain_at(z_eff) over depths z: exactly 1 at the focus, a
-    # float for scalar z
-    zs = np.asarray(z, dtype=float)
-    flat = zs.reshape(-1)
-    z_eff = _z_eff(focus, flat)
-    g = np.ones_like(flat)
-    off = flat != focus
-    g[off] = gain_at(z_eff[off])
-    return float(g[0]) if zs.ndim == 0 else g.reshape(zs.shape)
-
-
 def _mirror_pairs(L: int):
-    # sub-array centers at or right of the array center, in half-pitch units:
-    # k = 1, 3, ..., L-1 for even L and 0, 2, ..., L-1 for odd L. Each term of
-    # a closed form stands for itself and its mirror image, so the center at
-    # 0, its own mirror, is weighted by one half.
+    # sub-array centers at or right of the array center, in half-pitch units,
+    # for gain_mla_fresnel: k = 1, 3, ..., L-1 for even L and 0, 2, ..., L-1
+    # for odd L. Each term stands for itself and its mirror image, so the
+    # center at 0, its own mirror, is weighted by one half.
     k = np.arange((L + 1) % 2, L, 2, dtype=float)
     return k, np.where(k == 0, 0.5, 1.0)
 
@@ -210,34 +199,42 @@ def gain_mla_fresnel(mla: ModularArray, focus: float, z,
     L, N, d = mla.num_subarrays, mla.elements_per_subarray, mla.spacing
     lam, half_pitch = carrier.wavelength, mla.half_pitch
     k, half = _mirror_pairs(L)
-
-    def gain_at(z_eff):
-        scale = 1.0 / np.sqrt(2 * lam * z_eff)
-        c1, s1 = fresnel_cs((N * d + 2 * k * half_pitch) * scale[:, None])
-        c2, s2 = fresnel_cs((N * d - 2 * k * half_pitch) * scale[:, None])
-        cy, sy = fresnel_cs(d * scale)
-        pref = 2 * lam * z_eff / (L * N * d**2)
-        return (pref**2 * (cy**2 + sy**2)
-                * (((c1 + c2) * half).sum(-1) ** 2 + ((s1 + s2) * half).sum(-1) ** 2))
-
-    return _on_axis(focus, z, gain_at)
+    zs = np.asarray(z, dtype=float)
+    flat = zs.reshape(-1)
+    # the focus itself gives exactly 1, where z_eff is infinite
+    off = flat != focus
+    z_eff = _z_eff(focus, flat)[off]
+    scale = 1.0 / np.sqrt(2 * lam * z_eff)
+    c1, s1 = fresnel_cs((N * d + 2 * k * half_pitch) * scale[:, None])
+    c2, s2 = fresnel_cs((N * d - 2 * k * half_pitch) * scale[:, None])
+    cy, sy = fresnel_cs(d * scale)
+    pref = 2 * lam * z_eff / (L * N * d**2)
+    g = np.ones_like(flat)
+    g[off] = (pref**2 * (cy**2 + sy**2)
+              * (((c1 + c2) * half).sum(-1) ** 2 + ((s1 + s2) * half).sum(-1) ** 2))
+    return float(g[0]) if zs.ndim == 0 else g.reshape(zs.shape)
 
 
 def crossrange_gain(mla: ModularArray, focus: float, x, carrier: Carrier):
     """Gain and envelope at lateral offset x in the focal plane.
 
     The envelope is the squared sinc of the single-sub-array pattern; the
-    modular layout multiplies it by a squared sum of cosines, so
-    gain <= envelope everywhere. Returns (gain, envelope), arrays when x is
-    an array.
+    gain multiplies it by the squared array factor sin(L t) / (L sin t) of
+    the sub-array centers, t = 2 pi x h / (lambda F) with h the half-pitch,
+    1 where sin t = 0 and clamped to 1, so gain <= envelope exactly. Returns
+    (gain, envelope), arrays when x is an array.
     """
     L, N = mla.num_subarrays, mla.elements_per_subarray
     lam = carrier.wavelength
-    k, half = _mirror_pairs(L)
     xs = np.asarray(x, dtype=float)
     env = np.sinc(N * xs * (2 * mla.spacing / lam) / (2 * focus)) ** 2
-    arg = (2 * np.pi / (lam * focus)) * xs[..., None] * k * mla.half_pitch
-    g = env * ((2.0 / L) * (np.cos(arg) * half).sum(-1)) ** 2
+    t = (2 * np.pi / (lam * focus)) * xs * mla.half_pitch
+    # the squared factor has period pi in t; reduced to |u| <= pi/2 it keeps
+    # its digits next to the grating lobes, where sin t nears 0
+    u = t - np.pi * np.round(t / np.pi)
+    s = np.sin(u)
+    af = np.divide(np.sin(L * u), L * s, out=np.ones_like(u), where=s != 0)
+    g = env * np.minimum(af * af, 1.0)
     if xs.ndim == 0:
         return float(g), float(env)
     return g, env

@@ -8,6 +8,7 @@ between the innermost elements of adjacent sub-arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,11 @@ class ModularArray:
             raise ValueError("element spacing must be positive")
         if self.num_subarrays > 1 and self.gap < self.spacing:
             raise InfeasibleArrayError("gap between sub-arrays must be >= element spacing")
+        # gains and metrics square lengths up to the aperture
+        aperture = float(2 * (self.num_subarrays - 1) * self.half_pitch
+                         + self.elements_per_subarray * self.spacing)
+        if not aperture * aperture < math.inf:
+            raise ValueError(f"aperture {aperture!r} m must have a finite square in float64")
 
     @classmethod
     def ula(cls, num_elements: int, spacing: float) -> "ModularArray":

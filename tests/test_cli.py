@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -116,6 +117,20 @@ def test_cutline_command(tmp_path):
     np.testing.assert_array_less(rows[:, 1], rows[:, 2] + 1e-9)
 
 
+def test_cutline_halfwidth_sets_the_span(tmp_path):
+    """x_halfwidth_m sets the cut's span; the window column still marks the
+    samples within half the half-power beamwidth of the center."""
+    out = tmp_path / "cut.csv"
+    assert main(["cutline", "--focus_m", "30", "--x_points", "41", "--x_halfwidth_m", "0.5",
+                 "--out", str(out)]) == 0
+    comments, _, rows = _read_table(out)
+    bw = float(next(c for c in comments if c.startswith("# halfpower_beamwidth_m: ")).split()[-1])
+    xs = rows[:, 0]
+    assert xs.size == 41 and xs[0] == -0.5 and xs[-1] == 0.5
+    np.testing.assert_array_equal(rows[:, 3], np.abs(xs) <= bw / 2)
+    assert 0 < rows[:, 3].sum() < xs.size
+
+
 def test_depth_command_chain(tmp_path, capsys):
     out = tmp_path / "depth.csv"
     code = main(["depth", "--focus_m", "2", "--aperture_m", "1",
@@ -173,6 +188,17 @@ def test_beampattern_command(tmp_path):
         assert header == ["z_m", "x_m", "gain"]
         assert rows.shape == (7 * 15, 3)
         assert rows[:, 2].max() <= 1.0
+
+
+def test_beampattern_log_z(tmp_path):
+    """log_z places the depths geometrically, ending exactly at z_min_m and
+    z_max_m."""
+    out = tmp_path / "bp.csv"
+    assert main(["beampattern", "--focus_m", "30", "--x_points", "3", "--z_points", "9",
+                 "--z_min_m", "3", "--z_max_m", "70", "--log_z", "true", "--out", str(out)]) == 0
+    zs = _read_table(out)[2][::3, 0]
+    assert zs.size == 9 and zs[0] == 3.0 and zs[-1] == 70.0
+    np.testing.assert_allclose(zs[1:] / zs[:-1], (70 / 3) ** (1 / 8), rtol=1e-12)
 
 
 # ends in metres, none so near the subnormals that halving them loses bits
@@ -344,17 +370,40 @@ _SE_SMALL_GRID = ["se", "--trials", "12", "--power_dbm_values", "20",
     [*_SE_SMALL_GRID, "--distance_min_m", "1", "--distance_max_m", "3.5"],
     [*_SE_SMALL_GRID, "--angle_min_deg", "-85", "--angle_max_deg", "85"],
     ["localize", "--trials", "1", "--sweep_variable", "bandwidth"],
+    ["depth", "--spacing_m", "1e300", "--num_subarrays", "1", "--aperture_m", "0.003",
+     "--focus_m", "7.3", "--include_exact", "true"],
 ], ids=["reversed_range", "design_grid", "angle_bounds", "one_subarray",
         "one_snapshot", "repeated_sweep_value", "nan_focus", "nan_design_focus", "inf_depth",
         "nan_noise", "minus_inf_noise", "nan_threshold", "inf_in_float_list",
         "localize_angle_step_pi", "se_angle_step_pi", "localize_noise_underflow",
         "se_noise_underflow", "localize_noise_overflow", "localize_power_overflow",
         "se_power_overflow", "se_users_beyond_grid", "se_users_inside_grid",
-        "se_users_beside_grid", "unknown_sweep_variable"])
+        "se_users_beside_grid", "unknown_sweep_variable", "aperture_square_overflow"])
 def test_bad_inputs_are_config_errors(argv, capsys):
     """Inputs the library rejects are reported as config errors before any work."""
     assert main([*argv, "--out", "/dev/null"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv, needed", [
+    (["--frequency_ghz", "100", "--aperture_m", "4", "--focus_m", "2", "--antenna_counts", "1"],
+     "2.36e+03"),
+    (["--frequency_ghz", "1e9", "--aperture_m", "7.3", "--focus_m", "0.01",
+      "--antenna_counts", "3"], "1.44e+10"),
+    (["--frequency_ghz", "1e-300", "--spacing_m", "1e-300", "--aperture_m", "0.01",
+      "--focus_m", "10000", "--antenna_counts", "4"], "2.21e+297"),
+], ids=["lobes_between_samples", "endless_search", "beamwidth_underflow"])
+def test_design_window_that_cannot_resolve_lobes(argv, needed, tmp_path, capsys):
+    """A half-power window whose sample step is coarser than the aperture's
+    lobes is a config error naming the grid points it needs, raised before
+    the search: such a search once reported 0 peaks after seconds, never
+    ended, or divided by a beamwidth that underflowed to 0."""
+    out = tmp_path / "design.csv"
+    start = time.perf_counter()
+    assert main(["design", *argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"needs at least {needed} grid points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -165,3 +165,13 @@ def test_design_input_validation():
         DesignInput(2.0, 30.0, 300, LAM, spacing=0.01)  # single sub-array overfills
     with pytest.raises(ValueError):
         DesignInput(2.0, 30.0, 16, LAM, spacing=0.01, grid_points=8)
+
+
+def test_design_input_needs_grid_points_to_resolve_lobes():
+    """The window's sample step may be at most lambda F / D: at N = 1, 2 m and
+    0.01 m spacing that is 1 + 1.77 * 2 / 0.02 = 178 points, whatever the
+    wavelength and focus."""
+    for car, focus in ((LAM, 30.0), (Carrier.from_frequency(1e12), 0.5)):
+        DesignInput(2.0, focus, 1, car, spacing=0.01, grid_points=178)
+        with pytest.raises(ValueError, match=r"needs at least 178 grid points"):
+            DesignInput(2.0, focus, 1, car, spacing=0.01, grid_points=177)

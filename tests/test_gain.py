@@ -313,16 +313,28 @@ def test_exact_sweep_rejects_non_finite_sources(coordinate, bad):
         gain_exact_sweep(mla, xs, zs, 30.0, LAM)
 
 
-def test_crossrange_identity_with_complex_sum():
-    """Cosine-sum array factor equals the complex phasor sum over centers."""
-    L, N, hp, F = 6, 16, 0.1, 30.0
-    centers = (2 * np.arange(1, L + 1) - L - 1) * hp / 1.0  # +-hp, +-3hp, +-5hp
-    xs = np.linspace(-1.0, 1.0, 101)
-    g, env = crossrange_gain(_mla(L, N, hp), F, xs, LAM)
-    phasor = np.abs(np.exp(2j * np.pi * np.outer(xs, centers) / (0.02 * F)).sum(axis=1)) / L
-    ref = np.sinc(N * xs / (2 * F)) ** 2 * phasor**2
-    np.testing.assert_allclose(g, ref, atol=1e-12)
-    np.testing.assert_allclose(env, np.sinc(N * xs / (2 * F)) ** 2, atol=1e-14)
+@settings(max_examples=200, deadline=None)
+@given(L=st.integers(1, 60), N=st.integers(1, 64), d=st.floats(0.002, 0.05),
+       extra=st.floats(0.0, 1.0), F=st.floats(0.5, 200.0),
+       lobes=st.lists(st.one_of(st.integers(-4, 4), st.floats(-4.0, 4.0)), min_size=1,
+                      max_size=30))
+@example(L=6, N=16, d=0.01, extra=0.05, F=30.0, lobes=[-1, -0.5, 0.25, 1, 2])
+@example(L=1, N=64, d=0.01, extra=0.0, F=30.0, lobes=[1, 3.5])
+@example(L=60, N=1, d=0.01, extra=0.0, F=0.5, lobes=[-4, -1, 1, 4, 1 / 60])
+def test_crossrange_matches_phasor_sum(L, N, d, extra, F, lobes):
+    """The closed-form array factor equals the complex phasor sum over the
+    sub-array centers, for odd and even L, at offsets given in units of the
+    grating-lobe spacing lambda F / (2 h): whole units are the grating lobes,
+    where sin t = 0. The envelope is the sub-array's sinc^2, the gain never
+    exceeds it, and the gain is 1 at x = 0."""
+    mla = ModularArray(L, N, d, d + extra)
+    xs = np.array([0.0, *lobes]) * (LAM.wavelength * F / (2 * mla.half_pitch))
+    g, env = crossrange_gain(mla, F, xs, LAM)
+    phasor = np.exp(2j * np.pi * np.outer(xs, subarray_centers(mla)) / (LAM.wavelength * F))
+    np.testing.assert_allclose(g, env * np.abs(phasor.sum(axis=1) / L) ** 2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(env, np.sinc(N * d * xs / (LAM.wavelength * F)) ** 2, atol=1e-14)
+    assert np.all(g <= env)
+    assert g[0] == 1.0
 
 
 def test_crossrange_center_and_null():

@@ -155,3 +155,7 @@ def test_validation():
         ModularArray(2, 4, -0.01, 0.1)
     with pytest.raises(ValueError):
         ModularArray(2, 4, 0.01, 0.005)  # gap below spacing
+    # the closed forms square the spacing, the metrics the aperture
+    for L, d, gap in ((1, 1e300, 1e300), (2, 0.01, 1e160), (2, math.nan, 0.1)):
+        with pytest.raises(ValueError, match="finite square"):
+            ModularArray(L, 4, d, gap)

@@ -24,7 +24,7 @@ SE_REDUCED = ["--trials", "20", "--angle_step_rad", "0.01", "--distance_step_m",
 
 SHA256 = {
     "beampattern": "ad85cb0b5008bcfe1af4675ecb99dc0dd05518acbb81d3180d1a42a9d542e522",
-    "cutline": "b471a1aa0e24640e9bf15178238523f3d47c51b07382961b6fa9e4e8e3e4244b",
+    "cutline": "0752e6d8dbe9da097569377bb582a7465f99eba207774d2d1489c8f2b2c08305",
     "depth": "738c0f44e5245df8d88073a751264e9b35856a4a257ef3ae4ed5f637e0c7a115",
     "design": "8627c5c286165fe24af86bdf7dce52edd58d644aa654ff3af76218815bf788bb",
     "localize": "9cefa2f0403c8f4acf1ccb7e7efbc4afa8b1ecb2fe6c66b86620316fec59385a",
