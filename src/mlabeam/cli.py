@@ -269,7 +269,8 @@ def _cmd_beampattern(cfg: dict, out: str) -> int:
 def _cmd_cutline(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg)
     focus = cfg["focus_m"]
-    bw = half_power_beamwidth(mla, focus, carrier)
+    with _input_boundary():
+        bw = half_power_beamwidth(mla, focus, carrier)
     halfwidth = cfg["x_halfwidth_m"] if cfg["x_halfwidth_m"] is not None else bw
     xs = np.linspace(-halfwidth, halfwidth, cfg["x_points"])
     g, env = crossrange_gain(mla, focus, xs, carrier)

@@ -9,6 +9,7 @@ only one genuine peak remains or no larger count fits the aperture.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,8 @@ class DesignInput:
     grid_points: int = 300
 
     def __post_init__(self):
+        if not (math.isfinite(self.aperture) and math.isfinite(self.focus)):
+            raise ValueError("aperture and focus must be finite")
         if min(self.aperture, self.focus) <= 0 or self.elements_per_subarray < 1:
             raise ValueError("aperture, focus and element count must be positive")
         if self.grid_points < 16:
@@ -69,6 +72,9 @@ class DesignInput:
         if self.grid_points < needed:
             raise ValueError(f"the half-power window needs at least {needed:.3g} grid points "
                              f"to resolve the aperture's lobes, not {self.grid_points}")
+        # raises when the window's width is not a finite number
+        half_power_beamwidth(ModularArray.ula(self.elements_per_subarray, self.element_spacing),
+                             self.focus, self.carrier)
 
     @property
     def element_spacing(self) -> float:

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Carrier, ModularArray, element_positions
-from .numerics import QuadratureRule, _run_blocks, fresnel_cs, gauss_legendre_rule
+from .numerics import (QuadratureRule, _blas_pinned, _run_blocks, fresnel_cs,
+                       gauss_legendre_rule)
 
 _DEFAULT_RULE = gauss_legendre_rule(8)
-# Complex field samples per block of gain_exact_sweep, 256 KB: the
-# block's temporaries stay small beside the process, and results do not
-# depend on the block size.
-_SWEEP_BLOCK_SAMPLES = 1 << 14
+# Field samples per block of gain_exact_sweep: each worker holds four float64
+# buffers of this many samples, 1 MB in all, which stay small beside the
+# process; results do not depend on the block size.
+_SWEEP_BLOCK_SAMPLES = 1 << 15
 
 
 class NullNotFoundError(RuntimeError):
@@ -65,49 +66,60 @@ def exact_field(x, y, tx: TxPoint, wavelength: float):
     """
     dx = np.asarray(x, dtype=float) - tx.x
     dy = np.asarray(y, dtype=float) - tx.y
-    return _spherical_field(dx, dy * dy, tx.z, wavelength)
-
-
-def _spherical_field(dx, dy2, z, wavelength: float):
-    # exact_field from the x offset, the squared y offset and the source depth.
-    # exp(-ikr) comes from t = tan(-kr/2) by the half-angle identities
-    # cos = (1 - t^2) / (1 + t^2) and sin = 2t / (1 + t^2): one vectorized tan
-    # in place of a complex exp, within a few float64 ulps of |E| in each part
-    # (t^2 cannot overflow: no float64 kr/2 lies that close to a pole of tan)
-    rho2 = dx * dx + z * z
-    r2 = rho2 + dy2
-    r = np.sqrt(r2)
-    t = np.tan(r * (-math.pi / wavelength))
-    t2 = t * t
-    amp = np.sqrt(z * rho2) / (r2 * np.sqrt(r)) / math.sqrt(4 * math.pi) / (1 + t2)
-    E = np.empty(np.shape(t), dtype=complex)
-    np.multiply(amp, 1 - t2, out=E.real)
-    np.multiply(amp, 2 * t, out=E.imag)
+    rho2 = dx * dx + tx.z * tx.z
+    E = np.empty(np.broadcast_shapes(rho2.shape, dy.shape), dtype=complex)
+    power, t = np.empty(E.shape), np.empty(E.shape)
+    _spherical_field(rho2, dy * dy, tx.z, wavelength, (power, E.real, E.imag, t))
     return E[()]
+
+
+def _spherical_field(rho2, dy2, z, wavelength: float, out) -> None:
+    # exact_field from the squared distance rho2 = dx^2 + z^2 in the y = 0
+    # plane, the squared y offset and the source depth, written into
+    # out = (power, re, im, t): |E|^2, the real and imaginary parts, and t as
+    # scratch, float64 arrays of the broadcast shape. The power comes from the
+    # amplitude alone, |E|^2 = z rho2 / (r2^2 r) / (4 pi), with r = sqrt(r2)
+    # taken once. exp(-ikr) comes from t = tan(-kr/2) by the half-angle
+    # identities cos = (1 - t^2) / (1 + t^2) and sin = 2t / (1 + t^2): one
+    # vectorized tan in place of a complex exp, within a few float64 ulps of
+    # |E| in each part (t^2 cannot overflow: no float64 kr/2 lies that close
+    # to a pole of tan)
+    power, re, im, t = out
+    np.add(rho2, dy2, out=re)
+    np.sqrt(re, out=t)
+    np.multiply(re, re, out=power)
+    power *= t
+    np.divide(rho2 * (z / (4 * math.pi)), power, out=power)
+    t *= -math.pi / wavelength
+    np.tan(t, out=t)
+    np.sqrt(power, out=im)
+    np.multiply(t, t, out=re)
+    re += 1
+    im /= re                       # |E| / (1 + t^2)
+    np.subtract(2, re, out=re)
+    re *= im                       # |E| (1 - t^2) / (1 + t^2)
+    im *= t
+    im += im                       # |E| 2t / (1 + t^2)
 
 
 class _CellNodes:
     """Quadrature nodes of delta x delta cells centered at (position, 0), seen
-    from sources in the y = 0 plane.
+    from sources in the y = 0 plane, in a (y offsets, x nodes) layout.
 
     The field depends on a node's y offset only through its square, so mirror
     nodes (Gauss-Legendre nodes are exactly symmetric) share one field sample
-    and carry their summed weight.
+    and carry their summed weight. weights holds each node's quadrature
+    weight times the cell area factor d^2/4, and cell each x node's cell.
     """
 
     def __init__(self, positions: np.ndarray, d: float, rule: QuadratureRule):
         offsets = 0.5 * d * rule.nodes
         self.x = (positions[:, None] + offsets).ravel()
-        self.dy2, inverse = np.unique(offsets * offsets, return_inverse=True)
+        dy2, inverse = np.unique(offsets * offsets, return_inverse=True)
+        self.dy2 = dy2[:, None]
         wy = np.bincount(inverse, weights=rule.weights)
-        self.weights = (rule.weights[:, None] * wy[None, :]).ravel()
-        self.shape = (positions.size, self.weights.size)
-
-    def field(self, xs: np.ndarray, zs: np.ndarray, wavelength: float) -> np.ndarray:
-        """Field samples for sources (xs[b], 0, zs[b]), shape (B, cells, nodes)."""
-        E = _spherical_field(self.x[:, None] - xs[:, None, None], self.dy2,
-                             zs[:, None, None], wavelength)
-        return E.reshape(xs.size, *self.shape)
+        self.weights = (0.25 * d * d) * (wy[:, None] * np.tile(rule.weights, positions.size))
+        self.cell = np.repeat(np.arange(positions.size), rule.nodes.size)
 
 
 def matched_filter_weights(mla: ModularArray, focus: float, carrier: Carrier,
@@ -144,7 +156,14 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
     (unit-energy weights, positive quadrature weights) the gain then lies in
     [0, 1] for a source at any depth. One weight vector serves every point,
     and each distinct (|x|, z) is evaluated once, in blocks of a fixed number
-    of field samples. Coordinates must be finite, and z positive.
+    of field samples. Each worker writes a block's field into buffers it
+    allocates once, laid out (sources, y offsets, x nodes); the matched-filter
+    weight of each cell is folded into its node weights, so a source's
+    numerator and energy are each one dot over its row, the energy taken
+    from the amplitude alone (|E|^2 = z rho^2 / (r2^2 r) / (4 pi)). BLAS is
+    held at one thread throughout, so the bits do not depend on the block
+    size, the worker count or the BLAS thread count. Coordinates must be
+    finite, and z positive.
     """
     rule = rule or _DEFAULT_RULE
     X, Z = np.broadcast_arrays(np.asarray(xs, float), np.asarray(zs, float))
@@ -161,17 +180,36 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
     xs, zs, lam = keys[:, 0], keys[:, 1], carrier.wavelength
     d = mla.spacing
     nodes = _CellNodes(element_positions(mla).ravel(), d, rule)
-    step = max(1, _SWEEP_BLOCK_SAMPLES // nodes.x.size // nodes.dy2.size)
+    weights = nodes.weights.ravel()
+    samples = weights.size
+    # sum W E over a source's field row [re | im] is [re | im] . [Re W | -Im W]
+    # plus i [re | im] . [Im W | Re W], W the node weights times each cell's
+    # matched-filter weight
+    W = (nodes.weights * w[nodes.cell]).ravel()
+    combine = np.array([np.concatenate([W.real, -W.imag]), np.concatenate([W.imag, W.real])])
+    step = max(1, _SWEEP_BLOCK_SAMPLES // samples)
     out = np.empty(xs.size)
 
     def run(first, stop):
-        for s in range(first * step, min(stop * step, xs.size), step):
-            E = nodes.field(xs[s:s + step], zs[s:s + step], lam)
-            cells = (E * nodes.weights).sum(-1) * (0.25 * d * d)
-            energy = ((E.real**2 + E.imag**2) * nodes.weights).sum((1, 2)) * (0.25 * d * d)
-            out[s:s + step] = np.abs((w * cells).sum(-1)) ** 2 / (d * d * energy)
+        lo, hi = first * step, min(stop * step, xs.size)
+        # (sources, re/im, y offsets, x nodes): each source's parts are one row
+        fields = np.empty((min(step, hi - lo), 2, *nodes.weights.shape))
+        power, t = np.empty((2, *fields[:, 0].shape))
+        for s in range(lo, hi, step):
+            b = min(step, hi - s)
+            dx = nodes.x - xs[s:s + b, None, None]
+            z = zs[s:s + b, None, None]
+            _spherical_field(dx * dx + z * z, nodes.dy2, z, lam,
+                             (power[:b], fields[:b, 0], fields[:b, 1], t[:b]))
+            # one BLAS dot per row and weight vector
+            energy = np.vecdot(power[:b].reshape(b, samples), weights)
+            re, im = np.vecdot(fields[:b].reshape(b, 1, 2 * samples), combine).T
+            out[s:s + b] = (re * re + im * im) / (d * d * energy)
 
-    _run_blocks(run, -(-xs.size // step))
+    # a dot on more than one BLAS thread splits a long row between them, so
+    # its bits would depend on the thread count: one thread on every path
+    with _blas_pinned():
+        _run_blocks(run, -(-xs.size // step))
     return out[inverse].reshape(X.shape)
 
 
@@ -242,8 +280,17 @@ def crossrange_gain(mla: ModularArray, focus: float, x, carrier: Carrier):
 
 def half_power_beamwidth(mla: ModularArray, focus: float, carrier: Carrier) -> float:
     """Cross-range width of the envelope's half-power region: 1.77 * F / N at
-    half-wavelength spacing, inversely proportional to the spacing otherwise."""
-    return 1.77 * focus / mla.elements_per_subarray / (2 * mla.spacing / carrier.wavelength)
+    half-wavelength spacing, inversely proportional to the spacing otherwise.
+
+    Raises ValueError when the width is not a finite number, as when the
+    spacing in wavelengths underflows to 0 in float64.
+    """
+    ratio = 2 * mla.spacing / carrier.wavelength
+    width = 1.77 * focus / mla.elements_per_subarray / ratio if ratio > 0 else math.inf
+    if not math.isfinite(width):
+        raise ValueError(f"a spacing of {mla.spacing!r} m at a {carrier.wavelength!r} m "
+                         f"wavelength and a {focus!r} m focus has no finite half-power beamwidth")
+    return width
 
 
 @dataclass(frozen=True)

@@ -372,13 +372,17 @@ _SE_SMALL_GRID = ["se", "--trials", "12", "--power_dbm_values", "20",
     ["localize", "--trials", "1", "--sweep_variable", "bandwidth"],
     ["depth", "--spacing_m", "1e300", "--num_subarrays", "1", "--aperture_m", "0.003",
      "--focus_m", "7.3", "--include_exact", "true"],
+    ["cutline", "--frequency_ghz", "1e-300", "--spacing_m", "1e-300", "--focus_m", "30"],
+    ["design", "--frequency_ghz", "1e-300", "--spacing_m", "1e-300", "--aperture_m", "2e-300",
+     "--focus_m", "1", "--antenna_counts", "1"],
 ], ids=["reversed_range", "design_grid", "angle_bounds", "one_subarray",
         "one_snapshot", "repeated_sweep_value", "nan_focus", "nan_design_focus", "inf_depth",
         "nan_noise", "minus_inf_noise", "nan_threshold", "inf_in_float_list",
         "localize_angle_step_pi", "se_angle_step_pi", "localize_noise_underflow",
         "se_noise_underflow", "localize_noise_overflow", "localize_power_overflow",
         "se_power_overflow", "se_users_beyond_grid", "se_users_inside_grid",
-        "se_users_beside_grid", "unknown_sweep_variable", "aperture_square_overflow"])
+        "se_users_beside_grid", "unknown_sweep_variable", "aperture_square_overflow",
+        "cutline_beamwidth_underflow", "design_beamwidth_underflow"])
 def test_bad_inputs_are_config_errors(argv, capsys):
     """Inputs the library rejects are reported as config errors before any work."""
     assert main([*argv, "--out", "/dev/null"]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +167,15 @@ def test_design_input_validation():
         DesignInput(2.0, 30.0, 300, LAM, spacing=0.01)  # single sub-array overfills
     with pytest.raises(ValueError):
         DesignInput(2.0, 30.0, 16, LAM, spacing=0.01, grid_points=8)
+
+
+@pytest.mark.parametrize("aperture, focus", [(2.0, math.inf), (2.0, math.nan),
+                                             (math.inf, 30.0), (math.nan, 30.0)])
+def test_design_input_refuses_non_finite_aperture_or_focus(aperture, focus):
+    """An infinite or NaN focus once sampled an all-NaN window and returned
+    L = 12 with 0 peaks; the aperture and focus must be finite."""
+    with pytest.raises(ValueError, match="must be finite"):
+        DesignInput(aperture, focus, 16, Carrier.from_frequency(15e9))
 
 
 def test_design_input_needs_grid_points_to_resolve_lobes():

@@ -1,4 +1,5 @@
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mlabeam import (Carrier, ModularArray, NullNotFoundError, TxPoint, crossran
                      half_power_beamwidth, matched_filter_weights, ripple_metrics,
                      spacing_for_aperture, subarray_centers)
 from mlabeam.cli import _centered_linspace
+from mlabeam import numerics
 from mlabeam.numerics import gauss_legendre_rule
 
 LAM = Carrier.from_wavelength(0.02)
@@ -48,14 +50,21 @@ def test_exact_phase_fresnel_limit():
     assert abs(full - quad_phase) < 1e-3
 
 
-def _exp_spherical(dx, dy2, z, wavelength):
+def _exp_spherical(rho2, dy2, z, wavelength):
     # the field as amplitude times a complex exp, with the r2 ** 1.25 power,
-    # from the x offset, the squared y offset and the source depth: the
+    # from rho2 = dx^2 + z^2, the squared y offset and the source depth: the
     # reference the tangent form of exact_field is checked against
-    rho2 = dx * dx + z * z
     r2 = rho2 + dy2
     amp = np.sqrt(z * rho2) / r2 ** 1.25 / math.sqrt(4 * math.pi)
     return amp * np.exp(-2j * math.pi / wavelength * np.sqrt(r2))
+
+
+def _exp_spherical_field(rho2, dy2, z, wavelength, out):
+    # gain._spherical_field's outputs from the complex-exp field, its power
+    # taken as |E|^2 rather than from the amplitude alone
+    power, re, im, _ = out
+    E = _exp_spherical(rho2, dy2, z, wavelength)
+    re[...], im[...], power[...] = E.real, E.imag, np.abs(E) ** 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -70,7 +79,7 @@ def test_exact_field_matches_complex_exp(tx, wavelength, points):
     to 1e4 m at 2 cm), for array and scalar inputs alike."""
     x, y = np.array(points).T
     E = exact_field(x, y, tx, wavelength)
-    ref = _exp_spherical(x - tx.x, (y - tx.y) ** 2, tx.z, wavelength)
+    ref = _exp_spherical((x - tx.x) ** 2 + tx.z**2, (y - tx.y) ** 2, tx.z, wavelength)
     assert np.all(np.abs(E - ref) <= 2e-15 * np.abs(ref))
     E0 = exact_field(x[0], y[0], tx, wavelength)
     assert np.ndim(E0) == 0 and abs(E0 - ref[0]) <= 2e-15 * abs(ref[0])
@@ -79,14 +88,14 @@ def test_exact_field_matches_complex_exp(tx, wavelength, points):
 def test_readme_beampattern_sweep_matches_complex_exp(monkeypatch):
     """README's beampattern sample (15 GHz, 2 x 64 over 2 m, focus 30 m, an
     81 x 61 grid on the command's own x samples) lies within 1e-14 of the
-    sweep on the complex-exp field."""
+    sweep on the complex-exp field, whose cell energy is |E|^2."""
     carrier = Carrier.from_frequency(15e9)
     d = carrier.wavelength / 2
     mla = ModularArray(2, 64, d, spacing_for_aperture(2.0, 2, 64, d))
     X, Z = np.meshgrid(_centered_linspace(-2.0, 2.0, 81), np.linspace(10.0, 100.0, 61))
     gains = gain_exact_sweep(mla, X, Z, 30.0, carrier)
 
-    monkeypatch.setattr("mlabeam.gain._spherical_field", _exp_spherical)
+    monkeypatch.setattr("mlabeam.gain._spherical_field", _exp_spherical_field)
     np.testing.assert_allclose(gains, gain_exact_sweep(mla, X, Z, 30.0, carrier),
                                rtol=0, atol=1e-14)
 
@@ -295,6 +304,61 @@ def test_exact_sweep_does_not_depend_on_worker_count(samples, monkeypatch):
         assert np.array_equal(gain_exact_sweep(mla, X, Z, 30.0, LAM), default)
 
 
+# 2 x 16 elements give 1,024 field samples per source; 4 x 256 give 32,768,
+# a row long enough for a BLAS dot to split over its threads
+SWEEP_ROWS = [ModularArray(2, 16, 0.01, 0.2), ModularArray(4, 256, 0.01, 0.2)]
+
+
+@pytest.mark.parametrize("mla", SWEEP_ROWS, ids=["1024_samples", "32768_samples"])
+def test_exact_sweep_rows_do_not_depend_on_blocks_workers_or_blas(mla, monkeypatch):
+    """Each source's row is reduced in one piece: one, three or all sources
+    per block on 1, 2 and 3 workers, and BLAS at one or two threads, give
+    the bits of the one-worker default-block sweep."""
+    X, Z = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(5.0, 60.0, 3))
+    monkeypatch.setattr("mlabeam.numerics._WORKERS", 1)
+    default = gain_exact_sweep(mla, X, Z, 30.0, LAM)
+    row = 4 * 8 * mla.num_elements
+    for samples in (1, 3 * row, 10**9):
+        monkeypatch.setattr("mlabeam.gain._SWEEP_BLOCK_SAMPLES", samples)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr("mlabeam.numerics._WORKERS", workers)
+            assert np.array_equal(gain_exact_sweep(mla, X, Z, 30.0, LAM), default)
+    if numerics._BLAS_THREADS is None:
+        return
+    get, put = numerics._BLAS_THREADS
+    old = get()
+    try:
+        for threads in (1, 2):
+            put(threads)
+            assert np.array_equal(gain_exact_sweep(mla, X, Z, 30.0, LAM), default)
+    finally:
+        put(old)
+
+
+# sub-arrays, elements per sub-array, spacing (m), gap beyond the spacing (m),
+# focus (m), field samples per block, then source offsets and depths in
+# units of the aperture
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 6), N=st.integers(1, 32), d=st.floats(0.005, 0.02),
+       extra=st.floats(0.0, 1.0), F=st.one_of(st.floats(0.5, 200.0), st.just(math.inf)),
+       samples=st.integers(1, 1 << 16),
+       sources=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(1e-3, 50.0)),
+                        min_size=1, max_size=8))
+def test_exact_sweep_source_alone_matches_batch(L, N, d, extra, F, samples, sources):
+    """A source swept alone gets the bits it gets in the batch, at any block
+    size, and every gain lies in [0, 1]."""
+    mla = ModularArray(L, N, d, d + extra)
+    aperture = derived_metrics(mla, LAM).aperture
+    u, v = np.array(sources).T
+    xs, zs = aperture * u, aperture * v
+    with unittest.mock.patch("mlabeam.gain._SWEEP_BLOCK_SAMPLES", samples):
+        g = gain_exact_sweep(mla, xs, zs, F, LAM)
+        alone = [gain_exact_sweep(mla, xs[i:i + 1], zs[i:i + 1], F, LAM)[0]
+                 for i in range(xs.size)]
+    assert np.array_equal(g, alone)
+    assert np.all((g >= 0) & (g <= 1))
+
+
 def test_exact_sweep_rejects_source_behind_array():
     mla = ModularArray(2, 16, 0.01, 0.2)
     with pytest.raises(ValueError):
@@ -362,6 +426,16 @@ def test_half_power_beamwidth_value():
     assert bw == pytest.approx(1.77 * 30.0 / 64)
     _, env = crossrange_gain(mla, 30.0, bw / 2, LAM)
     assert env == pytest.approx(0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("spacing, focus", [(1e-300, 30.0), (1e-300, 1.0), (0.001, 1e308)])
+def test_half_power_beamwidth_must_be_finite(spacing, focus):
+    """A spacing of 1e-300 m against a 3e299 m wavelength underflows to 0
+    wavelengths (once a ZeroDivisionError), and a 1e308 m focus at a spacing
+    of a twentieth of a wavelength overflows the width: each is a ValueError."""
+    carrier = Carrier.from_frequency(1e-291) if spacing < 1e-200 else LAM
+    with pytest.raises(ValueError, match="no finite half-power beamwidth"):
+        half_power_beamwidth(ModularArray.ula(4, spacing), focus, carrier)
 
 
 @pytest.mark.parametrize("wavelengths", [0.25, 0.5])

@@ -23,7 +23,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SE_REDUCED = ["--trials", "20", "--angle_step_rad", "0.01", "--distance_step_m", "0.1"]
 
 SHA256 = {
-    "beampattern": "ad85cb0b5008bcfe1af4675ecb99dc0dd05518acbb81d3180d1a42a9d542e522",
+    "beampattern": "55cd6e86aea07ea448e29e97bef59ee52f6287bbed2f7ff754dd473126dd73d6",
     "cutline": "0752e6d8dbe9da097569377bb582a7465f99eba207774d2d1489c8f2b2c08305",
     "depth": "738c0f44e5245df8d88073a751264e9b35856a4a257ef3ae4ed5f637e0c7a115",
     "design": "8627c5c286165fe24af86bdf7dce52edd58d644aa654ff3af76218815bf788bb",
