@@ -220,6 +220,17 @@ def _resolve_array(cfg: dict):
         return ModularArray(L, N, spacing, gap), carrier
 
 
+def _focus(cfg: dict, carrier: Carrier) -> float:
+    """focus_m, refused as a config error when it is so small that the focal
+    phase scale 2 pi / (wavelength * focus) is not finite, or that its half,
+    where depth's default window starts, underflows to 0."""
+    focus, lam = cfg["focus_m"], carrier.wavelength
+    if not (focus / 2 > 0 and lam * focus > 0 and math.isfinite(2 * math.pi / (lam * focus))):
+        raise ConfigError(f"a focus_m of {focus!r} is too small at a {lam!r} m wavelength: "
+                          "2 pi / (wavelength * focus) or focus / 2 leaves float64")
+    return focus
+
+
 def _centered_linspace(lo: float, hi: float, n: int) -> np.ndarray:
     """n evenly spaced samples from lo to hi, built outward from the center:
     (lo + hi)/2 + (hi - lo)/2 * k/(n - 1) for k = -(n - 1), -(n - 3), ..., n - 1,
@@ -260,7 +271,7 @@ def _cmd_beampattern(cfg: dict, out: str) -> int:
     zs = _samples(cfg, cfg["z_min_m"], cfg["z_max_m"], "z",
                   np.geomspace if cfg["log_z"] else np.linspace)
     X, Z = np.meshgrid(xs, zs)
-    gains = gain_exact_sweep(mla, X, Z, cfg["focus_m"], carrier)
+    gains = gain_exact_sweep(mla, X, Z, _focus(cfg, carrier), carrier)
     _write_figure(out, [_config_comment(cfg)], {"z_m": Z, "x_m": X, "gain": gains}, ("gain",))
     print(f"wrote {gains.size} gain samples to {out}")
     return 0
@@ -268,7 +279,7 @@ def _cmd_beampattern(cfg: dict, out: str) -> int:
 
 def _cmd_cutline(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg)
-    focus = cfg["focus_m"]
+    focus = _focus(cfg, carrier)
     with _input_boundary():
         bw = half_power_beamwidth(mla, focus, carrier)
     halfwidth = cfg["x_halfwidth_m"] if cfg["x_halfwidth_m"] is not None else bw
@@ -284,7 +295,7 @@ def _cmd_cutline(cfg: dict, out: str) -> int:
 
 def _cmd_depth(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg)
-    foci = focus_chain(mla, cfg["focus_m"], carrier, cfg["chain"], cfg["depth_threshold"])
+    foci = focus_chain(mla, _focus(cfg, carrier), carrier, cfg["chain"], cfg["depth_threshold"])
     z_lo = cfg["z_min_m"] if cfg["z_min_m"] is not None else foci[0] / 2
     z_hi = cfg["z_max_m"] if cfg["z_max_m"] is not None else foci[-1] * 2.5
     zs = _samples(cfg, z_lo, z_hi, "z")
@@ -304,7 +315,7 @@ def _cmd_depth(cfg: dict, out: str) -> int:
 def _cmd_design(cfg: dict, out: str) -> int:
     carrier = _carrier(cfg)
     with _input_boundary():
-        designs = [DesignInput(cfg["aperture_m"], cfg["focus_m"], int(n), carrier,
+        designs = [DesignInput(cfg["aperture_m"], _focus(cfg, carrier), int(n), carrier,
                                cfg["spacing_m"], cfg["grid_points"])
                    for n in cfg["antenna_counts"]]
     rows = []

@@ -89,6 +89,9 @@ class TrialConfig:
         if not (-90 < self.angle_bounds_deg[0] and self.angle_bounds_deg[1] <= 90
                 and self.distance_bounds[0] > 0):
             raise ValueError("users must be in front of the array")
+        far = self.distance_bounds[1]
+        if not far * far < math.inf:  # else every steering phase is NaN
+            raise ValueError(f"user distance {far!r} m must have a finite square in float64")
         if self.num_snapshots < 2:
             raise ValueError("covariance estimation needs at least two snapshots")
         if not (self.angle_step > 0 and self.distance_step > 0):
@@ -372,7 +375,7 @@ def run_se_sweep(config: TrialConfig, out_path=None, include_2d: bool = True,
     rows, cost, kept = [], 0, []  # kept: (fields, scenario, u1, h_true, beta), for the 2D pass
     # BLAS held at one thread through the trials and the 2D pass, so that no
     # helper thread of a multi-threaded eigh is still spinning when the
-    # screen starts; the screen's own pin nests inside this one
+    # screen starts; the block runner's pin nests inside this one
     with _blas_pinned():
         for fields, scenario, snaps, est, visited in _trials(config, out_path):
             rows.append(fields)

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Carrier, ModularArray, element_positions
-from .numerics import (QuadratureRule, _blas_pinned, _run_blocks, fresnel_cs,
-                       gauss_legendre_rule)
+from .numerics import QuadratureRule, _run_blocks, fresnel_cs, gauss_legendre_rule
 
 _DEFAULT_RULE = gauss_legendre_rule(8)
 # Field samples per block of gain_exact_sweep: each worker holds four float64
@@ -160,10 +159,10 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
     allocates once, laid out (sources, y offsets, x nodes); the matched-filter
     weight of each cell is folded into its node weights, so a source's
     numerator and energy are each one dot over its row, the energy taken
-    from the amplitude alone (|E|^2 = z rho^2 / (r2^2 r) / (4 pi)). BLAS is
-    held at one thread throughout, so the bits do not depend on the block
-    size, the worker count or the BLAS thread count. Coordinates must be
-    finite, and z positive.
+    from the amplitude alone (|E|^2 = z rho^2 / (r2^2 r) / (4 pi)). The
+    blocks run with BLAS at one thread (numerics._run_blocks), so the bits
+    do not depend on the block size, the worker count or the BLAS thread
+    count. Coordinates must be finite, and z positive.
     """
     rule = rule or _DEFAULT_RULE
     X, Z = np.broadcast_arrays(np.asarray(xs, float), np.asarray(zs, float))
@@ -206,10 +205,7 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
             re, im = np.vecdot(fields[:b].reshape(b, 1, 2 * samples), combine).T
             out[s:s + b] = (re * re + im * im) / (d * d * energy)
 
-    # a dot on more than one BLAS thread splits a long row between them, so
-    # its bits would depend on the thread count: one thread on every path
-    with _blas_pinned():
-        _run_blocks(run, -(-xs.size // step))
+    _run_blocks(run, -(-xs.size // step))
     return out[inverse].reshape(X.shape)
 
 

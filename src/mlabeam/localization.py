@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import friis_beta
 from .geometry import Carrier, ModularArray, element_positions, subarray_centers
-from .numerics import _run_blas_blocks, _run_blocks
+from .numerics import _run_blocks
 
 # Size of one block's float32 GEMM product in NearFieldGrid.argmax_rank1: small
 # enough to stay in a core's L2 cache while it is squared and screened.
@@ -378,14 +378,14 @@ class NearFieldGrid:
         reversing the element order: (Jw)^T b = w^T (Jb) scores a paired
         angle's partner too, and the Jw scores of angles without a partner,
         which belong to no grid point, are dropped. The blocks are split into
-        contiguous ranges over the worker threads (see
-        numerics._run_blas_blocks). That pass only screens: the points whose
-        float32 |u1^H b|^2 lies within twice its worst-case error of the
-        column's float32 best are rescored in float64 on their steering rows
-        recomputed in float64, and the best float64 score wins, the lowest
-        grid index breaking ties. So the pick depends only on the grid points:
-        not on how their rows are stored, on B, on the BLAS kernel, on its
-        thread count or on the number of workers.
+        contiguous ranges over the worker threads (see numerics._run_blocks).
+        That pass only screens: the points whose float32 |u1^H b|^2 lies
+        within twice its worst-case error of the column's float32 best are
+        rescored in float64 on their steering rows recomputed in float64,
+        and the best float64 score wins, the lowest grid index breaking ties.
+        So the pick depends only on the grid points: not on how their rows are
+        stored, on B, on the BLAS kernel, on its thread count or on the number
+        of workers.
         """
         w = np.conj(np.asarray(principal, dtype=np.complex128))
         if w.ndim != 2:
@@ -422,15 +422,15 @@ class NearFieldGrid:
         wr[1::2, 0::2], wr[1::2, 1::2] = -v32.imag, v32.real
         height = max(1, _BLOCK_PRODUCT_BYTES // (wr.itemsize * 2 * width) // 64) * 64
         starts = range(0, self.matrix.shape[0], height)
-        bests, found = [], []  # each worker's final best; every worker's candidates
 
         def screen(first, stop):
-            # one worker's contiguous range of row blocks, with its own buffers
-            # and running best; a block's power columns are [w scores, Jw
-            # scores], and a row without a partner drops its Jw scores
+            # one worker's contiguous range of row blocks, with its own buffers,
+            # running best and candidates, which it returns; a block's power
+            # columns are [w scores, Jw scores], and a row without a partner
+            # drops its Jw scores
             product = np.empty(height * 2 * width, dtype=np.float32)
             power = np.empty(height * width, dtype=np.float32)
-            best = np.full(batch, -np.inf)
+            best, found = np.full(batch, -np.inf), []
             for start in starts[first:stop]:
                 block = self.matrix[start:start + height].view(np.float32)
                 h = block.shape[0]
@@ -453,11 +453,12 @@ class NearFieldGrid:
                     sub = pw[:, hot]
                     r, c = np.nonzero(sub >= floor[hot % batch])
                     found.append((start + r, hot[c], sub[r, c]))
-            bests.append(best)
+            return best, found
 
-        _run_blas_blocks(screen, len(starts))
+        bests, found = zip(*_run_blocks(screen, len(starts)))
         best = np.max(bests, axis=0)
-        row, col, val = (np.concatenate(parts) for parts in zip(*found))
+        row, col, val = (np.concatenate(parts)
+                         for parts in zip(*(hit for hits in found for hit in hits)))
         keep = val >= (best - margin)[col % batch]
         row, col = row[keep], col[keep]
         slot, dist = np.divmod(row, self.distance_grid.size)

@@ -11,32 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Threads for the block layers: the steering-grid build and the exact-gain
-# sweep (elementwise), and the 2D screen (GEMM per block, with BLAS held at
-# one thread; see _run_blas_blocks). At most 4, and no more than the CPUs
-# this process may run on. Never derived from the input size; results do not
-# depend on it.
+# Threads for the block layers: the steering-grid build, the exact-gain
+# sweep and the 2D screen (see _run_blocks). At most 4, and no more than the
+# CPUs this process may run on. Never derived from the input size; results do
+# not depend on it.
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-
-
-def _run_blocks(task, num_blocks: int) -> None:
-    """Call task(first, stop) over contiguous ranges of block indices that
-    together cover range(num_blocks), one range per worker thread.
-
-    Each task must write only its own blocks' output. numpy releases the GIL
-    inside ufuncs, so elementwise work on independent blocks runs in
-    parallel. With one worker or one block the task runs inline, no pool.
-    """
-    workers = min(_WORKERS, num_blocks)
-    if workers <= 1:
-        task(0, num_blocks)
-        return
-    bounds = [num_blocks * i // workers for i in range(workers + 1)]
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(task, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        for future in futures:
-            future.result()
 
 
 def _openblas_threads():
@@ -83,19 +63,27 @@ def _blas_pinned():
             put(old)
 
 
-def _run_blas_blocks(task, num_blocks: int) -> None:
-    """_run_blocks for tasks that call BLAS.
+def _run_blocks(task, num_blocks: int) -> list:
+    """Call task(first, stop) over contiguous ranges of block indices that
+    together cover range(num_blocks), one range per worker thread, and
+    return the calls' results in range order.
 
-    While the workers run, BLAS is pinned to one thread (_blas_pinned), so
-    each worker's GEMM has a core to itself rather than contending with
-    BLAS's own threads; the calling thread sets the count and restores it.
-    Without the thread controls the task runs as one range on the caller.
+    Each task must write only its own blocks' output. numpy releases the GIL
+    inside ufuncs and BLAS calls, so work on independent blocks runs in
+    parallel. With one worker or one block the task runs inline, no pool.
+    Every range runs with BLAS held at one thread (_blas_pinned), so a
+    worker's BLAS call has a core to itself and its bits do not depend on
+    BLAS's own thread count; the calling thread sets the count and restores
+    it.
     """
-    if _BLAS_THREADS is None or min(_WORKERS, num_blocks) <= 1:
-        task(0, num_blocks)
-        return
+    workers = min(_WORKERS, num_blocks)
     with _blas_pinned():
-        _run_blocks(task, num_blocks)
+        if workers <= 1:
+            return [task(0, num_blocks)]
+        bounds = [num_blocks * i // workers for i in range(workers + 1)]
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(task, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            return [future.result() for future in futures]
 
 
 def fresnel_cs(u):

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import math
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mlabeam import cli, count_peaks
 from mlabeam.cli import SCHEMAS, ConfigError, main, parse_config
+from mlabeam.experiments import read_records_csv
 
 
 def _read_table(path):
@@ -375,6 +380,13 @@ _SE_SMALL_GRID = ["se", "--trials", "12", "--power_dbm_values", "20",
     ["cutline", "--frequency_ghz", "1e-300", "--spacing_m", "1e-300", "--focus_m", "30"],
     ["design", "--frequency_ghz", "1e-300", "--spacing_m", "1e-300", "--aperture_m", "2e-300",
      "--focus_m", "1", "--antenna_counts", "1"],
+    ["cutline", "--focus_m", "5e-324"],
+    ["design", "--focus_m", "5e-324", "--aperture_m", "2"],
+    ["beampattern", "--focus_m", "5e-324", "--x_points", "3", "--z_points", "3"],
+    ["depth", "--focus_m", "5e-324"],
+    ["depth", "--focus_m", "5e-324", "--frequency_ghz", "1e-300", "--spacing_m", "0.01",
+     "--num_subarrays", "1"],
+    ["localize", "--trials", "1", "--distance_max_m", "1e300"],
 ], ids=["reversed_range", "design_grid", "angle_bounds", "one_subarray",
         "one_snapshot", "repeated_sweep_value", "nan_focus", "nan_design_focus", "inf_depth",
         "nan_noise", "minus_inf_noise", "nan_threshold", "inf_in_float_list",
@@ -382,7 +394,9 @@ _SE_SMALL_GRID = ["se", "--trials", "12", "--power_dbm_values", "20",
         "se_noise_underflow", "localize_noise_overflow", "localize_power_overflow",
         "se_power_overflow", "se_users_beyond_grid", "se_users_inside_grid",
         "se_users_beside_grid", "unknown_sweep_variable", "aperture_square_overflow",
-        "cutline_beamwidth_underflow", "design_beamwidth_underflow"])
+        "cutline_beamwidth_underflow", "design_beamwidth_underflow", "cutline_tiny_focus",
+        "design_tiny_focus", "beampattern_tiny_focus", "depth_tiny_focus",
+        "depth_focus_half_underflow", "user_distance_square_overflow"])
 def test_bad_inputs_are_config_errors(argv, capsys):
     """Inputs the library rejects are reported as config errors before any work."""
     assert main([*argv, "--out", "/dev/null"]) == 2
@@ -444,3 +458,103 @@ def test_internal_error_is_not_a_config_error(monkeypatch):
 ], ids=["cutline_3", "cutline_1", "depth_3"])
 def test_closed_forms_take_any_subarray_count(argv, tmp_path):
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+
+
+# Values for generated configs: every key draws from the special values (an
+# underflowing, an overflowing, a zero and negative numbers) and a few
+# plausible ones. Sizes stay small: every points key, trials, snapshots, the
+# array shape, the chain length, the sweep lists and the grid steps are
+# always set from the small pools. A positive step there is at least 0.05 rad
+# or 0.5 m (or 1e300), so no angle or 2D grid grows large; finer steps ask
+# for grids of up to 6e323 angles.
+_SPECIAL = ("5e-324", "1e300", "0", "-1", "-5e-324")
+_PLAUSIBLE = {
+    "frequency_ghz": ("15", "100"), "spacing_m": ("0.01",), "gap_m": ("0.5",),
+    "aperture_m": ("2",), "focus_m": ("2", "30"), "x_halfwidth_m": ("0.5",),
+    "z_min_m": ("5",), "z_max_m": ("60",), "noise_dbm": ("-78",), "power_dbm": ("20",),
+    "power_dbm_values": ("10", "10,20"), "seed": ("7",), "log_z": ("true", "false"),
+    "include_exact": ("true", "false"), "depth_threshold": ("0.05",),
+    "sweep_variable": ("antennas_per_subarray", "num_subarrays", "power"),
+}
+_SIZED = {
+    "x_points": ("1", "2", "40"), "z_points": ("1", "2", "40"), "grid_points": ("16", "40"),
+    "trials": ("1", "3"), "snapshots": ("2", "40"), "chain": ("1", "3"),
+    "num_subarrays": ("1", "2", "4"), "antennas_per_subarray": ("1", "2", "16"),
+    "antenna_counts": ("1", "2,64", "64"), "sweep_values": ("2", "4,16", "2,3"),
+    "include_2d": ("true", "false"),
+    "angle_step_rad": ("0.05", "1", "4", "0", "-1", "1e300"),
+    "distance_step_m": ("0.5", "2", "0", "-1", "1e300"),
+}
+
+
+def _value(key, spec):
+    if key in _SIZED:
+        return st.sampled_from(_SIZED[key])
+    default = () if spec.default is None else (str(spec.default).strip("()").replace(" ", ""),)
+    return st.one_of(st.sampled_from(_PLAUSIBLE.get(key, ()) + default), st.sampled_from(_SPECIAL))
+
+
+@st.composite
+def _generated_config(draw):
+    command = draw(st.sampled_from(sorted(SCHEMAS)))
+    schema = SCHEMAS[command]
+    always = [k for k, spec in schema.items() if spec.required or k in _SIZED]
+    keys = always + draw(st.lists(st.sampled_from([k for k in schema if k not in always]),
+                                  unique=True, max_size=4))
+    return [command, *(f"--{k}={draw(_value(k, schema[k]))}" for k in keys)]
+
+
+# fields a Monte Carlo row leaves NaN: the estimates of an excluded trial, and
+# what the command does not compute
+_ESTIMATES = {"est_x", "est_z", "sq_error", "est_x_2d", "est_z_2d", "sq_error_2d", "se_proposed",
+              "se_2d"}
+_FIELDS_2D = {"est_x_2d", "est_z_2d", "sq_error_2d", "se_2d"}
+
+
+def _unwritten(command, cfg, record):
+    fields = set(_ESTIMATES if record["excluded"] else ())
+    if command == "localize":
+        fields |= _FIELDS_2D | {"se_proposed", "se_perfect"}
+    elif not cfg["include_2d"]:
+        fields |= _FIELDS_2D
+    return fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_generated_config())
+@example(argv=["cutline", "--focus_m=5e-324"])
+@example(argv=["design", "--focus_m=5e-324", "--aperture_m=2"])
+@example(argv=["beampattern", "--focus_m=5e-324", "--x_points=3", "--z_points=3"])
+@example(argv=["depth", "--focus_m=5e-324"])
+@example(argv=["depth", "--spacing_m=1e300", "--num_subarrays=1", "--aperture_m=0.003",
+               "--focus_m=7.3", "--include_exact=true"])
+@example(argv=["design", "--frequency_ghz=1e-300", "--spacing_m=1e-300", "--aperture_m=0.01",
+               "--focus_m=10000", "--antenna_counts=4"])
+@example(argv=["design", "--frequency_ghz=1e9", "--aperture_m=7.3", "--focus_m=0.01",
+               "--antenna_counts=3"])
+def test_generated_configs_exit_as_documented(argv):
+    """Any config exits with a code from README's table; exit 0 writes a CSV
+    whose values are finite (a Monte Carlo row leaves NaN only in the fields
+    it does not produce), and exit 4 writes no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, f"--out={out}"])
+        assert code in (0, 2, 3, 4, 5)
+        if code == 4:
+            assert not out.exists()
+        if code != 0:
+            return
+        command = argv[0]
+        if command in ("localize", "se"):
+            cfg = parse_config("", SCHEMAS[command],
+                               dict(arg[2:].split("=", 1) for arg in argv[1:]))
+            _, records, _ = read_records_csv(out)
+            assert records
+            for record in records:
+                unwritten = _unwritten(command, cfg, record)
+                assert all(math.isfinite(v) or (math.isnan(v) and k in unwritten)
+                           for k, v in record.items()), record
+        else:
+            _, _, table = _read_table(out)
+            assert table.size and np.isfinite(table).all()

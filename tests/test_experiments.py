@@ -349,7 +349,10 @@ def test_records_do_not_depend_on_blas_threads(tmp_path):
 def test_se_sweep_holds_blas_at_one_thread(monkeypatch):
     """BLAS is held at one thread through the whole SE sweep, its trials and
     its 2D pass, whose screen pins again inside that pin on two workers; the
-    old count is back after the sweep, also when a trial raises."""
+    old count is back after the sweep, also when a trial raises. The grid is
+    built before the controls are watched, since its build pins too."""
+    cfg = _config(sweep_variable="power", sweep_values=(0.1, 1.0), trials=3)
+    grid = NearFieldGrid(cfg.array_for(4, 16), CAR, COARSE_ANGLES[:10], COARSE_DISTANCES[:20])
     count, puts, seen = {"threads": 2}, [], []
 
     def put(n):
@@ -367,8 +370,6 @@ def test_se_sweep_holds_blas_at_one_thread(monkeypatch):
     monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1)
     monkeypatch.setattr(experiments, "locate", watch(experiments.locate))
     monkeypatch.setattr(experiments, "music_2d", watch(experiments.music_2d))
-    cfg = _config(sweep_variable="power", sweep_values=(0.1, 1.0), trials=3)
-    grid = NearFieldGrid(cfg.array_for(4, 16), CAR, COARSE_ANGLES[:10], COARSE_DISTANCES[:20])
     run_se_sweep(cfg, grid_2d=grid)
     assert seen == [1] * 7  # six trials, then the 2D pass
     assert puts == [1, 1, 1, 2] and count["threads"] == 2

@@ -637,8 +637,8 @@ def test_grid_argmax_batch_matches_columns_and_brute_force(seed, kinds, phase_co
                                                            blas_control):
     """Batched picks equal one-column picks and a float64 brute force, for any
     block height (1 gives 64-row blocks and a short last block), at 1, 2 and 3
-    screen workers, and with the BLAS thread controls missing (one range on
-    the caller). A boundary tie straddles the first two workers' ranges at
+    screen workers, and with the BLAS thread controls missing (the same
+    ranges, with BLAS left alone). A boundary tie straddles the first two workers' ranges at
     64-row blocks; its two points share their (angle, distance) values, so
     test_exact_tie_goes_to_the_lower_index checks which of them wins."""
     rng = np.random.default_rng(seed)
@@ -933,9 +933,10 @@ def test_default_grid_stores_half(step, angles, stored, nbytes, monkeypatch):
 
 
 def test_screen_workers_lose_no_candidates_under_switching(monkeypatch):
-    """Eight screen workers on two cores append to shared lists with the
-    interpreter switching threads every microsecond; every pick still equals
-    the brute force, which a lost best or candidate list would break."""
+    """Eight screen workers on two cores return their bests and candidates
+    with the interpreter switching threads every microsecond; every pick
+    still equals the brute force, which a lost best or candidate list would
+    break."""
     monkeypatch.setattr(numerics, "_WORKERS", 8)
     monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1)
     rng = np.random.default_rng(11)

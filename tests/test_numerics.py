@@ -106,15 +106,18 @@ def test_exp_of_phase_is_cos_and_sin(k, r):
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 @pytest.mark.parametrize("num_blocks", [0, 1, 2, 7])
 def test_run_blocks_covers_each_block_once(workers, num_blocks, monkeypatch):
+    """The ranges cover every block once, and their results come back in
+    range order, though the first range finishes last."""
     monkeypatch.setattr(numerics, "_WORKERS", workers)
-    ranges, threads = [], set()
+    threads = set()
 
     def task(first, stop):
-        ranges.append((first, stop))
         threads.add(threading.get_ident())
+        if first == 0 and stop < num_blocks:
+            time.sleep(0.02)
+        return first, stop
 
-    numerics._run_blocks(task, num_blocks)
-    ranges.sort()
+    ranges = numerics._run_blocks(task, num_blocks)
     assert [b for first, stop in ranges for b in range(first, stop)] == list(range(num_blocks))
     assert len(ranges) == max(1, min(workers, num_blocks))
     if len(ranges) == 1:  # inline, no pool
@@ -134,7 +137,8 @@ def test_run_blocks_raises_a_task_error(monkeypatch):
 
 def test_openblas_threads_missing_gives_none(monkeypatch):
     """A numpy without the bundled OpenBLAS's thread controls, or without
-    np._core, leaves the screen on the caller rather than failing import."""
+    np._core, runs the block layers with BLAS left alone rather than failing
+    import."""
     monkeypatch.setattr(numerics.ctypes, "CDLL", lambda path: object())
     assert numerics._openblas_threads() is None
     monkeypatch.delattr(np, "_core")
@@ -143,25 +147,43 @@ def test_openblas_threads_missing_gives_none(monkeypatch):
 
 @pytest.mark.parametrize("workers, num_blocks, pool", [(1, 7, False), (2, 1, False),
                                                        (2, 7, True)])
-def test_run_blas_blocks_pins_only_around_a_pool(workers, num_blocks, pool, monkeypatch):
-    """BLAS is pinned to one thread only when the blocks run on a pool, and
-    without thread controls the task runs as one range on the caller."""
-    calls, ranges = [], []
-    monkeypatch.setattr(numerics, "_BLAS_THREADS", (lambda: 2, calls.append))
+def test_run_blocks_pins_blas_on_every_path(workers, num_blocks, pool, monkeypatch):
+    """Every range runs with BLAS at one thread, inline or on a pool, and the
+    old count is back after the call, also when a task raises; only the
+    calling thread sets it. Without the thread controls the ranges are the
+    same and BLAS is left alone."""
+    count, puts, seen = {"threads": 2}, [], []
+
+    def put(n):
+        puts.append((n, threading.get_ident()))
+        count["threads"] = n
+
+    def task(first, stop):
+        seen.append(count["threads"])
+        if fail:
+            raise RuntimeError("task failed")
+        return first, stop
+
+    monkeypatch.setattr(numerics, "_BLAS_THREADS", (lambda: count["threads"], put))
     monkeypatch.setattr(numerics, "_WORKERS", workers)
-    numerics._run_blas_blocks(lambda first, stop: ranges.append((first, stop)), num_blocks)
-    assert calls == ([1, 2] if pool else [])
-    assert len(ranges) == (workers if pool else 1)
+    fail = False
+    ranges = numerics._run_blocks(task, num_blocks)
+    assert len(ranges) == (workers if pool else 1) == len(seen)
+    assert set(seen) == {1}
+    assert puts == [(1, threading.get_ident()), (2, threading.get_ident())]
+    fail = True
+    with pytest.raises(RuntimeError, match="task failed"):
+        numerics._run_blocks(task, num_blocks)
+    assert count["threads"] == 2 and [n for n, _ in puts] == [1, 2, 1, 2]
     monkeypatch.setattr(numerics, "_BLAS_THREADS", None)
-    ranges.clear()
-    numerics._run_blas_blocks(lambda first, stop: ranges.append((first, stop)), num_blocks)
-    assert ranges == [(0, num_blocks)]
+    fail = False
+    assert numerics._run_blocks(task, num_blocks) == ranges
 
 
-def test_run_blas_blocks_callers_take_turns(monkeypatch):
-    """Two threads that each run a pinned pool leave the BLAS count as found:
-    the second waits for the first, rather than saving the first's pin as
-    the count to restore."""
+def test_run_blocks_callers_take_turns(monkeypatch):
+    """Two threads that each run a pool of blocks leave the BLAS count as
+    found: the second waits for the first, rather than saving the first's
+    pin as the count to restore."""
     count = {"threads": 2}
     monkeypatch.setattr(numerics, "_BLAS_THREADS",
                         (lambda: count["threads"], lambda n: count.update(threads=n)))
@@ -176,7 +198,7 @@ def test_run_blas_blocks_callers_take_turns(monkeypatch):
             time.sleep(0.02)
             with lock:
                 running[name] -= 1
-        numerics._run_blas_blocks(task, 4)
+        numerics._run_blocks(task, 4)
 
     threads = [threading.Thread(target=caller, args=(name,)) for name in (0, 1)]
     threads[0].start()
