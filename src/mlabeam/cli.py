@@ -261,7 +261,9 @@ def _write_figure(out: str, comments: list, columns: dict, gains: tuple = ()) ->
         g = flat[name]
         if g.size and not (np.isfinite(g).all() and g.min() >= 0 and g.max() <= 1 + 1e-9):
             raise GainRangeError(f"'{name}' samples must be finite and lie in [0, 1]")
-    _write_csv(out, comments, list(flat), zip(*(v.tolist() for v in flat.values())))
+    _write_csv(out, comments, list(flat),
+               [int if np.issubdtype(v.dtype, np.integer) else float for v in flat.values()],
+               zip(*(v.tolist() for v in flat.values())))
 
 
 def _cmd_beampattern(cfg: dict, out: str) -> int:

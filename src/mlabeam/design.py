@@ -15,15 +15,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Carrier, InfeasibleArrayError, ModularArray, spacing_for_aperture
-from .gain import crossrange_gain, half_power_beamwidth
+# crossrange_gain, the search's gains for one layout, stays importable here:
+# perfbench/tracing.py wraps it under this module's name
+from .gain import (_crossrange_factors, _squared_array_factor, crossrange_gain,
+                   half_power_beamwidth)
 
 # Peaks shallower than this are treated as numerical ripple. Genuine lobes of
 # the cosine-modulated envelope are two orders of magnitude more prominent.
 PEAK_PROMINENCE = 1e-2
+# Candidate sub-array counts per block of the design search: a block's gains
+# are one (block, grid_points) array, 75 kB at the default 300 points.
+# Results do not depend on the block size.
+_BLOCK_COUNTS = 32
 
 
-def count_peaks(samples, prominence: float = PEAK_PROMINENCE) -> int:
-    """Count genuine local maxima of uniformly sampled data.
+def count_peaks(samples, prominence: float = PEAK_PROMINENCE):
+    """Count genuine local maxima of uniformly sampled data, along the last
+    axis: an int for 1D samples, an array of counts for a stack of rows.
 
     Consecutive equal samples are collapsed into runs (a symmetric apex that
     falls between two samples gives a flat two-sample top), and a run counts
@@ -35,16 +43,28 @@ def count_peaks(samples, prominence: float = PEAK_PROMINENCE) -> int:
     resampling reveals no peak, and its rounding ripple can split a flat top.
     """
     y = np.asarray(samples, dtype=float)
-    if y.size < 3:
+    if y.ndim == 0 or y.shape[-1] < 3:
         raise ValueError("need at least three samples")
-    runs = y[np.r_[True, y[1:] != y[:-1]]]
-    # no two neighboring runs are equal, so the interior extrema alternate
-    # between peaks and valleys, and each peak's flanking minima are its
-    # neighbors in the sequence of extrema with the two ends
+    rows = y.reshape(-1, y.shape[-1])
+    keep = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=keep[:, 1:])
+    # every row's runs in one sequence, with the row each belongs to, and
+    # which runs start or end their row
+    runs, row = rows[keep], np.nonzero(keep)[0]
+    new_row = row[1:] != row[:-1]
+    edge = np.ones(runs.size, dtype=bool)
+    edge[1:-1] = new_row[:-1] | new_row[1:]
+    # no two neighboring runs of a row are equal, so its interior extrema
+    # alternate between peaks and valleys, and each peak's flanking minima
+    # are its neighbors in the row's sequence of extrema with the two ends
     rising = runs[1:] > runs[:-1]
-    ext = runs[np.r_[0, np.flatnonzero(rising[1:] != rising[:-1]) + 1, runs.size - 1]]
-    top, lo, hi = ext[1:-1], ext[:-2], ext[2:]
-    return int(np.count_nonzero((top > lo) & (top - np.maximum(lo, hi) >= prominence)))
+    ext = edge.copy()
+    ext[1:-1] |= rising[1:] != rising[:-1]
+    ext_runs, ext_row, inner = runs[ext], row[ext], ~edge[ext]
+    top, lo, hi = ext_runs[1:-1], ext_runs[:-2], ext_runs[2:]
+    peak = inner[1:-1] & (top > lo) & (top - np.maximum(lo, hi) >= prominence)
+    counts = np.bincount(ext_row[1:-1][peak], minlength=rows.shape[0])
+    return int(counts[0]) if y.ndim == 1 else counts.reshape(y.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -107,31 +127,49 @@ class DesignResult:
         return self.aperture_filled and self.final_peak_count > 1
 
 
+def _layouts(aperture: float, N: int, d: float):
+    """The layouts of L = 2, 4, ... sub-arrays spread over the aperture, in
+    order, up to the last even L that fits; InfeasibleArrayError when not
+    even L = 2 does."""
+    for L in itertools.count(2, 2):
+        try:
+            gap = spacing_for_aperture(aperture, L, N, d)
+        except InfeasibleArrayError:
+            if L == 2:
+                raise
+            return
+        yield ModularArray(L, N, d, gap)
+
+
 def design_num_arrays(inp: DesignInput) -> DesignResult:
     """Smallest even sub-array count focusing a single peak in the half-power
     window, with the sub-arrays spread over the full aperture.
 
-    The window samples depend on N and the spacing only and are built once.
-    L steps by 2 from 2 until one peak remains or the next even count no
-    longer fits, as none does once L*N*delta >= aperture, and the last
-    feasible layout is returned with its remaining peak count. Raises
-    InfeasibleArrayError when not even the first candidate layout fits.
+    The window samples, the envelope and the phase factor depend on N, the
+    spacing and the focus only and are built once. L steps by 2 from 2 until
+    one peak remains or the next even count no longer fits, as none does
+    once L*N*delta >= aperture, and the last feasible layout is returned with
+    its remaining peak count. The counts are tried in blocks of up to
+    _BLOCK_COUNTS: one block's gains are one (block, grid_points) array,
+    whose rows' peaks are counted in one call, and the search stops at the
+    first row with one peak. Raises InfeasibleArrayError when not even the
+    first candidate layout fits.
     """
     d = inp.element_spacing
     N = inp.elements_per_subarray
     bw = half_power_beamwidth(ModularArray.ula(N, d), inp.focus, inp.carrier)
     xs = np.linspace(-bw / 2, bw / 2, inp.grid_points)
+    env, kx = _crossrange_factors(N, d, inp.focus, xs, inp.carrier)
+    layouts = _layouts(inp.aperture, N, d)
     trace = []
-    for L in itertools.count(2, 2):
-        try:
-            gap = spacing_for_aperture(inp.aperture, L, N, d)
-        except InfeasibleArrayError:
-            if not trace:
-                raise
-            break
-        mla = ModularArray(L, N, d, gap)
-        peaks = count_peaks(crossrange_gain(mla, inp.focus, xs, inp.carrier)[0])
-        trace.append((L, peaks))
+    while block := list(itertools.islice(layouts, _BLOCK_COUNTS)):
+        Ls = [mla.num_subarrays for mla in block]
+        half_pitches = np.array([mla.half_pitch for mla in block])
+        factors = _squared_array_factor(np.array(Ls)[:, None], kx, half_pitches[:, None])
+        counts = count_peaks(env * factors).tolist()
+        stop = counts.index(1) + 1 if 1 in counts else len(block)
+        trace += zip(Ls[:stop], counts[:stop])
+        mla, peaks = block[stop - 1], counts[stop - 1]
         if peaks == 1:
             break
     # every exit with more than one peak is a fill exit

@@ -15,6 +15,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,19 @@ def derive_trial_seed(base_seed: int, trial: int, stream: int = 0) -> int:
     """
     digest = hashlib.sha256(trial.to_bytes(8, "big") + stream.to_bytes(2, "big")).digest()
     return (int(base_seed) ^ int.from_bytes(digest[:8], "big")) & 0xFFFFFFFFFFFFFFFF
+
+
+def _check_fits(nbytes: float, what: str) -> None:
+    """Raise ValueError, before any allocation, if nbytes (inf when it
+    overflows) exceed the physical memory; no check where the platform does
+    not report it."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if not nbytes <= memory:
+        raise ValueError(f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
+                         f"{memory / 2**30:.3g} GiB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -100,11 +115,16 @@ class TrialConfig:
             raise ValueError(f"angle step must be below pi, got {self.angle_step!r}")
         if not 0 <= self.noise_power < math.inf:
             raise ValueError("noise power must be finite and non-negative")
-        # every sweep point's array and transmit power, before any trial runs
+        # every sweep point's array, transmit power and 1D steering matrix
+        # (complex128, one row per angle of default_angle_grid), before any
+        # trial runs
         for value in self.sweep_values:
-            _, power = self._sweep_point(value)
+            mla, power = self._sweep_point(value)
             if not 0 < power < math.inf:
                 raise ValueError(f"transmit power must be finite and positive, got {power!r}")
+            _check_fits(math.pi / self.angle_step * mla.elements_per_subarray * 16,
+                        f"the 1D steering matrix of {mla.elements_per_subarray} elements "
+                        f"at an angle step of {self.angle_step!r} rad")
 
     @property
     def element_spacing(self) -> float:
@@ -122,7 +142,9 @@ class TrialConfig:
 
     def check_grid_span(self) -> None:
         """Raise ValueError if users may be drawn outside the span of the
-        default whole-array 2D grid, where its search cannot place them."""
+        default whole-array 2D grid, where its search cannot place them, or
+        if that grid, storing one of each mirror pair of angles, would need
+        more than the physical memory."""
         lo, hi = map(math.radians, self.angle_bounds_deg)
         near, far = self.distance_bounds
         if not (-_GRID_HALFWIDTH <= lo and hi <= _GRID_HALFWIDTH
@@ -130,6 +152,12 @@ class TrialConfig:
             raise ValueError(f"user bounds reach outside the 2D grid's span, +-"
                              f"{math.degrees(_GRID_HALFWIDTH):.4g} deg about broadside and "
                              f"{_GRID_NEAR!r} to {_GRID_FAR!r} m")
+        # complex64 rows, at least half the angles by every distance
+        elements = self.num_subarrays * self.elements_per_subarray
+        _check_fits(_GRID_HALFWIDTH / self.angle_step * (_GRID_FAR - _GRID_NEAR)
+                    / self.distance_step * elements * 8,
+                    f"the 2D grid of {elements} elements at an angle step of "
+                    f"{self.angle_step!r} rad and a distance step of {self.distance_step!r} m")
 
     def _sweep_point(self, value):
         """(array, transmit power) for one sweep value."""
@@ -174,6 +202,9 @@ class ExperimentRecord:
 RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentRecord))
 _INT_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentRecord)
                         if f.type in (int, "int"))
+_RECORD_TYPES = tuple(int if name in _INT_FIELDS else float for name in RECORD_FIELDS)
+# a record's fields as a tuple, without astuple's deep copy
+_record_row = operator.attrgetter(*RECORD_FIELDS)
 
 
 @dataclass
@@ -199,13 +230,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, comments, header, rows, footer=()):
+def _write_csv(path, comments, header, types, rows, footer=()):
     """The one CSV format every mlabeam file uses: '# ' comment lines, a header,
-    rows with floats as %.17g, then '# ' footer lines."""
+    rows, then '# ' footer lines. types gives each column's type, int or
+    float, and each row, a tuple, is written with one format: %d for an int
+    column and %.17g for a float one, as _fmt writes its values."""
+    row_format = ",".join("%d" if t is int else "%.17g" for t in types) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.writelines(f"# {line}\n" for line in comments)
         f.write(",".join(header) + "\n")
-        f.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        f.writelines(row_format % row for row in rows)
         f.writelines(f"# {line}\n" for line in footer)
 
 
@@ -223,8 +257,8 @@ def _config_comment(config: TrialConfig) -> str:
 
 
 def write_records_csv(path, result: ExperimentResult):
-    _write_csv(path, [_config_comment(result.config)], RECORD_FIELDS,
-               (dataclasses.astuple(r) for r in result.records),
+    _write_csv(path, [_config_comment(result.config)], RECORD_FIELDS, _RECORD_TYPES,
+               map(_record_row, result.records),
                ["aggregate: " + " ".join(f"{k}={_fmt(v)}" for k, v in agg.items())
                 for agg in result.aggregates])
 

@@ -174,9 +174,8 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
     # element positions are antisymmetric and the weights are matched to an
     # on-axis focus, so a source's gain depends on x only through |x|: each
     # distinct (|x|, z) is evaluated once and scattered back
-    keys, inverse = np.unique(np.column_stack([np.abs(X.ravel()), Z.ravel()]), axis=0,
-                              return_inverse=True)
-    xs, zs, lam = keys[:, 0], keys[:, 1], carrier.wavelength
+    xs, zs, inverse = _distinct_pairs(np.abs(X.ravel()), Z.ravel())
+    lam = carrier.wavelength
     d = mla.spacing
     nodes = _CellNodes(element_positions(mla).ravel(), d, rule)
     weights = nodes.weights.ravel()
@@ -207,6 +206,20 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
 
     _run_blocks(run, -(-xs.size // step))
     return out[inverse].reshape(X.shape)
+
+
+def _distinct_pairs(a: np.ndarray, b: np.ndarray):
+    # np.unique over the rows of [a, b], as (distinct a, distinct b, inverse):
+    # the distinct pairs sorted by a and then b, from one lexsort
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    start = np.empty(a.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(a[1:], a[:-1], out=start[1:])
+    start[1:] |= b[1:] != b[:-1]
+    inverse = np.empty(a.size, dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
+    return a[start], b[start], inverse
 
 
 def _mirror_pairs(L: int):
@@ -258,20 +271,34 @@ def crossrange_gain(mla: ModularArray, focus: float, x, carrier: Carrier):
     1 where sin t = 0 and clamped to 1, so gain <= envelope exactly. Returns
     (gain, envelope), arrays when x is an array.
     """
-    L, N = mla.num_subarrays, mla.elements_per_subarray
-    lam = carrier.wavelength
     xs = np.asarray(x, dtype=float)
-    env = np.sinc(N * xs * (2 * mla.spacing / lam) / (2 * focus)) ** 2
-    t = (2 * np.pi / (lam * focus)) * xs * mla.half_pitch
-    # the squared factor has period pi in t; reduced to |u| <= pi/2 it keeps
-    # its digits next to the grating lobes, where sin t nears 0
-    u = t - np.pi * np.round(t / np.pi)
-    s = np.sin(u)
-    af = np.divide(np.sin(L * u), L * s, out=np.ones_like(u), where=s != 0)
-    g = env * np.minimum(af * af, 1.0)
+    env, kx = _crossrange_factors(mla.elements_per_subarray, mla.spacing, focus, xs, carrier)
+    g = env * _squared_array_factor(mla.num_subarrays, kx, mla.half_pitch)
     if xs.ndim == 0:
         return float(g), float(env)
     return g, env
+
+
+def _crossrange_factors(N: int, spacing: float, focus: float, xs: np.ndarray,
+                        carrier: Carrier):
+    # the factors of crossrange_gain that do not depend on the sub-array
+    # count or the half-pitch: the envelope and (2 pi / (lambda F)) x
+    lam = carrier.wavelength
+    env = np.sinc(N * xs * (2 * spacing / lam) / (2 * focus)) ** 2
+    return env, (2 * np.pi / (lam * focus)) * xs
+
+
+def _squared_array_factor(L, kx, half_pitch):
+    # (sin(L t) / (L sin t))^2 at t = kx * half_pitch, 1 where sin t = 0 and
+    # clamped to 1; broadcasts, so a column of counts and half-pitches gives
+    # one row per layout. The squared factor has period pi in t; reduced to
+    # |u| <= pi/2 it keeps its digits next to the grating lobes, where sin t
+    # nears 0
+    t = kx * half_pitch
+    u = t - np.pi * np.round(t / np.pi)
+    s = np.sin(u)
+    af = np.divide(np.sin(L * u), L * s, out=np.ones_like(u), where=s != 0)
+    return np.minimum(af * af, 1.0)
 
 
 def half_power_beamwidth(mla: ModularArray, focus: float, carrier: Carrier) -> float:
@@ -336,19 +363,28 @@ def first_null_after_focus(mla: ModularArray, focus: float, carrier: Carrier,
     deep local minimum (below depth_threshold).
 
     Scanned on a geometric grid out to 100x the focal distance, then refined
-    by golden-section search to 1e-4 m. Raises NullNotFoundError when no such
-    minimum exists (the beam's far tail has no deep null).
+    by golden-section search to 1e-4 m. The grid's gains are evaluated in
+    chunks that double in length, and the scan stops at the first chunk that
+    completes a deep minimum; each gain is the one a single call over the
+    whole grid gives. Raises NullNotFoundError when no such minimum exists
+    (the beam's far tail has no deep null).
     """
 
     def f(z):
         return gain_mla_fresnel(mla, focus, z, carrier)
 
     zs = np.geomspace(focus * (1 + 1e-6), focus * 100, 4000)
-    g = f(zs)
-    interior = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
-    for i in interior:
-        if g[i] < depth_threshold:
+    g = np.empty(zs.size)
+    done, stop = 0, 64
+    while done < zs.size:
+        g[done:stop] = f(zs[done:stop])
+        # deep interior minima among the gains so far
+        lo, mid, hi = g[:stop - 2], g[1:stop - 1], g[2:stop]
+        deep = np.flatnonzero((mid < lo) & (mid < hi) & (mid < depth_threshold))
+        if deep.size:
+            i = deep[0] + 1
             return _golden_minimize(f, zs[i - 1], zs[i + 1], 1e-4)
+        done, stop = stop, min(2 * stop, zs.size)
     raise NullNotFoundError(
         f"no gain minimum below {depth_threshold} between the focus and 100x the focus")
 

@@ -28,6 +28,9 @@ class Carrier:
     wavelength: float  # meters
 
     def __post_init__(self):
+        if not (math.isfinite(self.frequency) and math.isfinite(self.wavelength)):
+            raise ValueError(f"carrier frequency {self.frequency!r} Hz and wavelength "
+                             f"{self.wavelength!r} m must be finite")
         if self.frequency <= 0 or self.wavelength <= 0:
             raise ValueError("carrier frequency and wavelength must be positive")
         if abs(self.wavelength * self.frequency / SPEED_OF_LIGHT - 1.0) > 1e-9:

@@ -79,10 +79,11 @@ def test_pairs_alternate_and_summarize(repo, tmp_path):
     assert rate["change"]["median"] == 16
     assert rate["relative_change"] == pytest.approx(5 / 11)
     assert rate["parent_spread"] == pytest.approx(1 / 11)
-    assert rate["verdict"] == "better"
+    assert rate["verdict"] == "better" and rate["gain"] is True
     rss = doc["summary"]["se_2d"]["peak_rss_mb"]
     assert rss["change_won"] == 0  # ties win nothing
     assert (rss["relative_change"], rss["parent_spread"], rss["verdict"]) == (0, 0, "no worse")
+    assert rss["gain"] is False
     # each slot's median over all of a side's chunks: 1.5 and seed + bonus + 0.5, three times
     assert doc["summary"]["se_2d"]["chunk_median_s"] == {
         "0:beampattern": {"parent": 6.0, "change": 8.5},
@@ -111,6 +112,29 @@ def test_verdict_against_the_bound(better, parent, change, verdict):
             for side, value in zip(("parent", "change"), values)]
     metrics = [{"name": "m", "better": better, "bound": 0.25}]
     assert bench_pairs.summarize(runs, metrics)["w"]["m"]["verdict"] == verdict
+
+
+@pytest.mark.parametrize("better, parent, change, gain", [
+    # 10 pairs; the parent's median is 102 and its q1..q3 101..103, a spread of 2
+    ("higher", [100 + i % 5 for i in range(10)], [104 + i % 5 for i in range(10)], True),
+    # the median gains 2, no more than the spread, though every pair is won
+    ("higher", [100 + i % 5 for i in range(10)], [102 + i % 5 for i in range(10)], False),
+    # a large median gain, but 8 of 10 pairs won
+    ("higher", [100 + i % 5 for i in range(10)], [200] * 8 + [0, 0], False),
+    # 9 of 10 pairs won, the median 4.5 better
+    ("higher", [100 + i % 5 for i in range(10)], [105 + i % 5 for i in range(9)] + [0], True),
+    ("lower", [100 + i % 5 for i in range(10)], [96 + i % 5 for i in range(10)], True),
+    ("lower", [100 + i % 5 for i in range(10)], [104 + i % 5 for i in range(10)], False),
+], ids=["gain", "within_spread", "eight_of_ten", "nine_of_ten", "lower_gain", "lower_worse"])
+def test_gain_flag(better, parent, change, gain):
+    """The gain flag holds when the change won at least 9 of 10 pairs and its
+    median beats the parent's by more than the parent's q3 - q1."""
+    runs = [{"workload": "w", "pair": i, "side": side,
+             "result": {"metrics": {"m": {"value": value}}}}
+            for i, values in enumerate(zip(parent, change))
+            for side, value in zip(("parent", "change"), values)]
+    metrics = [{"name": "m", "better": better, "bound": 0.25}]
+    assert bench_pairs.summarize(runs, metrics)["w"]["m"]["gain"] is gain
 
 
 @pytest.mark.parametrize("stand_in", ["wrong_commit", "not_git", "edited"])

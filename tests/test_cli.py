@@ -387,6 +387,12 @@ _SE_SMALL_GRID = ["se", "--trials", "12", "--power_dbm_values", "20",
     ["depth", "--focus_m", "5e-324", "--frequency_ghz", "1e-300", "--spacing_m", "0.01",
      "--num_subarrays", "1"],
     ["localize", "--trials", "1", "--distance_max_m", "1e300"],
+    ["cutline", "--frequency_ghz", "5e-324", "--focus_m", "30"],
+    ["localize", "--trials", "1", "--angle_step_rad", "5e-324"],
+    ["localize", "--trials", "1", "--angle_step_rad", "1e-12"],
+    ["se", "--trials", "1", "--angle_step_rad", "1e-12", "--include_2d", "false"],
+    ["se", "--trials", "1", "--distance_step_m", "5e-324"],
+    ["se", "--trials", "1", "--distance_step_m", "1e-12"],
 ], ids=["reversed_range", "design_grid", "angle_bounds", "one_subarray",
         "one_snapshot", "repeated_sweep_value", "nan_focus", "nan_design_focus", "inf_depth",
         "nan_noise", "minus_inf_noise", "nan_threshold", "inf_in_float_list",
@@ -396,11 +402,34 @@ _SE_SMALL_GRID = ["se", "--trials", "12", "--power_dbm_values", "20",
         "se_users_beside_grid", "unknown_sweep_variable", "aperture_square_overflow",
         "cutline_beamwidth_underflow", "design_beamwidth_underflow", "cutline_tiny_focus",
         "design_tiny_focus", "beampattern_tiny_focus", "depth_tiny_focus",
-        "depth_focus_half_underflow", "user_distance_square_overflow"])
-def test_bad_inputs_are_config_errors(argv, capsys):
-    """Inputs the library rejects are reported as config errors before any work."""
+        "depth_focus_half_underflow", "user_distance_square_overflow",
+        "cutline_wavelength_overflow", "localize_angle_step_underflow",
+        "localize_angle_grid_beyond_memory", "se_angle_grid_beyond_memory",
+        "se_distance_step_underflow", "se_2d_grid_beyond_memory"])
+def test_bad_inputs_are_config_errors(argv, capsys, request):
+    """Inputs the library rejects are reported as config errors before any
+    work; some of them with the message pinned in _CONFIG_ERROR_MESSAGES."""
     assert main([*argv, "--out", "/dev/null"]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert _CONFIG_ERROR_MESSAGES.get(request.node.callspec.id, "") in err
+
+
+# the part of the message a case of test_bad_inputs_are_config_errors must
+# print: a 5e-324 GHz carrier once blamed "wavelength * frequency must equal
+# the speed of light", and an angle step of 5e-324 rad ended in a ValueError
+# traceback
+_CONFIG_ERROR_MESSAGES = {
+    "cutline_wavelength_overflow":
+        "carrier frequency 4.94065646e-315 Hz and wavelength inf m must be finite",
+    "localize_angle_step_underflow": "the 1D steering matrix of 4 elements at an angle "
+                                     "step of 5e-324 rad needs inf GiB, more than the",
+    "localize_angle_grid_beyond_memory": "GiB of physical memory",
+    "se_angle_grid_beyond_memory": "GiB of physical memory",
+    "se_distance_step_underflow": "the 2D grid of 64 elements at an angle step of 0.002 rad "
+                                  "and a distance step of 5e-324 m needs inf GiB",
+    "se_2d_grid_beyond_memory": "GiB of physical memory",
+}
 
 
 @pytest.mark.parametrize("argv, needed", [
@@ -465,8 +494,9 @@ def test_closed_forms_take_any_subarray_count(argv, tmp_path):
 # plausible ones. Sizes stay small: every points key, trials, snapshots, the
 # array shape, the chain length, the sweep lists and the grid steps are
 # always set from the small pools. A positive step there is at least 0.05 rad
-# or 0.5 m (or 1e300), so no angle or 2D grid grows large; finer steps ask
-# for grids of up to 6e323 angles.
+# or 0.5 m (or 1e300), so no angle or 2D grid grows large, or one so fine
+# (1e-12 or 5e-324) that its grid exceeds any host's memory and is refused
+# before it is built.
 _SPECIAL = ("5e-324", "1e300", "0", "-1", "-5e-324")
 _PLAUSIBLE = {
     "frequency_ghz": ("15", "100"), "spacing_m": ("0.01",), "gap_m": ("0.5",),
@@ -482,8 +512,8 @@ _SIZED = {
     "num_subarrays": ("1", "2", "4"), "antennas_per_subarray": ("1", "2", "16"),
     "antenna_counts": ("1", "2,64", "64"), "sweep_values": ("2", "4,16", "2,3"),
     "include_2d": ("true", "false"),
-    "angle_step_rad": ("0.05", "1", "4", "0", "-1", "1e300"),
-    "distance_step_m": ("0.5", "2", "0", "-1", "1e300"),
+    "angle_step_rad": ("0.05", "1", "4", "0", "-1", "1e300", "1e-12", "5e-324"),
+    "distance_step_m": ("0.5", "2", "0", "-1", "1e300", "1e-12", "5e-324"),
 }
 
 
@@ -526,6 +556,8 @@ def _unwritten(command, cfg, record):
 @example(argv=["design", "--focus_m=5e-324", "--aperture_m=2"])
 @example(argv=["beampattern", "--focus_m=5e-324", "--x_points=3", "--z_points=3"])
 @example(argv=["depth", "--focus_m=5e-324"])
+@example(argv=["localize", "--trials=1", "--angle_step_rad=5e-324"])
+@example(argv=["se", "--trials=1", "--distance_step_m=5e-324", "--angle_step_rad=0.05"])
 @example(argv=["depth", "--spacing_m=1e300", "--num_subarrays=1", "--aperture_m=0.003",
                "--focus_m=7.3", "--include_exact=true"])
 @example(argv=["design", "--frequency_ghz=1e-300", "--spacing_m=1e-300", "--aperture_m=0.01",

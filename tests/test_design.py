@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlabeam import (Carrier, DesignInput, InfeasibleArrayError, count_peaks,
-                     design_num_arrays, spacing_for_aperture)
+from mlabeam import (Carrier, DesignInput, DesignResult, InfeasibleArrayError, ModularArray,
+                     count_peaks, crossrange_gain, design_num_arrays, half_power_beamwidth,
+                     spacing_for_aperture)
+from mlabeam import design
 
 LAM = Carrier.from_wavelength(0.02)
 
@@ -80,6 +83,12 @@ def test_count_peaks_matches_loop(samples, prominence, scale, wiggle):
     small ramp breaks the generator's plateaus into near-plateaus."""
     y = scale * (np.asarray(samples) + wiggle * np.arange(len(samples)))
     assert count_peaks(y, prominence * scale) == _count_peaks_loop(y, prominence * scale)
+    # stacked with its reverse, a constant row and its cumulative maxima, each
+    # row counts as it does alone
+    rows = np.stack([y, y[::-1], np.full(y.size, y[0]), np.maximum.accumulate(y)])
+    counts = count_peaks(rows.reshape(2, 2, -1), prominence * scale)
+    assert counts.shape == (2, 2)
+    assert counts.ravel().tolist() == [_count_peaks_loop(r, prominence * scale) for r in rows]
 
 
 def test_count_one_ulp_top_pair():
@@ -96,6 +105,74 @@ def test_count_rise_ulp_pair_fall_is_one_peak(rise, fall, top):
     """Values rising to a top pair one ulp apart and then falling are one peak."""
     y = [*sorted(rise), top, np.nextafter(top, np.inf), *sorted(fall, reverse=True)]
     assert count_peaks(y) == 1
+
+
+def _design_loop(inp):
+    # the per-L search design_num_arrays replaced, kept as its reference: one
+    # crossrange_gain and one 1D count_peaks per even L
+    d = inp.element_spacing
+    bw = half_power_beamwidth(ModularArray.ula(inp.elements_per_subarray, d), inp.focus,
+                              inp.carrier)
+    xs = np.linspace(-bw / 2, bw / 2, inp.grid_points)
+    trace = []
+    for L in itertools.count(2, 2):
+        try:
+            gap = spacing_for_aperture(inp.aperture, L, inp.elements_per_subarray, d)
+        except InfeasibleArrayError:
+            if not trace:
+                raise
+            break
+        mla = ModularArray(L, inp.elements_per_subarray, d, gap)
+        peaks = count_peaks(crossrange_gain(mla, inp.focus, xs, inp.carrier)[0])
+        assert isinstance(peaks, int)
+        trace.append((L, peaks))
+        if peaks == 1:
+            break
+    return DesignResult(mla.num_subarrays, mla.gap, peaks,
+                        mla.num_elements * d >= inp.aperture or peaks > 1, trace)
+
+
+@st.composite
+def _design_inputs(draw):
+    carrier = Carrier.from_frequency(draw(st.sampled_from([3e9, 15e9, 28e9])))
+    spacing = draw(st.sampled_from([None, carrier.wavelength / 4, 0.01]))
+    d = carrier.wavelength / 2 if spacing is None else spacing
+    n = draw(st.integers(1, 64))
+    # apertures from just over one sub-array to 150 sub-arrays wide
+    aperture = n * d * draw(st.floats(1.01, 150.0))
+    needed = math.ceil(1 + 1.77 * aperture / (2 * n * d))
+    return DesignInput(aperture, draw(st.floats(0.5, 80.0)), n, carrier, spacing,
+                       draw(st.integers(max(16, needed), max(16, needed) + 400)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inp=_design_inputs())
+def test_design_matches_per_count_loop(inp):
+    """The blocked search gives the per-L loop's result: the same count, gap,
+    peaks, fill flag and trace, or the same InfeasibleArrayError."""
+    try:
+        expected = _design_loop(inp)
+    except InfeasibleArrayError:
+        with pytest.raises(InfeasibleArrayError):
+            design_num_arrays(inp)
+        return
+    assert design_num_arrays(inp) == expected
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_design_does_not_depend_on_block_size(block, monkeypatch):
+    """Blocks of 1 and 3 counts give the 32-count blocks' results, over the
+    README design's antenna counts, the guard-limited wide aperture and two
+    searches that stop at one peak inside their second 32-count block."""
+    inputs = [DesignInput(2.0, 30.0, n, LAM, spacing=0.01) for n in (1, 2, 4, 8, 16, 32, 64)]
+    inputs += [DesignInput(3.0, 2.0, 16, Carrier.from_frequency(15e9)),
+               DesignInput(2.59, 27.1, 1, Carrier.from_frequency(15e9)),
+               DesignInput(2.57, 1.8, 3, Carrier.from_frequency(28e9))]
+    expected = [design_num_arrays(inp) for inp in inputs]
+    assert [(r.num_subarrays, r.single_peak, r.aperture_filled) for r in expected[-2:]] == [
+        (116, True, False), (74, True, False)]
+    monkeypatch.setattr(design, "_BLOCK_COUNTS", block)
+    assert [design_num_arrays(inp) for inp in inputs] == expected
 
 
 def test_design_n64_needs_two():

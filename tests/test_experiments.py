@@ -241,6 +241,27 @@ def test_records_csv_round_trip(tmp_path_factory, records):
                                                  for r in records]
 
 
+def test_write_csv_rows_match_per_value_format(tmp_path):
+    """One format per row writes what a per-value ",".join(_fmt(v) ...) wrote:
+    int columns as %d, 64-bit seeds included, and float columns as %.17g,
+    -0.0, NaN, the smallest subnormal and 1e300 included; for figure columns
+    and for records alike."""
+    rows = [(-0.0, 2**64 - 1, math.nan, 0), (5e-324, 2**63, 1e300, -7),
+            (math.inf, 1, -math.inf, 2**53 + 1), (0.1, 0, 1.0, 3)]
+    path = tmp_path / "t.csv"
+    experiments._write_csv(path, ["c"], ["a", "b", "c", "d"], (float, int, float, int), rows,
+                           ["f"])
+    assert path.read_text().splitlines() == [
+        "# c", "a,b,c,d", *(",".join(experiments._fmt(v) for v in row) for row in rows), "# f"]
+    records = [ExperimentRecord(-0.0, 0, 2**64 - 1, math.nan, 1e300, 5e-324, -5e-324, 0.1,
+                                math.inf, -math.inf, 2.0, 3.0, math.nan, 1.0, 1),
+               ExperimentRecord(1e-300, 7, 2**63, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0,
+                                10.0, 11.0, 0)]
+    write_records_csv(str(path), experiments.ExperimentResult(_config(), records, []))
+    assert path.read_text().splitlines()[2:] == [
+        ",".join(experiments._fmt(v) for v in dataclasses.astuple(r)) for r in records]
+
+
 def test_records_do_not_depend_on_batch_size(monkeypatch):
     """The 2D search runs as one batch of all the sweep's kept trials, so
     trials=3 and trials=7 batch differently; the shared trials must not move.
@@ -327,6 +348,29 @@ def test_grid_span_edges_are_inside():
     _config(angle_bounds_deg=(-edge, edge),
             distance_bounds=(localization._GRID_NEAR, localization._GRID_FAR)).check_grid_span()
     _config().check_grid_span()
+
+
+def test_2d_grid_beyond_memory_is_refused(monkeypatch):
+    """check_grid_span refuses a 2D grid that exceeds the physical memory.
+    Its estimate is a lower bound of the bytes the grid stores, within 10 %:
+    a host with exactly those bytes passes, one with 10 % less is refused."""
+    se = dict(sweep_variable="power", sweep_values=(0.1,))
+    _config(**se).check_grid_span()  # README's se sample, about 0.5 GB
+    for step in (5e-324, 1e-12):
+        with pytest.raises(ValueError, match="GiB of physical memory"):
+            _config(distance_step=step, **se).check_grid_span()
+    cfg = _config(angle_step=0.02, distance_step=0.5, **se)
+    stored = NearFieldGrid(cfg.array_for(4, 16), CAR, localization.centered_angle_grid(0.02),
+                           localization.default_distance_grid(0.5)).matrix.nbytes
+    page = os.sysconf("SC_PAGE_SIZE")
+    for memory, fits in ((stored, True), (0.9 * stored, False)):
+        monkeypatch.setattr(experiments.os, "sysconf", lambda name, pages=memory / page: (
+            pages if name == "SC_PHYS_PAGES" else page))
+        if fits:
+            cfg.check_grid_span()
+        else:
+            with pytest.raises(ValueError, match="GiB of physical memory"):
+                cfg.check_grid_span()
 
 
 def test_records_do_not_depend_on_blas_threads(tmp_path):
@@ -447,6 +491,11 @@ def test_config_validation(monkeypatch):
         with pytest.raises(ValueError):
             _config(**steps)
     power_sweep = dict(sweep_variable="power", sweep_values=(0.1,), trials=1)
+    # an angle step whose 1D steering matrix exceeds any host's memory
+    for step in (5e-324, 1e-12):
+        for sweep in ({}, power_sweep):
+            with pytest.raises(ValueError, match="GiB of physical memory"):
+                _config(angle_step=step, **sweep)
     for noise in (0.0, -1e-11):
         with pytest.raises(ValueError):
             run_se_sweep(_config(noise_power=noise, **power_sweep), include_2d=False)

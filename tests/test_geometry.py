@@ -17,6 +17,18 @@ def test_carrier_consistency():
         Carrier(15e9, 0.5)
 
 
+@pytest.mark.parametrize("make", [lambda: Carrier.from_frequency(5e-324),
+                                  lambda: Carrier.from_wavelength(math.inf),
+                                  lambda: Carrier(math.nan, math.nan)],
+                         ids=["wavelength_overflow", "infinite_wavelength", "nan"])
+def test_carrier_must_be_finite(make):
+    """A carrier whose frequency or wavelength is not finite is refused as
+    such, before the speed-of-light relation is checked; a NaN carrier once
+    passed every check."""
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
+
 def test_element_positions_small():
     # L=2, N=2, delta=0.01, gap=1: outer pair at +-0.51, inner at +-0.50
     mla = ModularArray(2, 2, 0.01, 1.0)

@@ -31,6 +31,11 @@ a verdict against the metric's bound in BENCHMARK.json:
 - otherwise ``better`` when the median is better by more than the bound;
 - otherwise ``no worse``.
 
+Each metric's summary also has a ``gain`` flag, the rule for claiming a gain:
+it holds when the checkout won at least nine tenths of the pairs (ties win
+nothing) and its median beats the parent's by more than the parent's
+q3 - q1. The verdict stays the test for a regression.
+
 Each workload's summary also gives every chunk slot's median seconds per
 side (``chunk_median_s``, keyed by slot as in ``chunk_seconds``, e.g.
 ``"0:beampattern"``), which shows which chunk a change in its rate moved.
@@ -94,7 +99,7 @@ def run_once(side: str, root: Path, workload: str, seed: int, seconds: int) -> d
 
 def summarize(runs: list, metrics: list) -> dict:
     """{workload: {metric: per-side median, q1, q3, pairs won, relative
-    change, parent spread and verdict}} over the pairs that have both sides;
+    change, parent spread, verdict and gain}} over the pairs that have both sides;
     metrics are BENCHMARK.json's end_to_end entries. A workload whose runs
     recorded chunk_seconds also gets "chunk_median_s": {slot: {side: median
     of every chunk time of that slot in that side's runs}}."""
@@ -132,7 +137,11 @@ def summarize(runs: list, metrics: list) -> dict:
                 verdict = "better"
             else:
                 verdict = "no worse"
-            entry.update(relative_change=relative, parent_spread=spread, verdict=verdict)
+            gain = (10 * won >= 9 * len(pairs)
+                    and sign * (entry["change"]["median"] - parent["median"])
+                    > parent["q3"] - parent["q1"])
+            entry.update(relative_change=relative, parent_spread=spread, verdict=verdict,
+                         gain=gain)
             summary[workload][metric] = entry
         chunks = {}
         for p in pairs:
