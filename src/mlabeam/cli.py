@@ -5,11 +5,11 @@ mirror the config keys and win over the file. All unit-bearing keys carry the
 unit in their name (frequency_ghz, power_dbm, aperture_m, ...) and are
 converted to SI/watts/radians exactly once, here.
 
-Exit codes: 0 success, 2 config error, 3 infeasible design, 4 numerical
-degeneracy, 5 I/O error. Config errors are raised where config values become
-library inputs; any other exception is a bug and propagates. Every float
-value must be finite, and every gain column a figure command writes must lie
-in [0, 1], up to 1e-9 above 1 for rounding, before its file is opened.
+main returns the exit codes of README's exit-code table. Config errors are
+raised where config values become library inputs; any other exception is a
+bug and propagates. Every float value must be finite, and every gain column a
+figure command writes must lie in [0, 1], up to 1e-9 above 1 for rounding,
+before its file is opened.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .gain import (GainRangeError, NullNotFoundError, crossrange_gain, focus_cha
                    gain_exact_sweep, gain_mla_fresnel, half_power_beamwidth)
 from .geometry import Carrier, InfeasibleArrayError, ModularArray, spacing_for_aperture
 from .localization import DegenerateSubspaceError, IllConditionedTriangulationError
+from .numerics import _check_fits
 
 
 class ConfigError(ValueError):
@@ -250,6 +251,8 @@ def _samples(cfg: dict, lo: float, hi: float, axis: str, spacing=np.linspace) ->
     points = cfg[f"{axis}_points"]
     if points > 1 and not lo < hi:
         raise ConfigError(f"'{axis}_min_m' must be below '{axis}_max_m' ({lo!r} >= {hi!r})")
+    with _input_boundary():
+        _check_fits(8 * points, f"the {axis} axis of {points} samples")
     return spacing(lo, hi, points)
 
 
@@ -268,6 +271,10 @@ def _write_figure(out: str, comments: list, columns: dict, gains: tuple = ()) ->
 
 def _cmd_beampattern(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg)
+    # the meshgrid's x and z and the gains: three float64 per source
+    with _input_boundary():
+        _check_fits(24 * cfg["x_points"] * cfg["z_points"],
+                    f"the {cfg['x_points']} x {cfg['z_points']} source grid")
     # symmetric x samples make the sweep's mirror grouping pay on a symmetric range
     xs = _samples(cfg, cfg["x_min_m"], cfg["x_max_m"], "x", _centered_linspace)
     zs = _samples(cfg, cfg["z_min_m"], cfg["z_max_m"], "z",
@@ -285,7 +292,7 @@ def _cmd_cutline(cfg: dict, out: str) -> int:
     with _input_boundary():
         bw = half_power_beamwidth(mla, focus, carrier)
     halfwidth = cfg["x_halfwidth_m"] if cfg["x_halfwidth_m"] is not None else bw
-    xs = np.linspace(-halfwidth, halfwidth, cfg["x_points"])
+    xs = _samples(cfg, -halfwidth, halfwidth, "x")
     g, env = crossrange_gain(mla, focus, xs, carrier)
     _write_figure(out, [_config_comment(cfg), f"halfpower_beamwidth_m: {bw!r}"],
                   {"x_m": xs, "gain": g, "envelope": env,

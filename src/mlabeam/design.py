@@ -19,6 +19,7 @@ from .geometry import Carrier, InfeasibleArrayError, ModularArray, spacing_for_a
 # perfbench/tracing.py wraps it under this module's name
 from .gain import (_crossrange_factors, _squared_array_factor, crossrange_gain,
                    half_power_beamwidth)
+from .numerics import _check_fits
 
 # Peaks shallower than this are treated as numerical ripple. Genuine lobes of
 # the cosine-modulated envelope are two orders of magnitude more prominent.
@@ -83,6 +84,8 @@ class DesignInput:
             raise ValueError("aperture, focus and element count must be positive")
         if self.grid_points < 16:
             raise ValueError("need at least 16 grid points")
+        # the window's samples alone are grid_points float64
+        _check_fits(8 * self.grid_points, f"a half-power window of {self.grid_points} grid points")
         if self.elements_per_subarray * self.element_spacing >= self.aperture:
             raise ValueError("one sub-array already exceeds the aperture")
         # the window is 1.77 F lambda / (2 N delta) wide and the aperture's

@@ -16,7 +16,6 @@ import hashlib
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .localization import (_GRID_FAR, _GRID_HALFWIDTH, _GRID_NEAR, DegenerateSub
                            centered_angle_grid, default_angle_grid, default_distance_grid,
                            locate, music_2d, near_steering, principal_eigenvectors,
                            synthesize_snapshots, triangulate)
-from .numerics import _blas_pinned
+from .numerics import _blas_pinned, _check_fits
 
 _USER_STREAM = 0
 _SNAPSHOT_STREAM = 1
@@ -42,19 +41,6 @@ def derive_trial_seed(base_seed: int, trial: int, stream: int = 0) -> int:
     """
     digest = hashlib.sha256(trial.to_bytes(8, "big") + stream.to_bytes(2, "big")).digest()
     return (int(base_seed) ^ int.from_bytes(digest[:8], "big")) & 0xFFFFFFFFFFFFFFFF
-
-
-def _check_fits(nbytes: float, what: str) -> None:
-    """Raise ValueError, before any allocation, if nbytes (inf when it
-    overflows) exceed the physical memory; no check where the platform does
-    not report it."""
-    try:
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return
-    if not nbytes <= memory:
-        raise ValueError(f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
-                         f"{memory / 2**30:.3g} GiB of physical memory")
 
 
 @dataclass(frozen=True)

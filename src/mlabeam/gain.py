@@ -305,14 +305,15 @@ def half_power_beamwidth(mla: ModularArray, focus: float, carrier: Carrier) -> f
     """Cross-range width of the envelope's half-power region: 1.77 * F / N at
     half-wavelength spacing, inversely proportional to the spacing otherwise.
 
-    Raises ValueError when the width is not a finite number, as when the
-    spacing in wavelengths underflows to 0 in float64.
+    Raises ValueError when the width is not a finite number above 0, as when
+    the spacing in wavelengths underflows to 0 in float64, or the width does.
     """
     ratio = 2 * mla.spacing / carrier.wavelength
     width = 1.77 * focus / mla.elements_per_subarray / ratio if ratio > 0 else math.inf
-    if not math.isfinite(width):
+    if not 0 < width < math.inf:
         raise ValueError(f"a spacing of {mla.spacing!r} m at a {carrier.wavelength!r} m "
-                         f"wavelength and a {focus!r} m focus has no finite half-power beamwidth")
+                         f"wavelength and a {focus!r} m focus has no finite half-power "
+                         "beamwidth above 0")
     return width
 
 

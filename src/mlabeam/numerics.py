@@ -86,6 +86,19 @@ def _run_blocks(task, num_blocks: int) -> list:
             return [future.result() for future in futures]
 
 
+def _check_fits(nbytes: float, what: str) -> None:
+    """Raise ValueError, before any allocation, if nbytes (inf when it
+    overflows) exceed the physical memory; no check where the platform does
+    not report it."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if not nbytes <= memory:
+        raise ValueError(f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
+                         f"{memory / 2**30:.3g} GiB of physical memory")
+
+
 def fresnel_cs(u):
     """Fresnel integrals C(u) = int_0^u cos(pi t^2 / 2) dt and S likewise.
 

@@ -7,7 +7,6 @@ here and not only in a benchmark run.
 """
 
 import dataclasses
-import importlib.util
 import math
 from pathlib import Path
 
@@ -16,6 +15,8 @@ import numpy as np
 from mlabeam import (Carrier, NearFieldGrid, TrialConfig, dbm_to_watts,
                      run_localization_experiment, run_se_sweep)
 from mlabeam.localization import default_angle_grid
+
+from pathload import load_file
 
 _CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 
@@ -27,14 +28,7 @@ CONFIG = TrialConfig(aperture=2.0, num_subarrays=4, elements_per_subarray=16,
 ANGLE_POINTS = default_angle_grid(CONFIG.angle_step).size
 
 
-def _load_checks():
-    spec = importlib.util.spec_from_file_location("perfbench_checks", _CHECKS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-checks = _load_checks()
+checks = load_file("perfbench_checks", _CHECKS)
 
 
 def test_localization_sweep_passes_checks(tmp_path):

@@ -1,16 +1,15 @@
 """tools/bench_pairs.py on stand-in checkouts whose run.py prints a fixed result."""
 
-import importlib.util
 import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
+from pathload import load_file
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+bench_pairs = load_file("bench_pairs", TOOL)
 
 FAKE_RUN = '''import json
 import sys

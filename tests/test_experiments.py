@@ -364,7 +364,7 @@ def test_2d_grid_beyond_memory_is_refused(monkeypatch):
                            localization.default_distance_grid(0.5)).matrix.nbytes
     page = os.sysconf("SC_PAGE_SIZE")
     for memory, fits in ((stored, True), (0.9 * stored, False)):
-        monkeypatch.setattr(experiments.os, "sysconf", lambda name, pages=memory / page: (
+        monkeypatch.setattr(numerics.os, "sysconf", lambda name, pages=memory / page: (
             pages if name == "SC_PHYS_PAGES" else page))
         if fits:
             cfg.check_grid_span()

@@ -432,11 +432,14 @@ def test_half_power_beamwidth_value():
     assert env == pytest.approx(0.5, abs=0.01)
 
 
-@pytest.mark.parametrize("spacing, focus", [(1e-300, 30.0), (1e-300, 1.0), (0.001, 1e308)])
+@pytest.mark.parametrize("spacing, focus", [(1e-300, 30.0), (1e-300, 1.0), (0.001, 1e308),
+                                             (1e150, 1e-180)])
 def test_half_power_beamwidth_must_be_finite(spacing, focus):
     """A spacing of 1e-300 m against a 3e299 m wavelength underflows to 0
-    wavelengths (once a ZeroDivisionError), and a 1e308 m focus at a spacing
-    of a twentieth of a wavelength overflows the width: each is a ValueError."""
+    wavelengths (once a ZeroDivisionError), a 1e308 m focus at a spacing of a
+    twentieth of a wavelength overflows the width, and a 1e-180 m focus at a
+    1e150 m spacing underflows it to 0 (a cut of one point, repeated): each is
+    a ValueError."""
     carrier = Carrier.from_frequency(1e-291) if spacing < 1e-200 else LAM
     with pytest.raises(ValueError, match="no finite half-power beamwidth"):
         half_power_beamwidth(ModularArray.ula(4, spacing), focus, carrier)

@@ -42,6 +42,13 @@ def readme_samples() -> dict:
     return samples
 
 
+def readme_exit_codes() -> set:
+    """The codes in the first column of README's exit-code table."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Exit codes\n", 1)[1].split("\n#", 1)[0]
+    return {int(code) for code in re.findall(r"^\| (\d+) \|", section, re.M)}
+
+
 def test_every_readme_sample_is_pinned():
     assert sorted(readme_samples()) == sorted(SHA256)
 

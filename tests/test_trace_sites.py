@@ -10,27 +10,16 @@ copies of README sample configs, read here and never written.
 """
 
 import importlib
-import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
+from pathload import load_file
 from test_samples import readme_samples
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  _PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # a dataclass looks up its module as it is made
-    spec.loader.exec_module(module)
-    return module
-
-
-tracing = _load("tracing")
+tracing = load_file("perfbench_tracing", _PERFBENCH / "tracing.py")
 
 
 def _site_function(module_name, path):
@@ -52,7 +41,7 @@ def test_workloads_import(monkeypatch):
     name, as perfbench/run.py's workers do with perfbench/ on sys.path."""
     monkeypatch.syspath_prepend(str(_PERFBENCH))
     try:
-        workloads = _load("workloads")
+        workloads = load_file("perfbench_workloads", _PERFBENCH / "workloads.py")
     finally:
         for name in ("checks", "tracing"):
             sys.modules.pop(name, None)
