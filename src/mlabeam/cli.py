@@ -27,8 +27,8 @@ import numpy as np
 from .channel import dbm_to_watts
 from .design import DesignInput, design_num_arrays
 from .experiments import TrialConfig, _write_csv, run_localization_experiment, run_se_sweep
-from .gain import (GainRangeError, NullNotFoundError, crossrange_gain, focus_chain,
-                   gain_exact_sweep, gain_mla_fresnel, half_power_beamwidth)
+from .gain import (GainRangeError, NullNotFoundError, check_sources, crossrange_gain,
+                   focus_chain, gain_exact_sweep, gain_mla_fresnel, half_power_beamwidth)
 from .geometry import Carrier, InfeasibleArrayError, ModularArray, spacing_for_aperture
 from .localization import DegenerateSubspaceError, IllConditionedTriangulationError
 from .numerics import _check_fits
@@ -280,7 +280,10 @@ def _cmd_beampattern(cfg: dict, out: str) -> int:
     zs = _samples(cfg, cfg["z_min_m"], cfg["z_max_m"], "z",
                   np.geomspace if cfg["log_z"] else np.linspace)
     X, Z = np.meshgrid(xs, zs)
-    gains = gain_exact_sweep(mla, X, Z, _focus(cfg, carrier), carrier)
+    focus = _focus(cfg, carrier)
+    with _input_boundary():
+        check_sources(mla, X, Z)
+    gains = gain_exact_sweep(mla, X, Z, focus, carrier)
     _write_figure(out, [_config_comment(cfg)], {"z_m": Z, "x_m": X, "gain": gains}, ("gain",))
     print(f"wrote {gains.size} gain samples to {out}")
     return 0
@@ -302,15 +305,32 @@ def _cmd_cutline(cfg: dict, out: str) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _closed_form_range():
+    """Refuse as a config error the inputs at which the closed-form gains
+    overflow, divide by zero or reach an invalid value in float64; an
+    underflow that leaves a sample at its limit is not refused."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(f"the closed-form gain leaves float64 at this focus, spacing and "
+                          f"depth window ({exc})") from exc
+
+
 def _cmd_depth(cfg: dict, out: str) -> int:
     mla, carrier = _resolve_array(cfg)
-    foci = focus_chain(mla, _focus(cfg, carrier), carrier, cfg["chain"], cfg["depth_threshold"])
-    z_lo = cfg["z_min_m"] if cfg["z_min_m"] is not None else foci[0] / 2
-    z_hi = cfg["z_max_m"] if cfg["z_max_m"] is not None else foci[-1] * 2.5
-    zs = _samples(cfg, z_lo, z_hi, "z")
-    columns = {f"gain_focus_{i}": gain_mla_fresnel(mla, f, zs, carrier)
-               for i, f in enumerate(foci, start=1)}
+    focus = _focus(cfg, carrier)
+    with _closed_form_range():
+        foci = focus_chain(mla, focus, carrier, cfg["chain"], cfg["depth_threshold"])
+        z_lo = cfg["z_min_m"] if cfg["z_min_m"] is not None else foci[0] / 2
+        z_hi = cfg["z_max_m"] if cfg["z_max_m"] is not None else foci[-1] * 2.5
+        zs = _samples(cfg, z_lo, z_hi, "z")
+        columns = {f"gain_focus_{i}": gain_mla_fresnel(mla, f, zs, carrier)
+                   for i, f in enumerate(foci, start=1)}
     if cfg["include_exact"]:
+        with _input_boundary():
+            check_sources(mla, np.zeros_like(zs), zs)
         columns |= {f"exact_focus_{i}": gain_exact_sweep(mla, np.zeros_like(zs), zs, f, carrier)
                     for i, f in enumerate(foci, start=1)}
     _write_figure(out, [_config_comment(cfg), "foci_m: " + ",".join(repr(f) for f in foci)],

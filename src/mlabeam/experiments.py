@@ -138,10 +138,10 @@ class TrialConfig:
             raise ValueError(f"user bounds reach outside the 2D grid's span, +-"
                              f"{math.degrees(_GRID_HALFWIDTH):.4g} deg about broadside and "
                              f"{_GRID_NEAR!r} to {_GRID_FAR!r} m")
-        # complex64 rows, at least half the angles by every distance
+        # two int16 parts per element, at least half the angles by every distance
         elements = self.num_subarrays * self.elements_per_subarray
         _check_fits(_GRID_HALFWIDTH / self.angle_step * (_GRID_FAR - _GRID_NEAR)
-                    / self.distance_step * elements * 8,
+                    / self.distance_step * elements * 4,
                     f"the 2D grid of {elements} elements at an angle step of "
                     f"{self.angle_step!r} rad and a distance step of {self.distance_step!r} m")
 

@@ -25,6 +25,13 @@ _DEFAULT_RULE = gauss_legendre_rule(8)
 # buffers of this many samples, 1 MB in all, which stay small beside the
 # process; results do not depend on the block size.
 _SWEEP_BLOCK_SAMPLES = 1 << 15
+# Range of the exact field's lengths (m). A source farther than _MAX_REACH_M
+# from an element leaves float64 in its power z rho2 / (4 pi r2^2 r), whose
+# r2^2 r = r^5 overflows beyond about 4.5e61 m. A spacing or a source depth
+# below _MIN_LENGTH_M can underflow the power of a cell, times its
+# quadrature weight and d^2, to 0: with every length from 1e-20 m to 1e61 m
+# that product stays above 1e-288, a normal float64.
+_MAX_REACH_M, _MIN_LENGTH_M = 1e61, 1e-20
 
 
 class NullNotFoundError(RuntimeError):
@@ -162,14 +169,11 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
     from the amplitude alone (|E|^2 = z rho^2 / (r2^2 r) / (4 pi)). The
     blocks run with BLAS at one thread (numerics._run_blocks), so the bits
     do not depend on the block size, the worker count or the BLAS thread
-    count. Coordinates must be finite, and z positive.
+    count. The sources must pass check_sources.
     """
     rule = rule or _DEFAULT_RULE
     X, Z = np.broadcast_arrays(np.asarray(xs, float), np.asarray(zs, float))
-    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
-        raise ValueError("source coordinates must be finite")
-    if np.any(Z <= 0):
-        raise ValueError("source must be in front of the array (z > 0)")
+    check_sources(mla, X, Z)
     w = matched_filter_weights(mla, focus, carrier, rule).ravel()
     # element positions are antisymmetric and the weights are matched to an
     # on-axis focus, so a source's gain depends on x only through |x|: each
@@ -206,6 +210,31 @@ def gain_exact_sweep(mla: ModularArray, xs, zs, focus: float, carrier: Carrier,
 
     _run_blocks(run, -(-xs.size // step))
     return out[inverse].reshape(X.shape)
+
+
+def check_sources(mla: ModularArray, xs, zs) -> None:
+    """Raise ValueError unless gain_exact_sweep's field stays in float64 for
+    sources at the coordinates (x, 0, z): finite, z positive, every source
+    within _MAX_REACH_M of every element cell, and the element spacing and
+    the smallest z at least _MIN_LENGTH_M."""
+    X, Z = np.asarray(xs, float), np.asarray(zs, float)
+    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
+        raise ValueError("source coordinates must be finite")
+    if np.any(Z <= 0):
+        raise ValueError("source must be in front of the array (z > 0)")
+    if X.size == 0 or Z.size == 0:
+        return
+    d = mla.spacing
+    reach = math.hypot(float(np.abs(X).max()) + float(np.abs(element_positions(mla)).max())
+                       + d / 2, float(Z.max()), d / 2)
+    if not reach <= _MAX_REACH_M:
+        raise ValueError(f"sources reach {reach:.3g} m from the array's elements, beyond the "
+                         f"{_MAX_REACH_M:g} m where the exact field's r^5 leaves float64")
+    z_min = float(Z.min())
+    if not min(d, z_min) >= _MIN_LENGTH_M:
+        raise ValueError(f"an element spacing of {d!r} m and a smallest source depth of "
+                         f"{z_min!r} m must both be at least {_MIN_LENGTH_M:g} m, or the "
+                         "exact field's power can underflow to 0")
 
 
 def _distinct_pairs(a: np.ndarray, b: np.ndarray):

@@ -25,6 +25,9 @@ _BLOCK_PRODUCT_BYTES = 1 << 21
 _GRID_HALFWIDTH, _GRID_NEAR, _GRID_FAR = 1.1, 3.8, 40.2
 # float32 unit roundoff, the unit of the 2D screen's error bound
 _U32 = 2.0**-24
+# Fixed-point scale of the 2D grid's stored parts: a part v in [-1, 1] is
+# stored as the int16 rint(_Q * v)
+_Q = 32767
 
 
 class DegenerateSubspaceError(RuntimeError):
@@ -307,8 +310,8 @@ def _mirror_partners(angles, cos_angles, x, k):
 
 
 class NearFieldGrid:
-    """Whole-array steering vectors on an (angle, distance) grid, stored in
-    single precision for the screen of argmax_rank1.
+    """Whole-array steering vectors on an (angle, distance) grid, stored as
+    16-bit fixed point for the screen of argmax_rank1.
 
     Grid points are numbered angle-major: index = angle_index *
     len(distance_grid) + distance_index. When two grid angles mirror each
@@ -316,9 +319,10 @@ class NearFieldGrid:
     centered_angle_grid) and the element positions are antisymmetric, angle j's
     steering vectors are angle i's with the element order reversed (see
     _mirror_partners), so only the lower-indexed angle of each pair is stored.
-    matrix holds the stored angles' rows, angle-major in grid order: about half
-    a gigabyte at the default resolutions, built once and shared across trials.
-    mla and carrier are the array and carrier the grid was built for.
+    matrix holds the stored angles' rows, angle-major in grid order, as int16
+    pairs [Re, Im] per element, each part rint(32767 * v): shape (rows, 2n),
+    about 0.26 GB at the default resolutions, built once and shared across
+    trials. mla and carrier are the array and carrier the grid was built for.
     """
 
     def __init__(self, mla: ModularArray, carrier: Carrier,
@@ -339,26 +343,31 @@ class NearFieldGrid:
         angles = np.arange(self.angle_grid.size)
         self._stored = angles[(self._partner < 0) | (self._partner > angles)]
         gd = self.distance_grid
-        self.matrix = np.empty((self._stored.size * gd.size, self._x.size),
-                               dtype=np.complex64)
+        self.matrix = np.empty((self._stored.size * gd.size, 2 * self._x.size),
+                               dtype=np.int16)
 
         def build_rows(first, stop):
             # exp(-1j*k*r) as float32 cos and sin of the float64 phase -k*r,
             # reduced in float64 to [-pi, pi] (to about 1e-12 rad) and then
-            # rounded to float32, written into the float32 parts of each
-            # stored angle's rows; argmax_rank1's margin covers their error.
-            # turns is also _phase's scratch, free until theta is done
+            # rounded to float32, written into a complex64 buffer, whose
+            # interleaved parts are scaled by 32767, rounded and cast into
+            # each stored angle's rows; argmax_rank1's floor covers their
+            # error. turns is also _phase's scratch, free until theta is done
             theta = np.empty((gd.size, self._x.size))
             turns = np.empty(theta.shape)
             phase = np.empty(theta.shape, dtype=np.float32)
+            entries = np.empty(theta.shape, dtype=np.complex64)
+            parts = entries.view(np.float32)
             for s in range(first, stop):
                 _phase(self._x, self._k, self._cos[self._stored[s]], gd[:, None],
                        out=theta, scratch=turns)
                 np.rint(np.divide(theta, 2 * np.pi, out=turns), out=turns)
                 np.subtract(theta, np.multiply(turns, 2 * np.pi, out=turns), out=phase)
-                rows = self.matrix[s * gd.size:(s + 1) * gd.size]
-                np.cos(phase, out=rows.real)
-                np.sin(phase, out=rows.imag)
+                np.cos(phase, out=entries.real)
+                np.sin(phase, out=entries.imag)
+                np.rint(np.multiply(parts, _Q, out=parts), out=parts)
+                np.copyto(self.matrix[s * gd.size:(s + 1) * gd.size], parts,
+                          casting="unsafe")
 
         _run_blocks(build_rows, self._stored.size)
         # the stored rows of angles without a partner: their Jw scores belong
@@ -379,8 +388,8 @@ class NearFieldGrid:
         angle's partner too, and the Jw scores of angles without a partner,
         which belong to no grid point, are dropped. The blocks are split into
         contiguous ranges over the worker threads (see numerics._run_blocks).
-        That pass only screens: the points whose float32 |u1^H b|^2 lies
-        within twice its worst-case error of the column's float32 best are
+        That pass only screens: the points whose float32 |u1^H b| lies within
+        twice its worst-case error below the column's float32 best are
         rescored in float64 on their steering rows recomputed in float64,
         and the best float64 score wins, the lowest grid index breaking ties.
         So the pick depends only on the grid points: not on how their rows are
@@ -393,34 +402,48 @@ class NearFieldGrid:
         n, batch = w.shape
         if batch == 0:
             return []
-        # The best float64 score s keeps a float32 score of at least the
-        # float32 best minus 2e, if |float32 - float64| <= e at every point.
-        # For unit-modulus rows |p| <= sqrt(n) ||w||, so |d(|p|^2)| is about
-        # 2 sqrt(n) ||w|| |dp|, and e (u = 2**-24) adds up:
-        # - arithmetic: 2n-term real float32 dot products, and the rounding
-        #   of w and of |p|^2: 6 n^2 u ||w||^2;
-        # - storage: a stored entry is within (2 + 2 sqrt(2)) u of its
-        #   float64 value exp(-ikr): rounding the reduced phase to float32
-        #   costs at most 2u on [-pi, pi], and numpy's float32 cos and sin are
-        #   validated to 2 ulp (2u on [-1, 1]) per part. So |dp| <= (2 +
-        #   2 sqrt(2)) u ||w||_1 <= (2 + 2 sqrt(2)) sqrt(n) u ||w||:
-        #   (4 + 4 sqrt(2)) n u ||w||^2, that is 9.66 n u ||w||^2;
+        # The best float64 point keeps a float32 score s with sqrt(s) >=
+        # sqrt(best) - 2 delta, best the column's float32 best, if delta
+        # bounds |sqrt(s) - |p|| at every point, p = u1^H b in float64: its
+        # sqrt(s) is within delta of its |p|, which is at least the |p| of the
+        # float32 best's point, which is within delta of sqrt(best). Each term
+        # of delta is an error per entry of b, times ||w||_1 (u = 2**-24):
+        # - storage: a stored part is rint(32767 v) of a float32 cos or sin v;
+        #   the float32 scaling costs at most 2**-10 of a quantum and the
+        #   rounding 1/2, so each part of the entry q / 32767 is within
+        #   2**-16 + u of v. v is within 2u of the float64 cos or sin of the
+        #   float32 phase (numpy validates its float32 cos and sin to 2 ulp),
+        #   and rounding the reduced phase to float32 costs at most 2u on
+        #   [-pi, pi]. So |q / 32767 - exp(-ikr)| <= sqrt(2) 2**-16 +
+        #   (2 + 3 sqrt(2)) u;
+        # - arithmetic: w / 32767 rounded to float32 (u), 2n-term real float32
+        #   dot products over exact integers (2 sqrt(2) n u for both parts),
+        #   and the squares, their sum and its square root (u);
         # - mirror: a paired angle's reversed row is within u in phase of its
-        #   partner's float64 row (_mirror_partners): 2 n u ||w||^2.
-        # Twice their sum, with 23.3 n rounded up to 24 n for second-order terms
-        # and the float64 rounding and reduction of the phases, is the margin.
-        margin = (12 * n * n + 24 * n) * _U32 * (w.real**2 + w.imag**2).sum(axis=0)
+        #   partner's float64 row (_mirror_partners): u.
+        # Their sum, sqrt(2) 2**-16 + (2.83 n + 9.25) u, with 2.83 n + 9.25
+        # rounded up to 3 n + 10 for second-order terms and the float64
+        # rounding and reduction of the phases, is delta. The floor is relative
+        # to the score: an absolute margin sized for 16-bit entries would keep
+        # most of the grid for a column whose best is small.
+        delta = (math.sqrt(2) * 2.0**-16 + (3 * n + 10) * _U32) * np.abs(w).sum(axis=0)
+
+        def floor_of(best):
+            return np.maximum(np.sqrt(best) - 2 * delta, 0) ** 2
 
         # the complex product [w, Jw] as a real one on the interleaved float32
-        # view of the rows, J reversing the element order: columns [Re p_0,
-        # Im p_0, Re p_1, ...] of row block @ wr, so |p|^2 is one pairwise add
-        # over the squared product
+        # copy of the rows, J reversing the element order, with the 1/32767 of
+        # the stored parts folded into the weights: columns [Re p_0, Im p_0,
+        # Re p_1, ...] of row block @ wr, so |p|^2 is one pairwise add over the
+        # squared product
         width = 2 * batch  # power columns
-        v32 = np.hstack([w, w[::-1]]).astype(np.complex64)
+        v32 = (np.hstack([w, w[::-1]]) / _Q).astype(np.complex64)
         wr = np.empty((2 * n, 2 * width), dtype=np.float32)
         wr[0::2, 0::2], wr[0::2, 1::2] = v32.real, v32.imag
         wr[1::2, 0::2], wr[1::2, 1::2] = -v32.imag, v32.real
-        height = max(1, _BLOCK_PRODUCT_BYTES // (wr.itemsize * 2 * width) // 64) * 64
+        # a block's product and its float32 rows each fit _BLOCK_PRODUCT_BYTES
+        height = max(1, _BLOCK_PRODUCT_BYTES // (wr.itemsize * max(2 * width, 2 * n))
+                     // 64) * 64
         starts = range(0, self.matrix.shape[0], height)
 
         def screen(first, stop):
@@ -428,12 +451,15 @@ class NearFieldGrid:
             # running best and candidates, which it returns; a block's power
             # columns are [w scores, Jw scores], and a row without a partner
             # drops its Jw scores
+            rows = np.empty((height, 2 * n), dtype=np.float32)
             product = np.empty(height * 2 * width, dtype=np.float32)
             power = np.empty(height * width, dtype=np.float32)
             best, found = np.full(batch, -np.inf), []
             for start in starts[first:stop]:
-                block = self.matrix[start:start + height].view(np.float32)
-                h = block.shape[0]
+                stored = self.matrix[start:start + height]
+                h = stored.shape[0]
+                block = rows[:h]
+                np.copyto(block, stored)
                 q = product[:2 * h * width].reshape(h, 2 * width)
                 np.square(np.matmul(block, wr, out=q), out=q)
                 flat, pw = q.ravel(), power[:h * width].reshape(h, width)
@@ -447,7 +473,7 @@ class NearFieldGrid:
                 wide = pw.reshape(-1, 64 * width) if h % 64 == 0 and h > 64 else pw
                 col_best = wide.max(axis=0).reshape(-1, width).max(axis=0)
                 best = np.maximum(best, col_best.reshape(-1, batch).max(axis=0))
-                floor = best - margin
+                floor = floor_of(best)
                 hot = np.flatnonzero(col_best.reshape(-1, batch) >= floor)
                 if hot.size:
                     sub = pw[:, hot]
@@ -459,7 +485,7 @@ class NearFieldGrid:
         best = np.max(bests, axis=0)
         row, col, val = (np.concatenate(parts)
                          for parts in zip(*(hit for hits in found for hit in hits)))
-        keep = val >= (best - margin)[col % batch]
+        keep = val >= floor_of(best)[col % batch]
         row, col = row[keep], col[keep]
         slot, dist = np.divmod(row, self.distance_grid.size)
         angle = np.where(col < batch, self._stored[slot], self._partner[self._stored[slot]])

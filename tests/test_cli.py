@@ -353,6 +353,8 @@ _FINITE = "must be finite (flag)"
 _OUTSIDE = "user bounds reach outside the 2D grid's span"
 _NO_WIDTH = "has no finite half-power beamwidth"
 _TINY_FOCUS = "a focus_m of 5e-324 is too small"
+_CLOSED_FORM = "the closed-form gain leaves float64 at this focus, spacing and depth window"
+_SOURCE_DEPTH = "smallest source depth of 5e-324 m must both be at least 1e-20 m"
 _MEMORY = "GiB of physical memory"
 _TERA = "1000000000000"
 
@@ -417,6 +419,26 @@ REFUSED_CONFIGS = [
     pytest.param("depth --focus_m 5e-324", _TINY_FOCUS, id="depth_tiny_focus"),
     pytest.param("depth --focus_m 5e-324 --frequency_ghz 1e-300 --spacing_m 0.01 "
                  "--num_subarrays 1", _TINY_FOCUS, id="depth_focus_half_underflow"),
+    pytest.param("beampattern --focus_m 2 --x_points 1 --z_points 1 --x_min_m 1e62",
+                 "sources reach 1e+62 m from the array's elements, beyond the 1e+61 m",
+                 id="beampattern_source_beyond_reach"),
+    pytest.param("beampattern --focus_m 2 --x_points 1 --z_points 1 --x_min_m 1e300",
+                 "sources reach 1e+300 m", id="beampattern_source_square_overflow"),
+    pytest.param("beampattern --focus_m 2 --x_points 3 --z_points 3 --z_min_m 5e-324",
+                 _SOURCE_DEPTH, id="beampattern_source_depth_underflow"),
+    pytest.param("beampattern --focus_m 2 --x_points 3 --z_points 3 --spacing_m 5e-324",
+                 "an element spacing of 5e-324 m", id="beampattern_spacing_underflow"),
+    pytest.param("depth --focus_m 2 --include_exact true --z_max_m 1e62",
+                 "sources reach 1e+62 m", id="depth_exact_source_beyond_reach"),
+    pytest.param("depth --focus_m 2 --include_exact true --z_min_m 5e-324 --z_points 3",
+                 _CLOSED_FORM, id="depth_z_min_underflow"),
+    pytest.param("depth --focus_m 1e153", _CLOSED_FORM, id="depth_focus_gain_overflow"),
+    pytest.param("depth --num_subarrays 1 --antennas_per_subarray 1 --focus_m 1e300 "
+                 "--z_points 1 --chain 1", _CLOSED_FORM, id="depth_focus_overflow"),
+    pytest.param("depth --num_subarrays 4 --antennas_per_subarray 1 --focus_m 1e300 "
+                 "--z_points 2 --chain 3", _CLOSED_FORM, id="depth_chain_focus_overflow"),
+    pytest.param("depth --focus_m 30 --num_subarrays 2 --antennas_per_subarray 2 "
+                 "--z_points 4 --spacing_m 5e-324", _CLOSED_FORM, id="depth_spacing_underflow"),
     pytest.param("design --frequency_ghz 100 --aperture_m 4 --focus_m 2 --antenna_counts 1",
                  "needs at least 2.36e+03 grid points", id="design_window_lobes_between_samples"),
     pytest.param("design --frequency_ghz 1e9 --aperture_m 7.3 --focus_m 0.01 --antenna_counts 3",

@@ -355,7 +355,7 @@ def test_2d_grid_beyond_memory_is_refused(monkeypatch):
     Its estimate is a lower bound of the bytes the grid stores, within 10 %:
     a host with exactly those bytes passes, one with 10 % less is refused."""
     se = dict(sweep_variable="power", sweep_values=(0.1,))
-    _config(**se).check_grid_span()  # README's se sample, about 0.5 GB
+    _config(**se).check_grid_span()  # README's se sample, about 0.26 GB
     for step in (5e-324, 1e-12):
         with pytest.raises(ValueError, match="GiB of physical memory"):
             _config(distance_step=step, **se).check_grid_span()

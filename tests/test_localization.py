@@ -468,20 +468,29 @@ def test_grid_argmax_phase_invariance():
     assert grid.num_points == ag.size * dg.size
 
 
-# A stored entry is within this of its float64 value exp(-ikr): float32 cos
-# and sin (2 ulp each) of the phase reduced to [-pi, pi] and rounded to
-# float32 (2u); see the margin of NearFieldGrid.argmax_rank1.
-ENTRY_BOUND = (2 + 2 * math.sqrt(2)) * 2.0**-24
+# A stored entry q, read as q / 32767, is within this of its float64 value
+# exp(-ikr): each part rounded to 1/32767 after a float32 scaling (2**-16 + u)
+# of float32 cos and sin (2 ulp each) of the phase reduced to [-pi, pi] and
+# rounded to float32 (2u); see delta in NearFieldGrid.argmax_rank1.
+ENTRY_BOUND = math.sqrt(2) * 2.0**-16 + (2 + 3 * math.sqrt(2)) * 2.0**-24
 
 
-def _storage_error(grid):
-    """Largest |stored entry - float64 cos and sin of its phase| over every
-    stored row of grid."""
+def _stored_phases(grid):
+    """float64 phases of every stored row of grid, shape (rows, n)."""
     x = element_positions(grid.mla).ravel()
     k = 2 * np.pi / grid.carrier.wavelength
     c = np.cos(grid.angle_grid[grid._stored])[:, None, None]
-    theta = localization._phase(x, k, c, grid.distance_grid[:, None]).reshape(-1, x.size)
-    return np.abs(grid.matrix - (np.cos(theta) + 1j * np.sin(theta))).max()
+    return localization._phase(x, k, c, grid.distance_grid[:, None]).reshape(-1, x.size)
+
+
+def _storage_error(grid):
+    """Largest |stored entry q / 32767 - float64 cos and sin of its phase|
+    over every stored row of grid, whose int16 parts interleave [Re, Im]."""
+    theta = _stored_phases(grid)
+    assert grid.matrix.dtype == np.int16
+    assert grid.matrix.shape == (theta.shape[0], 2 * theta.shape[1])
+    q = grid.matrix.reshape(*theta.shape, 2) / 32767
+    return np.hypot(q[..., 0] - np.cos(theta), q[..., 1] - np.sin(theta)).max()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -500,18 +509,19 @@ def test_grid_does_not_depend_on_worker_count(workers, monkeypatch):
     grid, other = builds
     assert list(grid._stored) == list(range(7))
     assert list(grid._partner) == list(range(13, -1, -1))
-    assert np.array_equal(grid.matrix.view(np.uint64), other.matrix.view(np.uint64))
+    assert np.array_equal(grid.matrix, other.matrix)
     assert _storage_error(grid) <= ENTRY_BOUND
 
 
 def test_default_grid_entries_within_storage_bound():
     """Every 25th stored angle of the default centered grid at every default
     distance, phases from 9.3e2 to 1.3e4 rad: each stored entry is within
-    ENTRY_BOUND of its float64 value, as the screen's margin assumes. A
-    numpy whose float32 cos or sin breaks 2 ulp fails here."""
+    ENTRY_BOUND of its float64 value, as the screen's floor assumes. A
+    part rounded to the wrong quantum, or a float32 cos or sin far off its
+    2 ulp, fails here."""
     angles = localization.centered_angle_grid(0.002)[:551:25]
     grid = NearFieldGrid(_array(), CAR, angles, localization.default_distance_grid(0.02))
-    assert grid.matrix.shape == (23 * 1821, 64)
+    assert grid.matrix.shape == (23 * 1821, 128)
     assert _storage_error(grid) <= ENTRY_BOUND
 
 
@@ -687,7 +697,7 @@ def test_mirror_layout():
     partner = [-1] + list(range(19, 10, -1)) + [-1] + list(range(9, 0, -1))
     assert list(MIRROR_GRID._partner) == partner
     assert list(MIRROR_GRID._stored) == list(range(11))
-    assert MIRROR_GRID.matrix.shape == (11 * D, 16)
+    assert MIRROR_GRID.matrix.shape == (11 * D, 32)
     assert MIRROR_GRID.num_points == 20 * D
     assert list(MIRROR_GRID._lone) == [True] * D + [False] * (9 * D) + [True] * D
     assert np.all(SMALL_GRID._partner == -1)
@@ -809,30 +819,85 @@ def test_mirror_grid_matches_brute_force(seed, kinds, block_bytes, workers, odd)
     assert picks == singles == [_brute_force_argmax(grid, u) for u in cols]
 
 
+def _generated_column(rng, kind, rows):
+    """A unit column: random; a grid point's float64 row times a random
+    phase; or the sum of two grid points' rows, one of them phase-shifted."""
+    n = rows.shape[1]
+    if kind == "random":
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        i, j = rng.integers(rows.shape[0], size=2)
+        u = rows[i] * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        if kind == "pair":
+            u = u + rows[j]
+    return u / np.linalg.norm(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 3), N=st.integers(1, 6),
+       ks=st.lists(st.integers(-8, 8), min_size=1, max_size=12, unique=True),
+       step=st.sampled_from([0.01, 0.03, 0.07]),
+       near=st.floats(2.0, 30.0), distance_step=st.sampled_from([0.05, 0.3, 1.0]),
+       distances=st.integers(1, 12),
+       kinds=st.lists(st.sampled_from(["random", "point", "pair"]), min_size=3, max_size=3),
+       batch=st.sampled_from([1, 3]), workers=st.sampled_from([1, 2]),
+       block_bytes=st.sampled_from([1, 1 << 21]), seed=st.integers(0, 2**32 - 1))
+@example(L=3, N=5, ks=[0, 3, -3, 5], step=0.01, near=10.0, distance_step=0.3, distances=12,
+         kinds=["point", "pair", "random"], batch=3, workers=2, block_bytes=1, seed=0)
+def test_generated_grid_picks_match_brute_force(L, N, ks, step, near, distance_step, distances,
+                                                kinds, batch, workers, block_bytes, seed):
+    """On generated grids, argmax_rank1 equals a float64 brute force over
+    every grid point: odd and even element counts, angles pi/2 + k step
+    with and without their mirror -k on the grid (paired and lone rows),
+    several steps and distance spans, one column or three, one worker or
+    two, and one block or 64-row blocks."""
+    mla = ModularArray(L, N, 0.01, 0.07)
+    grid = NearFieldGrid(mla, CAR, np.pi / 2 + step * np.array(ks),
+                         near + distance_step * np.arange(distances))
+    rng = np.random.default_rng(seed)
+    rows = _exact_rows(grid)
+    cols = [_generated_column(rng, kind, rows) for kind in kinds[:batch]]
+    with mock.patch.object(localization, "_BLOCK_PRODUCT_BYTES", block_bytes), \
+            mock.patch.object(numerics, "_WORKERS", workers):
+        picks = grid.argmax_rank1(np.stack(cols, axis=1))
+    assert picks == [_brute_force_argmax(grid, u) for u in cols]
+
+
+@settings(max_examples=60, deadline=None)
+@given(angles=st.lists(st.floats(0.05, math.pi - 0.05), min_size=1, max_size=8),
+       distances=st.lists(st.floats(0.5, 200.0), min_size=1, max_size=8),
+       L=st.integers(1, 4), N=st.integers(1, 16), wavelength=st.sampled_from([0.005, 0.02, 0.1]))
+def test_generated_grid_entries_within_storage_bound(angles, distances, L, N, wavelength):
+    """Every int16 entry of a grid over generated angles and distances, read
+    as q / 32767, lies within ENTRY_BOUND of float64 exp(-ikr)."""
+    grid = NearFieldGrid(ModularArray(L, N, wavelength / 2, 0.05),
+                         Carrier.from_wavelength(wavelength), angles, distances)
+    assert _storage_error(grid) <= ENTRY_BOUND
+
+
 def test_odd_element_count_pairs():
     x = element_positions(ODD_GRID.mla).ravel()
     assert x.size == 15 and x[7] == 0 and np.array_equal(x, -x[::-1])
     assert np.array_equal(ODD_GRID._partner, MIRROR_GRID._partner)
-    assert ODD_GRID.matrix.shape == (11 * ODD_GRID.distance_grid.size, 15)
+    assert ODD_GRID.matrix.shape == (11 * ODD_GRID.distance_grid.size, 30)
 
 
-def _perturbed(grid, pick, by=None):
-    """A copy of grid whose stored row for the point pick (or for its mirror
-    partner) is one float32 ulp nearer zero in every part, and every other
-    stored row one ulp farther; by that much instead, if by is given."""
+def _perturbed(grid, pick, down, up=0.0):
+    """A copy of grid whose stored rows are their float64 values exp(-ikr),
+    times 32767 as the stored parts are, with every entry of the row for the
+    point pick (or for its mirror partner) moved down nearer zero and every
+    entry of every other row up farther from it. The parts are held as
+    float32, which the screen copies into its float32 rows as it does int16
+    parts."""
     ia = int(np.flatnonzero(grid.angle_grid == pick[0])[0])
     idist = int(np.flatnonzero(grid.distance_grid == pick[1])[0])
     stored = ia if ia in grid._stored else grid._partner[ia]
     row = int(np.flatnonzero(grid._stored == stored)[0]) * grid.distance_grid.size + idist
-    m = grid.matrix.view(np.float32)
-    if by is None:
-        out = np.nextafter(m, np.copysign(np.inf, m))
-        out[row] = np.nextafter(m[row], 0)
-    else:
-        out = m + np.copysign(np.float32(by), m)
-        out[row] = m[row] - np.copysign(np.float32(by), m[row])
+    scale = np.full((grid.matrix.shape[0], 1), 1 + up)
+    scale[row] = 1 - down
+    entries = np.exp(1j * _stored_phases(grid)) * scale * 32767
     perturbed = copy.copy(grid)
-    perturbed.matrix = out.view(np.complex64)
+    perturbed.matrix = entries.view(np.float64).astype(np.float32)
     return perturbed
 
 
@@ -842,7 +907,7 @@ PERTURBED_CASES = [
     ("MIRROR_GRID", "first_angle"), ("MIRROR_GRID", "self_mirror")]
 
 
-def _check_perturbed_picks(grid_name, kind, workers, monkeypatch, by=None):
+def _check_perturbed_picks(grid_name, kind, workers, monkeypatch, down, up=0.0):
     monkeypatch.setattr(numerics, "_WORKERS", workers)
     monkeypatch.setattr(localization, "_BLOCK_PRODUCT_BYTES", 1)
     grid = globals()[grid_name]
@@ -852,27 +917,28 @@ def _check_perturbed_picks(grid_name, kind, workers, monkeypatch, by=None):
         u = _planted_column(rng, kind, grid, tie_row)
         [pick] = grid.argmax_rank1(u[:, None])
         assert pick == _brute_force_argmax(grid, u)
-        assert _perturbed(grid, pick, by).argmax_rank1(u[:, None]) == [pick]
+        assert _perturbed(grid, pick, down, up).argmax_rank1(u[:, None]) == [pick]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("grid_name, kind", PERTURBED_CASES)
-def test_pick_ignores_one_ulp_in_the_stored_rows(grid_name, kind, workers, monkeypatch):
-    """Stored rows only screen: with the picked point's stored row one float32
-    ulp smaller and every other row one ulp larger, each pick is unchanged.
-    Picks rescored from the stored rows follow that perturbation at the
-    near-ties of distance_tie and mirror_tie columns."""
-    _check_perturbed_picks(grid_name, kind, workers, monkeypatch)
+def test_pick_ignores_one_quantum_in_the_stored_rows(grid_name, kind, workers, monkeypatch):
+    """Stored rows only screen: with every entry of the picked point's row one
+    int16 quantum (1/32767) nearer zero than its float64 value, each pick is
+    unchanged. Picks scored on the stored rows would follow that perturbation
+    at the near-ties of distance_tie and mirror_tie columns."""
+    _check_perturbed_picks(grid_name, kind, workers, monkeypatch, 1 / 32767)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("grid_name, kind", PERTURBED_CASES)
 def test_pick_ignores_the_storage_bound_in_the_stored_rows(grid_name, kind, workers,
                                                           monkeypatch):
-    """As above, with every stored part moved by the full ENTRY_BOUND (the
-    picked row toward zero, every other row away), not one ulp: the screen's
-    margin keeps every pick."""
-    _check_perturbed_picks(grid_name, kind, workers, monkeypatch, ENTRY_BOUND)
+    """As above, with every stored entry ENTRY_BOUND from its float64 value
+    (the picked row nearer zero, every other row farther): the screen's floor
+    keeps every pick. The floor is sharp: 1.2 ENTRY_BOUND moves some of these
+    picks."""
+    _check_perturbed_picks(grid_name, kind, workers, monkeypatch, ENTRY_BOUND, ENTRY_BOUND)
 
 
 def test_screen_gemm_width(monkeypatch):
@@ -912,23 +978,24 @@ def test_lone_rows_drop_their_reversed_scores(angles):
 
 
 @pytest.mark.parametrize("step, angles, stored, nbytes", [
-    (0.002, 1100, 551, 513_725_952),
-    (0.003, 733, 367, 342_173_184),
-    (0.007, 315, 158, 147_311_616),
+    (0.002, 1100, 551, 256_862_976),
+    (0.003, 733, 367, 171_086_592),
+    (0.007, 315, 158, 73_655_808),
 ])
 def test_default_grid_stores_half(step, angles, stored, nbytes, monkeypatch):
-    """The default centered grid stores angles 0..550 of its 1,100: 513.7 MB
-    in place of 1,025.6 MB, for the same 2,003,100 grid points. Steps that do
-    not divide the 2.2 rad span pair every angle but pi/2 too: 0.003 rad
-    stores 367 of 733 angles, 342 MB, where its unpaired layout held 684 MB.
-    The build is skipped here: only the layout is checked."""
+    """The default centered grid stores angles 0..550 of its 1,100: 256.9 MB
+    of int16 parts in place of 512.8 MB, for the same 2,003,100 grid points.
+    Steps that do not divide the 2.2 rad span pair every angle but pi/2 too:
+    0.003 rad stores 367 of 733 angles, 171 MB, where its unpaired layout
+    would hold 342 MB. The build is skipped here: only the layout is
+    checked."""
     monkeypatch.setattr(localization, "_run_blocks", lambda task, num_blocks: None)
     grid = NearFieldGrid(_array(), CAR, localization.centered_angle_grid(step),
                          localization.default_distance_grid(0.02))
     assert grid.angle_grid.size == angles
     assert np.count_nonzero(grid._partner >= 0) >= angles - 2
     assert list(grid._stored) == list(range(stored))
-    assert grid.matrix.nbytes == nbytes <= grid.num_points * 64 * 8 / 2 + 1821 * 64 * 8
+    assert grid.matrix.nbytes == nbytes <= grid.num_points * 64 * 4 / 2 + 1821 * 64 * 4
     assert grid.num_points == angles * 1821
 
 
